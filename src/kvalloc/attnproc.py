@@ -1,10 +1,14 @@
 """Attention processing: turn raw attention weights into per-layer token scores.
 
-The pipeline takes one layer's ``t x t`` attention matrix, keeps the rows of
-the observation window (the last ``ows`` positions), drops the window's own
-columns, averages over the kept rows, and smooths the result. The output is
-one nonnegative score per non-window token; higher means the token matters
-more to the window and therefore to the first generated token.
+The pipeline takes the rows of the observation window (the last ``ows``
+positions) of one layer's ``t x t`` attention matrix, drops the window's own
+columns, averages over the rows, and smooths the result. The output is one
+nonnegative score per non-window token; higher means the token matters more
+to the window and therefore to the first generated token.
+
+Scoring reads only those ``ows`` window rows: ``score_window`` is the one
+implementation, and every caller slices the window rows out before any
+float64 cast or head reduction, so no whole-matrix copy is made.
 """
 
 from __future__ import annotations
@@ -71,16 +75,19 @@ class ScoreVector:
 
 
 def causal_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the causal (lower-triangular) part of a square matrix.
+    """Row-wise softmax over the causal part of the last rows of a square matrix.
 
-    Entries above the diagonal come out exactly zero; rows sum to 1. Uses
-    max-subtraction for numerical stability.
+    An ``(r, t)`` input with ``1 <= r <= t`` is read as the last ``r`` rows
+    of a ``t x t`` causal matrix, so row ``i`` attends to columns up to
+    ``t - r + i``; a square input is the whole matrix. Masked entries come
+    out exactly zero; rows sum to 1. Uses max-subtraction for numerical
+    stability.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or logits.shape[0] != logits.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {logits.shape}")
-    t = logits.shape[0]
-    masked = np.where(np.tri(t, dtype=bool), logits, -np.inf)
+    if logits.ndim != 2 or not 1 <= logits.shape[0] <= logits.shape[1]:
+        raise ValueError(f"expected an (r, t) matrix with 1 <= r <= t, got shape {logits.shape}")
+    r, t = logits.shape
+    masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
     shifted = masked - masked.max(axis=1, keepdims=True)
     weights = np.exp(shifted)
     weights /= weights.sum(axis=1, keepdims=True)
@@ -99,20 +106,34 @@ def smooth(values: np.ndarray, pool_size: int) -> np.ndarray:
     return np.convolve(np.asarray(values, dtype=np.float64), np.ones(pool_size), mode="same") / pool_size
 
 
-def process_layer(weights: np.ndarray, settings: ProcSettings, layer: int = 0) -> ScoreVector:
-    """Select window rows, drop window columns, average rows, then smooth.
+def score_window(rows: np.ndarray, settings: ProcSettings, layer: int = 0) -> ScoreVector:
+    """Score the non-window tokens from the observation window's rows.
 
-    ``weights`` is one layer's ``t x t`` causal row-stochastic matrix. The
-    result has exactly ``t - ows`` entries regardless of pool_size.
+    ``rows`` holds the last ``ows`` rows of one layer's ``t x t`` causal
+    row-stochastic matrix, shape ``(ows, t)``. Drops the window columns,
+    averages the rows, then smooths; the result has exactly ``t - ows``
+    entries regardless of pool_size.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] != settings.ows:
+        raise ValueError(f"expected {settings.ows} window rows of shape (ows, t), got shape {rows.shape}")
+    t = rows.shape[1]
+    settings.check_seq_len(t)
+    merged = rows[:, : t - settings.ows].mean(axis=0)
+    return ScoreVector(layer=layer, scores=smooth(merged, settings.pool_size))
+
+
+def process_layer(weights: np.ndarray, settings: ProcSettings, layer: int = 0) -> ScoreVector:
+    """Score one layer's ``t x t`` causal row-stochastic matrix.
+
+    Only the last ``ows`` rows are read; see ``score_window``.
+    """
+    weights = np.asarray(weights)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise ValueError(f"expected a square attention matrix, got shape {weights.shape}")
     t = weights.shape[0]
     settings.check_seq_len(t)
-    selected = weights[t - settings.ows :, : t - settings.ows]
-    merged = selected.mean(axis=0)
-    return ScoreVector(layer=layer, scores=smooth(merged, settings.pool_size))
+    return score_window(weights[t - settings.ows :], settings, layer=layer)
 
 
 def process_trace(
@@ -120,17 +141,20 @@ def process_trace(
 ) -> list[ScoreVector]:
     """Score every layer of a trace, reducing heads before processing.
 
-    Heads are collapsed to a single ``t x t`` matrix per layer with the given
-    reduction ("mean" by default; "sum" and "max" are provided as alternative
-    readings of the per-layer score definition).
+    Heads are collapsed with the given reduction ("mean" by default; "sum"
+    and "max" are provided as alternative readings of the per-layer score
+    definition). Only each layer's window rows are cast and reduced, which
+    gives the same scores, bit for bit, as reducing the whole matrices.
     """
     if head_reduce not in HEAD_REDUCTIONS:
         raise ValueError(f"head_reduce must be one of {HEAD_REDUCTIONS}, got {head_reduce!r}")
     reducer = {"mean": np.mean, "sum": np.sum, "max": np.max}[head_reduce]
+    t = trace.seq_len
+    settings.check_seq_len(t)
     out = []
     for layer in range(trace.layers):
-        mat = reducer(trace.weights[layer].astype(np.float64), axis=0)
-        out.append(process_layer(mat, settings, layer=layer))
+        rows = reducer(trace.weights[layer, :, t - settings.ows :].astype(np.float64), axis=0)
+        out.append(score_window(rows, settings, layer=layer))
     return out
 
 

@@ -7,6 +7,11 @@ retained indices, per-layer retention, and the compressed memory footprint.
 
 Window tokens are retained on top of the per-layer budget, not inside it;
 every report says so explicitly.
+
+Scoring reads only the observation-window rows of each layer, through
+``attnproc.score_window``: ``simulate_task`` casts just those rows to
+float64, and ``evict_layer`` computes logits for just the last ``ows``
+queries.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .attnproc import ProcSettings, causal_softmax, process_layer
+from .attnproc import ProcSettings, causal_softmax, score_window
 from .allocator import AllocationList
 from .toymodel import PrefillResult
 from .trace import AttentionTrace
@@ -98,8 +103,9 @@ def evict_layer(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evict one layer's K/V rows down to ``n_i`` scored tokens plus the window.
 
-    Recomputes the attention weights from ``q`` and ``k`` (scaled by the
-    projection width), scores the non-window tokens, and keeps the top
+    Recomputes the window rows' attention weights from the last ``ows``
+    rows of ``q`` and all of ``k`` (scaled by the projection width), scores
+    the non-window tokens from them, and keeps the top
     ``n_i`` of them (ties toward lower index) along with every window row.
     Returns the retained K rows, V rows, and their original indices in
     ascending order; retained rows are bit-equal slices of the inputs.
@@ -116,8 +122,8 @@ def evict_layer(
     settings.check_seq_len(t)
     if not 0 <= n_i <= t - settings.ows:
         raise ValueError(f"n_i must be in [0, {t - settings.ows}], got {n_i}")
-    weights = causal_softmax(q @ np.asarray(k_arr, dtype=np.float64).T / np.sqrt(p))
-    scores = process_layer(weights, settings).scores
+    logits = q[t - settings.ows :] @ np.asarray(k_arr, dtype=np.float64).T / np.sqrt(p)
+    scores = score_window(causal_softmax(logits), settings).scores
     retained = _retained_for_layer(scores, n_i, t, settings.ows)
     return k_arr[retained], v_arr[retained], retained
 
@@ -126,13 +132,12 @@ def _attention_and_width(
     source: AttentionTrace | PrefillResult | np.ndarray, proj_dim: int
 ) -> tuple[np.ndarray, int]:
     if isinstance(source, AttentionTrace):
-        return source.weights.astype(np.float64), proj_dim
+        return source.weights, proj_dim
     if isinstance(source, PrefillResult):
-        attn = source.per_layer_attention
         if source.kv_pairs:
             proj_dim = source.kv_pairs[0][0].shape[-1]
-        return np.asarray(attn, dtype=np.float64), proj_dim
-    attn = np.asarray(source, dtype=np.float64)
+        return source.per_layer_attention, proj_dim
+    attn = np.asarray(source)
     if attn.ndim != 4:
         raise ValueError(f"expected attention of shape (l, h, t, t), got {attn.shape}")
     return attn, proj_dim
@@ -149,7 +154,8 @@ def simulate_task(
     ``source`` supplies the attention weights: a trace, a prefill result, or
     a raw ``(layers, heads, t, t)`` array. ``proj_dim`` sets the per-token
     projection width used for byte accounting when the source carries no
-    K/V (a full-prefill result overrides it with the real width).
+    K/V (a full-prefill result overrides it with the real width). Only each
+    layer's window rows are read and cast to float64.
     """
     attn, p = _attention_and_width(source, proj_dim)
     l, h, t, _ = attn.shape
@@ -163,7 +169,8 @@ def simulate_task(
         n = allocation.sizes[layer]
         if n > cap:
             raise ValueError(f"layer {layer}: n_i {n} exceeds capacity {cap}")
-        scores = process_layer(attn[layer].mean(axis=0), settings, layer=layer).scores
+        rows = attn[layer, :, t - settings.ows :].astype(np.float64).mean(axis=0)
+        scores = score_window(rows, settings, layer=layer).scores
         retained_indices.append(tuple(int(i) for i in _retained_for_layer(scores, n, t, settings.ows)))
         per_layer_r.append(metrics.retention(scores, n))
 

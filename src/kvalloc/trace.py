@@ -4,15 +4,22 @@ A trace holds one inference task's per-layer, per-head attention-weight
 matrices. Traces are immutable after construction and are the common input
 to score extraction, allocation, and eviction simulation.
 
-File format (bit-exact): a single-line UTF-8 JSON header terminated by
-``\\n``, followed immediately by ``layers * heads * seq_len * seq_len``
-IEEE-754 binary32 little-endian values in layer-major / head / row-major
-order.
+File format (bit-exact, version 1): a single-line UTF-8 JSON header
+terminated by ``\\n``, followed immediately by ``layers * heads * seq_len *
+seq_len`` IEEE-754 binary32 little-endian values in layer-major / head /
+row-major order.
+
+Loading reads the payload straight into one preallocated payload-sized
+array, after checking the file size against the header; saving writes the
+header and then the trace's own float32 buffer. Neither makes a second
+whole-trace copy, and the file format is unchanged.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,6 +83,10 @@ class TraceHeader:
         missing = {"version", "layers", "heads", "seq_len", "dtype"} - obj.keys()
         if missing:
             raise TraceFormatError(f"trace header missing keys: {sorted(missing)}")
+        for key in ("version", "layers", "heads", "seq_len"):
+            value = obj[key]
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TraceFormatError(f"trace header field {key!r} must be an integer, got {value!r}")
         return cls(
             layers=obj["layers"],
             heads=obj["heads"],
@@ -118,29 +129,41 @@ class AttentionTrace:
         return self.header.seq_len
 
     def validate(self, row_sum_atol: float = ROW_SUM_ATOL) -> None:
-        """Check causality and row-stochasticity, reporting the first offender.
+        """Check causality, finiteness, sign and row-stochasticity.
 
-        Raises TraceFormatError carrying layer/head/row coordinates.
+        Every row of every (layer, head) block is checked, one block at a
+        time. Raises TraceFormatError carrying the layer/head/row coordinates
+        of the first offender.
         """
         t = self.seq_len
         upper = ~np.tri(t, dtype=bool)
         for layer in range(self.layers):
             for head in range(self.heads):
                 mat = self.weights[layer, head]
-                bad = np.argwhere((mat != 0) & upper)
-                if bad.size:
-                    row, col = bad[0]
+                where = f"layer {layer}, head {head}"
+                bad = (mat != 0) & upper
+                if bad.any():
+                    row, col = np.argwhere(bad)[0]
                     raise TraceFormatError(
-                        f"causality violation at layer {layer}, head {head}, "
-                        f"row {row}: nonzero weight in column {col}"
+                        f"causality violation at {where}, row {row}: nonzero weight in column {col}"
                     )
+                # A NaN or infinity anywhere in a row makes its sum non-finite.
                 sums = mat.sum(axis=1, dtype=np.float64)
+                finite = np.isfinite(sums)
+                if not finite.all():
+                    row = int(finite.argmin())
+                    raise TraceFormatError(f"non-finite weight at {where}, row {row}")
+                if mat.min() < 0:
+                    row, col = np.argwhere(mat < 0)[0]
+                    raise TraceFormatError(
+                        f"negative weight at {where}, row {row}: {float(mat[row, col]):g} in column {col}"
+                    )
                 off = np.abs(sums - 1.0)
                 if off.max() > row_sum_atol:
                     row = int(off.argmax())
                     raise TraceFormatError(
-                        f"row-sum violation at layer {layer}, head {head}, "
-                        f"row {row}: sum {sums[row]:.6f} deviates beyond {row_sum_atol:g}"
+                        f"row-sum violation at {where}, row {row}: "
+                        f"sum {sums[row]:.6f} deviates beyond {row_sum_atol:g}"
                     )
 
     def layer_mean(self, layer: int) -> np.ndarray:
@@ -228,29 +251,49 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
 def save_trace(trace: AttentionTrace, path: str | Path) -> None:
     """Write a trace to disk in the bit-exact header+payload format.
 
-    Refuses to save traces whose invariants do not hold.
+    Refuses to save traces whose invariants do not hold. The payload is
+    written straight from the trace's float32 buffer, with no copy.
     """
     trace.validate(row_sum_atol=LOAD_ROW_SUM_ATOL)
-    path = Path(path)
-    data = trace.header.to_json_line() + trace.weights.astype("<f4").tobytes(order="C")
-    path.write_bytes(data)
+    payload = trace.weights.astype("<f4", copy=False)
+    with open(path, "wb") as fh:
+        fh.write(trace.header.to_json_line())
+        fh.write(payload.data)
+
+
+def _check_payload_length(size: int, header: TraceHeader) -> None:
+    if size != header.payload_bytes:
+        raise TraceFormatError(
+            f"payload length {size} bytes does not match header "
+            f"(expected {header.payload_bytes})"
+        )
 
 
 def load_trace(path: str | Path) -> AttentionTrace:
-    """Read a trace file, validating format, payload length, and invariants."""
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise TraceFormatError("malformed trace file: missing header line")
-    header = TraceHeader.from_json_line(raw[:newline])
-    payload = raw[newline + 1 :]
-    if len(payload) != header.payload_bytes:
-        raise TraceFormatError(
-            f"payload length {len(payload)} bytes does not match header "
-            f"(expected {header.payload_bytes})"
-        )
-    shape = (header.layers, header.heads, header.seq_len, header.seq_len)
-    weights = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    """Read a trace file, validating format, payload length, and invariants.
+
+    For a regular file the payload size is checked against the header
+    before anything is allocated; the payload is then read into one
+    payload-sized array, which the returned trace holds. A pipe is checked
+    by the count of bytes read.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise TraceFormatError("malformed trace file: missing header line")
+        header = TraceHeader.from_json_line(line[:-1])
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            _check_payload_length(st.st_size - fh.tell(), header)
+        shape = (header.layers, header.heads, header.seq_len, header.seq_len)
+        try:
+            weights = np.empty(shape, dtype="<f4")
+        except (MemoryError, ValueError) as exc:
+            raise TraceFormatError(
+                f"header promises a {header.payload_bytes}-byte payload, which cannot be allocated"
+            ) from exc
+        got = fh.readinto(weights.data)
+        _check_payload_length(got + len(fh.read()), header)
     trace = AttentionTrace(header=header, weights=weights)
     trace.validate(row_sum_atol=LOAD_ROW_SUM_ATOL)
     return trace

@@ -9,6 +9,7 @@ from kvalloc.attnproc import (
     causal_softmax,
     process_layer,
     process_trace,
+    score_window,
     scores_to_csv,
     scores_to_json,
     smooth,
@@ -143,6 +144,50 @@ class TestProcessTrace:
         with pytest.raises(ValueError, match="head_reduce"):
             process_trace(trace, settings, head_reduce="median")
 
+    @pytest.mark.parametrize("head_reduce,reducer", [("mean", np.mean), ("sum", np.sum), ("max", np.max)])
+    def test_window_rows_match_full_matrix_reference(self, head_reduce, reducer):
+        # Reference: reduce heads over the whole float64 matrix, then score it.
+        trace = generate_trace(
+            SyntheticSpec(layers=3, heads=4, seq_len=40, sparsity=0.2, seed=13, layer_skew=1.5)
+        )
+        for settings in (ProcSettings(ows=1, pool_size=1), ProcSettings(ows=8, pool_size=7)):
+            got = process_trace(trace, settings, head_reduce=head_reduce)
+            for layer, sv in enumerate(got):
+                full = reducer(trace.weights[layer].astype(np.float64), axis=0)
+                expected = process_layer(full, settings, layer=layer)
+                assert sv.scores.tobytes() == expected.scores.tobytes()
+                assert sv.layer == layer
+
+    def test_window_too_large_rejected(self):
+        trace = generate_trace(SyntheticSpec(layers=1, heads=2, seq_len=6, sparsity=0.5, seed=0))
+        with pytest.raises(ValueError, match="ows 6 must be < seq_len 6"):
+            process_trace(trace, ProcSettings(ows=6, pool_size=1))
+
+
+class TestScoreWindow:
+    def test_process_layer_is_score_window_on_last_rows(self):
+        rng = np.random.default_rng(17)
+        mat = causal_softmax(rng.normal(size=(30, 30)))
+        settings = ProcSettings(ows=5, pool_size=3)
+        a = process_layer(mat, settings, layer=2)
+        b = score_window(mat[-5:], settings, layer=2)
+        assert a.layer == b.layer == 2
+        assert a.scores.tobytes() == b.scores.tobytes()
+
+    def test_hand_example_from_window_rows(self):
+        rows = np.array(FIG_PIPELINE_MATRIX)[2:]
+        sv = score_window(rows, ProcSettings(ows=2, pool_size=1))
+        assert sv.scores == pytest.approx([0.15, 0.25], abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (1, 8), (2,), (2, 2, 8)])
+    def test_row_count_must_equal_window(self, shape):
+        with pytest.raises(ValueError, match="window rows"):
+            score_window(np.zeros(shape), ProcSettings(ows=2, pool_size=1))
+
+    def test_window_must_fit_row_length(self):
+        with pytest.raises(ValueError, match="ows"):
+            score_window(np.zeros((2, 2)), ProcSettings(ows=2, pool_size=1))
+
 
 class TestScoreVector:
     def test_negative_scores_rejected(self):
@@ -176,3 +221,20 @@ class TestCausalSoftmax:
 
     def test_single_token(self):
         assert causal_softmax(np.array([[123.0]])).tolist() == [[1.0]]
+
+    def test_last_rows_match_square_reference(self):
+        rng = np.random.default_rng(5)
+        for t in (1, 2, 7, 33):
+            logits = rng.normal(size=(t, t)) * 10.0
+            full = causal_softmax(logits)
+            for r in range(1, t + 1):
+                assert causal_softmax(logits[-r:]).tobytes() == full[-r:].tobytes()
+
+    def test_rectangular_rows_are_causal(self):
+        weights = causal_softmax(np.zeros((2, 5)))
+        assert weights.tolist() == [[0.25, 0.25, 0.25, 0.25, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]]
+
+    @pytest.mark.parametrize("shape", [(3, 2), (0, 4), (4,), (1, 2, 2)])
+    def test_more_rows_than_columns_rejected(self, shape):
+        with pytest.raises(ValueError, match="r <= t"):
+            causal_softmax(np.zeros(shape))

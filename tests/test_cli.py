@@ -292,3 +292,33 @@ class TestDeterminism:
             second = run(capsys, *argv)
             assert first[0] == 0
             assert first == second
+
+
+class TestMalformedTraceFiles:
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b'{"version":1,"layers":"1","heads":1,"seq_len":2,"dtype":"f32le"}',
+            b'{"version":1,"layers":1.5,"heads":1,"seq_len":2,"dtype":"f32le"}',
+            b'{"version":1,"layers":true,"heads":1,"seq_len":2,"dtype":"f32le"}',
+            b'{"version":true,"layers":1,"heads":1,"seq_len":2,"dtype":"f32le"}',
+            b'{"version":1,"layers":1,"heads":1,"seq_len":2.0,"dtype":"f32le"}',
+        ],
+    )
+    def test_mistyped_header_field_exits_2(self, tmp_path, capsys, header):
+        path = tmp_path / "t.bin"
+        path.write_bytes(header + b"\n" + b"\0\0\x80\x3f" + b"\0" * 4 + b"\0\0\0\x3f" * 2)
+        code, out, err = run(capsys, "allocate", str(path), "--budget", "0", "--ows", "1", "--pool-size", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be an integer" in err
+
+    def test_nan_weight_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.bin"
+        path.write_bytes(
+            b'{"version":1,"layers":1,"heads":1,"seq_len":2,"dtype":"f32le"}\n'
+            + b"\0\0\x80\x3f" + b"\0" * 4 + b"\0\0\xc0\x7f" + b"\0\0\0\x3f"
+        )
+        code, _, err = run(capsys, "scores", str(path), "--ows", "1", "--pool-size", "1")
+        assert code == 2
+        assert "non-finite weight at layer 0, head 0, row 1" in err

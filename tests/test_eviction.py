@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from kvalloc.allocator import AllocationList, Constraint, allocate, uniform_allocation
-from kvalloc.attnproc import ProcSettings, process_trace
+from kvalloc.attnproc import ProcSettings, causal_softmax, process_layer, process_trace
 from kvalloc.eviction import WINDOW_POLICY, EvictionReport, evict_layer, simulate_task
 from kvalloc.metrics import r_avg as mean_retention
+from kvalloc.metrics import retention
 from kvalloc.toymodel import ToyModelConfig, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace
 
@@ -33,7 +34,35 @@ def reference_selection(q, k, n, ows, pool_size):
     return sorted(ranked[:n] + list(range(t - ows, t)))
 
 
+def full_matrix_selection(q, k, n, settings):
+    """The whole-matrix path: softmax over all t x t logits, then score."""
+    t, p = q.shape
+    weights = causal_softmax(q @ np.asarray(k, dtype=np.float64).T / np.sqrt(p))
+    scores = process_layer(weights, settings).scores
+    top = np.argsort(-scores, kind="stable")[:n]
+    return np.sort(np.concatenate([top, np.arange(t - settings.ows, t)]))
+
+
 class TestEvictLayer:
+    def test_matches_full_matrix_path_on_random_shapes(self):
+        rng = np.random.default_rng(2412)
+        for _ in range(300):
+            t = int(rng.integers(2, 65))
+            ows = int(rng.integers(1, t))
+            pools = [ps for ps in (1, 3, 5, 7) if ps <= t - ows]
+            pool_size = pools[int(rng.integers(len(pools)))]
+            p = int(rng.integers(1, 17))
+            q = rng.normal(size=(t, p)) * rng.uniform(0.1, 4.0)
+            k = rng.normal(size=(t, p)).astype(np.float32)
+            v = rng.normal(size=(t, p)).astype(np.float32)
+            n = int(rng.integers(0, t - ows + 1))
+            settings = ProcSettings(ows=ows, pool_size=pool_size)
+            k_out, v_out, retained = evict_layer(q, k, v, n, settings)
+            expected = full_matrix_selection(q, k, n, settings)
+            assert retained.tolist() == expected.tolist(), (t, p, ows, pool_size, n)
+            assert k_out.tobytes() == k[expected].tobytes()
+            assert v_out.tobytes() == v[expected].tobytes()
+
     def test_matches_independent_reference(self):
         rng = np.random.default_rng(71)
         q = rng.normal(size=(12, 4))
@@ -175,6 +204,23 @@ class TestSimulateTask:
         )
         assert report.bytes_before == full_report.bytes_before
         assert report.retained_indices == full_report.retained_indices
+
+    def test_matches_full_matrix_reference_for_trace_and_array(self):
+        trace = generate_trace(
+            SyntheticSpec(layers=3, heads=4, seq_len=40, sparsity=0.2, seed=19, layer_skew=1.5)
+        )
+        settings = ProcSettings(ows=8, pool_size=7)
+        allocation = AllocationList(sizes=(5, 0, 32))
+        from_trace = simulate_task(trace, allocation, settings)
+        assert simulate_task(np.array(trace.weights), allocation, settings) == from_trace
+        # The whole-matrix reference: float64 head mean over full matrices.
+        for layer in range(3):
+            full = trace.weights[layer].astype(np.float64).mean(axis=0)
+            scores = process_layer(full, settings).scores
+            assert from_trace.per_layer_r[layer] == retention(scores, allocation.sizes[layer])
+            top = np.argsort(-scores, kind="stable")[: allocation.sizes[layer]]
+            expected = np.sort(np.concatenate([top, np.arange(32, 40)]))
+            assert from_trace.retained_indices[layer] == tuple(expected.tolist())
 
     def test_allocation_length_mismatch_rejected(self):
         trace = generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=0))

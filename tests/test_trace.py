@@ -1,7 +1,9 @@
 """Trace data model, binary format, and synthetic generation."""
 
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -193,3 +195,143 @@ class TestGenerate:
             "seq_len": 8,
             "dtype": "f32le",
         }
+
+
+class TestHeaderFieldTypes:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("layers", "3"),
+            ("layers", 1.5),
+            ("layers", 3.0),
+            ("layers", True),
+            ("heads", None),
+            ("heads", [1]),
+            ("seq_len", "2"),
+            ("seq_len", 2.0),
+            ("version", True),
+            ("version", 1.0),
+        ],
+    )
+    def test_non_integer_field_rejected(self, tmp_path, field, value):
+        obj = {"version": 1, "layers": 1, "heads": 1, "seq_len": 2, "dtype": "f32le"}
+        obj[field] = value
+        line = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+        with pytest.raises(TraceFormatError, match=field):
+            TraceHeader.from_json_line(line)
+        path = tmp_path / "t.bin"
+        path.write_bytes(line + b"\n" + struct.pack("<4f", 1.0, 0.0, 0.5, 0.5))
+        with pytest.raises(TraceFormatError, match=field):
+            load_trace(path)
+
+
+def two_head_payload(rows_head1: list[list[float]]) -> bytes:
+    """A 1x2x3 trace file whose head 0 is valid and head 1 is given."""
+    header = b'{"version":1,"layers":1,"heads":2,"seq_len":3,"dtype":"f32le"}\n'
+    head0 = [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
+    values = [x for row in head0 + rows_head1 for x in row]
+    return header + struct.pack(f"<{len(values)}f", *values)
+
+
+class TestNonFiniteAndNegativeWeights:
+    @pytest.mark.parametrize(
+        "rows,kind,row",
+        [
+            ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, float("nan"), 0.8]], "non-finite", 2),
+            ([[float("nan"), 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], "non-finite", 0),
+            ([[1.0, 0.0, 0.0], [float("inf"), 0.5, 0.0], [0.2, 0.3, 0.5]], "non-finite", 1),
+            ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [float("-inf"), 0.3, 0.5]], "non-finite", 2),
+            ([[1.0, 0.0, 0.0], [1.5, -0.5, 0.0], [0.2, 0.3, 0.5]], "negative", 1),
+            ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.6, -0.1, 0.5]], "negative", 2),
+        ],
+    )
+    def test_rejected_with_coordinates(self, tmp_path, rows, kind, row):
+        path = tmp_path / "t.bin"
+        path.write_bytes(two_head_payload(rows))
+        pattern = rf"{kind} weight at layer 0, head 1, row {row}"
+        with pytest.raises(TraceFormatError, match=pattern):
+            load_trace(path)
+        header = TraceHeader(layers=1, heads=2, seq_len=3)
+        weights = np.frombuffer(two_head_payload(rows).split(b"\n", 1)[1], dtype="<f4")
+        trace = AttentionTrace(header=header, weights=weights.reshape(1, 2, 3, 3))
+        with pytest.raises(TraceFormatError, match=pattern):
+            trace.validate()
+        with pytest.raises(TraceFormatError, match=pattern):
+            save_trace(trace, tmp_path / "out.bin")
+        assert not (tmp_path / "out.bin").exists()
+
+    def test_nan_above_diagonal_is_a_causality_violation(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(two_head_payload([[1.0, float("nan"), 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
+        with pytest.raises(TraceFormatError, match=r"causality violation at layer 0, head 1, row 0"):
+            load_trace(path)
+
+
+class TestFileCopies:
+    def test_save_over_the_loaded_file(self, tmp_path):
+        spec = SyntheticSpec(layers=2, heads=3, seq_len=24, sparsity=0.25, seed=4, layer_skew=1.0)
+        path = tmp_path / "t.bin"
+        save_trace(generate_trace(spec), path)
+        before = path.read_bytes()
+        save_trace(load_trace(path), path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("delta", [-1, -4, 1, 4, 64])
+    def test_payload_size_must_match_header(self, tmp_path, delta):
+        spec = SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=1)
+        path = tmp_path / "t.bin"
+        save_trace(generate_trace(spec), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:delta] if delta < 0 else raw + b"\0" * delta)
+        expected = 2 * 8 * 8 * 4
+        with pytest.raises(TraceFormatError, match=rf"payload length {expected + delta} bytes .* {expected}"):
+            load_trace(path)
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(
+            b'{"version":1,"layers":100000,"heads":100000,"seq_len":100000,"dtype":"f32le"}\n'
+            + struct.pack("<4f", 1.0, 0.0, 0.5, 0.5)
+        )
+        with pytest.raises(TraceFormatError, match="payload length 16 bytes"):
+            load_trace(path)
+
+    def test_loaded_weights_are_read_only(self, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(HEADER_2TOK + struct.pack("<4f", 1.0, 0.0, 0.5, 0.5))
+        trace = load_trace(path)
+        with pytest.raises(ValueError):
+            trace.weights[0, 0, 0, 0] = 0.0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("delta", [0, -4, 4, None])
+    def test_load_from_a_pipe(self, tmp_path, delta):
+        spec = SyntheticSpec(layers=2, heads=2, seq_len=64, sparsity=0.25, seed=8)
+        path = tmp_path / "t.bin"
+        save_trace(generate_trace(spec), path)
+        raw = path.read_bytes()
+        if delta is None:
+            # A header promising hundreds of TiB: nothing to read, nothing held.
+            data = b'{"version":1,"layers":1000,"heads":1000,"seq_len":10000,"dtype":"f32le"}\n\0\0\0\0'
+        else:
+            data = raw[:delta] if delta < 0 else raw + b"\0" * delta
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            if delta == 0:
+                assert load_trace(fifo).weights.tobytes() == load_trace(path).weights.tobytes()
+            else:
+                expected = 2 * 2 * 64 * 64 * 4
+                pattern = "payload" if delta is None else rf"payload length {expected + delta} bytes"
+                with pytest.raises(TraceFormatError, match=pattern):
+                    load_trace(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
