@@ -2,9 +2,11 @@
 """The greedy allocator, step by step, checked against brute force.
 
 On a tiny instance we can watch the mechanism: two lists, one holding the
-current per-layer sizes, the other each layer's next-best marginal gain.
-Every iteration grants one cache slot to the layer with the largest gain.
-An exhaustive search over all compositions confirms the result is optimal.
+current per-layer sizes, the other each layer's next-best marginal gain
+(the next step of its retention curve). Every iteration grants one cache
+slot to the layer with the largest gain. ``allocate`` reaches the same sizes
+without the loop, as one water level over all layers' steps. An exhaustive
+search over all compositions confirms the result is optimal.
 """
 
 import numpy as np
@@ -13,8 +15,8 @@ from kvalloc import (
     Constraint,
     allocate,
     allocation_r_avg,
-    marginal_gain,
     oracle_allocate,
+    retention_curve,
 )
 
 scores = [
@@ -27,7 +29,7 @@ budget = 4
 print("hand-run of the greedy loop:")
 sizes = [0, 0, 0]
 for step in range(budget):
-    gains = [marginal_gain(w, n) for w, n in zip(scores, sizes)]
+    gains = [np.diff(retention_curve(w))[n] for w, n in zip(scores, sizes)]
     pick = int(np.argmax(gains))
     sizes[pick] += 1
     shown = ", ".join(f"L{i}:{g:.3f}" for i, g in enumerate(gains))

@@ -11,10 +11,8 @@ averaged allocation be reused across tasks of the same type.
 from .allocator import (
     AllocationList,
     Constraint,
-    WaitList,
     allocate,
     allocation_r_avg,
-    marginal_gain,
     oracle_allocate,
     uniform_allocation,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "ToyModelConfig",
     "TraceFormatError",
     "TraceHeader",
-    "WaitList",
     "allocate",
     "allocation_r_avg",
     "average_allocations",
@@ -80,7 +77,6 @@ __all__ = [
     "isr_difference",
     "load_profile",
     "load_trace",
-    "marginal_gain",
     "mini_prefill",
     "min_cache_size",
     "oracle_allocate",

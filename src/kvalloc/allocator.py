@@ -1,10 +1,11 @@
 """Greedy per-layer cache-size allocation with an exhaustive verification oracle.
 
-Given one score vector per layer, the allocator hands out cache slots one
-token at a time, always to the layer whose best unselected token contributes
-the largest normalized score. Two constraint modes exist: spend exactly a
-total budget of ``N`` slots (maximizing the average retention), or reach a
-target average retention with as few slots as possible.
+Given one score vector per layer, the greedy gives each cache slot to the
+layer whose best unselected token has the largest normalized score. Each
+layer's scores are sorted, so that is one water level over all layers: every
+token above it is kept. Two constraint modes exist: spend exactly a total
+budget of ``N`` slots (maximizing the average retention), or reach a target
+average retention with as few slots as possible.
 
 ``oracle_allocate`` solves the same problems by enumerating every integer
 composition; the test suite holds the greedy to it.
@@ -17,31 +18,29 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import metrics
 from .attnproc import ScoreVector
 
-# Wait-list value for layers with every token already allocated; never wins
-# an argmax against a real (nonnegative) gain.
-EXHAUSTED = float("-inf")
-
 ORACLE_MAX_COMBINATIONS = 10**6
 
 
 @dataclass(frozen=True)
 class AllocationList:
-    """Per-layer cache sizes ``n_1 .. n_l`` in tokens."""
+    """Per-layer cache sizes ``n_1 .. n_l`` in tokens: nonnegative ints, never bools."""
 
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.sizes)
-        if any(n < 0 for n in sizes):
-            raise ValueError(f"cache sizes must be >= 0, got {sizes}")
-        object.__setattr__(self, "sizes", sizes)
+        sizes = self.sizes
+        if not isinstance(sizes, (list, tuple, np.ndarray)) or not all(
+            isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0 for n in sizes
+        ):
+            raise ValueError(f"cache sizes must be a sequence of integers >= 0, got {sizes!r}")
+        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -58,7 +57,7 @@ class AllocationList:
         obj = json.loads(text)
         if not isinstance(obj, dict) or "sizes" not in obj:
             raise ValueError('allocation JSON must be an object with a "sizes" key')
-        return cls(sizes=tuple(obj["sizes"]))
+        return cls(sizes=obj["sizes"])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -97,65 +96,72 @@ class Constraint:
         return cls(mode="target", value=target_r_avg)
 
 
-@dataclass
-class WaitList:
-    """Per-layer marginal contribution of the next-best unselected token.
+def _granted(
+    curves: list[np.ndarray], level: float, start: Sequence[int], stop: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Per layer, the slots whose step is above ``level``, and at or above it.
 
-    Entry ``i`` holds the largest not-yet-allocated normalized score of layer
-    ``i``, or the exhausted sentinel once the layer has no tokens left.
+    A layer's step ``j`` is ``curve[j + 1] - curve[j]``. A layer grants its
+    slots in rank order, so its count ends at its first step at or below the
+    level even where ``cum / total`` steps back up by an ulp after it: the
+    level is compared with the running minimum of the steps. Layer ``i`` is
+    searched only in ``[start[i], stop[i]]``, where both counts are known to
+    lie; a last step of -1, below every level, ends the layer.
     """
-
-    next_gain: np.ndarray
-
-    @classmethod
-    def from_gains(cls, gains: list[np.ndarray]) -> "WaitList":
-        first = [g[0] if g.size else EXHAUSTED for g in gains]
-        return cls(next_gain=np.asarray(first, dtype=np.float64))
-
-    def best_layer(self) -> int:
-        # np.argmax returns the first maximum: ties break toward the lowest
-        # layer index.
-        return int(np.argmax(self.next_gain))
-
-    def advance(self, layer: int, gains: list[np.ndarray], allocated: Sequence[int]) -> None:
-        n = allocated[layer]
-        self.next_gain[layer] = gains[layer][n] if n < gains[layer].size else EXHAUSTED
+    above, at_least = [], []
+    for curve, a, b in zip(curves, start, stop):
+        steps = np.append(np.diff(curve[a : b + 1]), -1.0)
+        above.append(a + int(np.argmax(steps <= level)))
+        at_least.append(a + int(np.argmax(steps < level)))
+    return above, at_least
 
 
-def _prepare(scores: Sequence[ScoreVector | np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Sort each layer once; return normalized gain arrays and retention curves."""
-    if not len(scores):
-        raise ValueError("need at least one layer of scores")
-    gains, curves = [], []
-    for w in scores:
-        curve = metrics.retention_curve(w)
-        curves.append(curve)
-        # curve is the cumulative normalized mass; its forward differences are
-        # the sorted scores over the total.
-        gains.append(np.diff(curve))
-    return gains, curves
+def _water_level(
+    curves: list[np.ndarray], enough: Callable[[list[int]], bool]
+) -> tuple[list[int], list[int]]:
+    """``_granted`` at the highest level whose at-or-above counts are ``enough``.
 
-
-def marginal_gain(w: ScoreVector | np.ndarray, current_n: int) -> float:
-    """Normalized score of the next token the layer would admit.
-
-    Returns the ``(current_n + 1)``-th largest score divided by the layer
-    total, or the exhausted sentinel once every token is allocated.
+    Between a level where ``enough`` holds (level 0 grants everything) and one
+    where it fails, each layer's counts lie in a window. A round tries the
+    weighted median of the windows' middle running-minimum steps, so it drops
+    at least a quarter of the steps left, until no window is left.
     """
-    curve = metrics.retention_curve(w)
-    size = curve.size - 1
-    if not 0 <= current_n <= size:
-        raise ValueError(f"current_n must be in [0, {size}], got {current_n}")
-    if current_n == size:
-        return EXHAUSTED
-    return float(curve[current_n + 1] - curve[current_n])
+    low = _granted(curves, 0.0, [0] * len(curves), [c.size - 1 for c in curves])
+    high = [0] * len(curves)
+    while True:
+        middles = sorted(
+            (float(np.diff(c[a : (a + b) // 2 + 2]).min()), b - a)
+            for c, a, b in zip(curves, high, low[0])
+            if b > a
+        )
+        if not middles:
+            return low
+        left = sum(w for _, w in middles) // 2
+        for level, w in middles:
+            left -= w
+            if left < 0:
+                break
+        counts = _granted(curves, level, high, low[0])
+        if enough(counts[1]):
+            low = counts
+        else:
+            high = counts[1]
+
+
+def _hand_out(above: list[int], at_least: list[int], k: int) -> list[int]:
+    """Sizes after ``k`` slots: every step above the level, then ties in layer order."""
+    sizes, left = [], k - sum(above)
+    for n, m in zip(above, at_least):
+        sizes.append(n + min(m - n, left))
+        left -= sizes[-1] - n
+    return sizes
 
 
 def allocation_r_avg(
     scores: Sequence[ScoreVector | np.ndarray], allocation: AllocationList
 ) -> float:
     """Average retention achieved by an allocation on the given scores."""
-    _, curves = _prepare(scores)
+    curves = [metrics.retention_curve(w) for w in scores]
     if len(allocation) != len(curves):
         raise ValueError(f"allocation has {len(allocation)} layers, scores have {len(curves)}")
     return metrics.r_avg(float(curves[i][n]) for i, n in enumerate(allocation.sizes))
@@ -164,39 +170,43 @@ def allocation_r_avg(
 def allocate(
     scores: Sequence[ScoreVector | np.ndarray], constraint: Constraint
 ) -> AllocationList:
-    """Greedy token-at-a-time allocation under a budget or retention target.
+    """Greedy allocation under a budget or retention target, as one water level.
 
-    Budget mode runs exactly ``N`` iterations, each granting one slot to the
-    layer with the largest wait-list entry; target mode stops at the first
-    iteration where the average retention reaches the target. Per-layer
-    normalization makes the outcome invariant to rescaling any layer's
-    scores.
+    The greedy grants slots in (-step, layer, rank) order, so after ``k``
+    slots every step above the ``k``-th largest is granted, plus the steps
+    equal to it in layer order. It stops at the first ``k`` that is enough:
+    ``N`` slots, or an average retention (by ``metrics.r_avg``) reaching the
+    target. Per-layer normalization makes the outcome invariant to rescaling
+    any layer's scores.
     """
-    gains, curves = _prepare(scores)
-    l = len(gains)
-    caps = [g.size for g in gains]
-    allocated = [0] * l
-    retained = [0.0] * l
-    wait = WaitList.from_gains(gains)
-
+    curves = [metrics.retention_curve(w) for w in scores]
+    if not curves:
+        raise ValueError("need at least one layer of scores")
     if constraint.mode == "budget":
         total_size = int(constraint.value)
-        capacity = sum(caps)
+        capacity = sum(c.size - 1 for c in curves)
         if total_size > capacity:
             raise ValueError(f"budget {total_size} exceeds capacity {capacity}")
-        for _ in range(total_size):
-            layer = wait.best_layer()
-            allocated[layer] += 1
-            wait.advance(layer, gains, allocated)
-        return AllocationList(sizes=tuple(allocated))
 
-    target = float(constraint.value)
-    while metrics.r_avg(retained) < target:
-        layer = wait.best_layer()
-        allocated[layer] += 1
-        retained[layer] = float(curves[layer][allocated[layer]])
-        wait.advance(layer, gains, allocated)
-    return AllocationList(sizes=tuple(allocated))
+        def enough(sizes: list[int]) -> bool:
+            return sum(sizes) >= total_size
+
+    else:
+        target = float(constraint.value)
+
+        def enough(sizes: list[int]) -> bool:
+            return metrics.r_avg(float(c[n]) for c, n in zip(curves, sizes)) >= target
+
+    above, at_least = _water_level(curves, enough)
+    # Enough never turns false as slots are granted; the first k lies among the ties.
+    lo, hi = sum(above), sum(at_least)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if enough(_hand_out(above, at_least, mid)):
+            hi = mid
+        else:
+            lo = mid + 1
+    return AllocationList(sizes=tuple(_hand_out(above, at_least, lo)))
 
 
 def oracle_allocate(
@@ -209,8 +219,7 @@ def oracle_allocate(
     reaching the target. Ties resolve to the lexicographically smallest
     composition. Guarded against search spaces above ``10**6`` combinations.
     """
-    _, curves = _prepare(scores)
-    l = len(curves)
+    curves = [metrics.retention_curve(w) for w in scores]
     caps = [c.size - 1 for c in curves]
     space = 1
     for cap in caps:

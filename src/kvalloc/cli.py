@@ -251,13 +251,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         sampling.save_profile(profile, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
     else:
-        payload = {
-            "task_type": profile.task_type,
-            "samples": [list(s.sizes) for s in profile.samples],
-            "averaged": list(profile.averaged.sizes),
-            "sample_ratio": profile.sample_ratio,
-        }
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        sys.stdout.write(profile.to_json() + "\n")
     return 0
 
 

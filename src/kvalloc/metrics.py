@@ -19,7 +19,7 @@ import numpy as np
 from .attnproc import ScoreVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetentionPoint:
     """One (layer, cache size, retention ratio) sample of a retention curve."""
 
@@ -100,22 +100,15 @@ def r_avg(values: Iterable[float]) -> float:
 
 
 def min_cache_size(w: ScoreVector | np.ndarray | Sequence[float], target_r: float) -> int:
-    """Smallest ``n`` whose retention reaches ``target_r``, by binary search.
+    """Smallest ``n`` whose retention reaches ``target_r``."""
+    return _first_reaching(retention_curve(w), target_r)
 
-    The retention curve is non-decreasing, so binary search agrees exactly
-    with a linear scan.
-    """
+
+def _first_reaching(curve: np.ndarray, target_r: float) -> int:
+    # The curve never decreases and ends at 1.0: the left insertion point is the answer.
     if not 0 <= target_r <= 1:
         raise ValueError(f"target retention must be in [0, 1], got {target_r}")
-    curve = retention_curve(w)
-    lo, hi = 0, curve.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if curve[mid] >= target_r:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return int(np.searchsorted(curve, target_r, side="left"))
 
 
 def compression_ratio(sizes: Sequence[int], seq_len: int, ows: int) -> float:
@@ -161,7 +154,9 @@ def min_size_table_csv(score_vectors: list[ScoreVector], targets: Iterable[float
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["layer", "r_target", "n_min"])
+    targets = [float(t) for t in targets]
     for sv in score_vectors:
+        curve = retention_curve(sv)
         for target in targets:
-            writer.writerow([sv.layer, repr(float(target)), min_cache_size(sv, target)])
+            writer.writerow([sv.layer, repr(target), _first_reaching(curve, target)])
     return buf.getvalue()

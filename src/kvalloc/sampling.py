@@ -89,6 +89,15 @@ class AllocationProfile:
         if len(lengths) != 1:
             raise ValueError("samples and average must share one layer count")
 
+    def to_json(self) -> str:
+        payload = {
+            "task_type": self.task_type,
+            "samples": [list(s.sizes) for s in self.samples],
+            "averaged": list(self.averaged.sizes),
+            "sample_ratio": self.sample_ratio,
+        }
+        return json.dumps(payload, separators=(",", ":"))
+
 
 def build_profile(
     task_type: str,
@@ -105,23 +114,19 @@ def build_profile(
 
 
 def save_profile(profile: AllocationProfile, path: str | Path) -> None:
-    payload = {
-        "task_type": profile.task_type,
-        "samples": [list(s.sizes) for s in profile.samples],
-        "averaged": list(profile.averaged.sizes),
-        "sample_ratio": profile.sample_ratio,
-    }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n", encoding="utf-8")
+    Path(path).write_text(profile.to_json() + "\n", encoding="utf-8")
 
 
 def load_profile(path: str | Path) -> AllocationProfile:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    missing = {"task_type", "samples", "averaged"} - obj.keys()
+    missing = {"task_type", "samples", "averaged"} - (obj.keys() if isinstance(obj, dict) else set())
     if missing:
         raise ValueError(f"profile file missing keys: {sorted(missing)}")
+    if not isinstance(obj["samples"], list):
+        raise ValueError("profile samples must be a list of allocations")
     return AllocationProfile(
         task_type=obj["task_type"],
-        samples=tuple(AllocationList(sizes=tuple(s)) for s in obj["samples"]),
-        averaged=AllocationList(sizes=tuple(obj["averaged"])),
+        samples=tuple(AllocationList(sizes=s) for s in obj["samples"]),
+        averaged=AllocationList(sizes=obj["averaged"]),
         sample_ratio=obj.get("sample_ratio", DEFAULT_SAMPLE_RATIO),
     )

@@ -1,23 +1,21 @@
 """Greedy allocation against hand enumeration and the exhaustive oracle."""
 
 import json
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvalloc.allocator import (
-    EXHAUSTED,
     AllocationList,
     Constraint,
-    WaitList,
     allocate,
     allocation_r_avg,
-    marginal_gain,
     oracle_allocate,
     uniform_allocation,
 )
-from kvalloc.metrics import r_avg, retention
+from kvalloc.metrics import r_avg, retention, retention_curve
 
 W1 = [0.5, 0.3, 0.2]
 W2 = [0.9, 0.05, 0.05]
@@ -25,6 +23,39 @@ W2 = [0.9, 0.05, 0.05]
 
 def seeded_scores(rng: np.random.Generator, layers: int, length: int) -> list[np.ndarray]:
     return [rng.uniform(0.01, 1.0, size=length) for _ in range(layers)]
+
+
+def token_at_a_time(scores, constraint: Constraint) -> tuple[int, ...]:
+    """Reference greedy: grant one slot at a time to the layer with the
+    largest next step, lowest layer first on ties."""
+    curves = [retention_curve(w) for w in scores]
+    steps = [np.append(np.diff(c), -np.inf) for c in curves]
+    sizes = [0] * len(curves)
+    while (
+        sum(sizes) < constraint.value
+        if constraint.mode == "budget"
+        else r_avg(float(c[n]) for c, n in zip(curves, sizes)) < constraint.value
+    ):
+        sizes[int(np.argmax([s[n] for s, n in zip(steps, sizes)]))] += 1
+    return tuple(sizes)
+
+
+def tied_layer(rng: np.random.Generator, length: int) -> np.ndarray:
+    """Scores with many exact ties: small integers, or one repeated value."""
+    scale = float(rng.choice([1e-3, 1.0, 7.0]))
+    if rng.random() < 0.5:
+        w = rng.integers(0, 4, size=length).astype(np.float64)
+        w[rng.integers(length)] += 1.0
+        return w * scale
+    return np.full(length, float(rng.choice([0.1, 1 / 3, 0.7]))) * scale
+
+
+def tied_instances() -> list[list[np.ndarray]]:
+    rng = np.random.default_rng(61)
+    return [
+        [tied_layer(rng, int(rng.integers(1, 13))) for _ in range(int(rng.integers(1, 5)))]
+        for _ in range(150)
+    ]
 
 
 class TestConstraint:
@@ -169,40 +200,81 @@ class TestTargetMode:
             assert greedy.total == reference.total
 
 
-class TestMarginalGain:
-    def test_largest_over_total(self):
-        assert marginal_gain(np.array(W1), 0) == pytest.approx(0.5, abs=1e-12)
+class TestMatchesTokenAtATimeLoop:
+    """``allocate`` returns the reference loop's exact sizes, ties included."""
 
-    def test_exhausted_sentinel(self):
-        assert marginal_gain(np.array(W1), 3) == EXHAUSTED
-        assert EXHAUSTED == -math.inf
+    def test_instances_include_rising_steps(self):
+        # cum / total steps up by an ulp on some of these layers; without the
+        # running minimum the water level would reorder such a layer's slots
+        rising = [
+            w for layers in tied_instances() for w in layers
+            if np.any(np.diff(np.diff(retention_curve(w))) > 0)
+        ]
+        assert len(rising) >= 20
 
-    def test_normalized_by_sum(self):
-        assert marginal_gain(np.array([0.2, 0.2]), 1) == pytest.approx(0.5, abs=1e-12)
+    def test_budget_mode_identical_sizes(self):
+        for scores in tied_instances():
+            capacity = sum(len(w) for w in scores)
+            for n in range(capacity + 1):
+                c = Constraint.budget(n)
+                assert allocate(scores, c).sizes == token_at_a_time(scores, c), (scores, n)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            marginal_gain(np.array(W1), 4)
+    def test_target_mode_identical_sizes(self):
+        targets = [0.05, 0.2, 1 / 3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0]
+        for scores in tied_instances():
+            for r in targets:
+                c = Constraint.target(r)
+                assert allocate(scores, c).sizes == token_at_a_time(scores, c), (scores, r)
+
+    def test_many_layers_identical_sizes(self):
+        # near-uniform layers of distinct lengths put each layer's steps in
+        # its own band; tied layers add exact ties across layers
+        rng = np.random.default_rng(71)
+        for _ in range(8):
+            scores = [
+                1.0 + 1e-3 * rng.random(int(rng.integers(1, 40)))
+                if rng.random() < 0.5
+                else tied_layer(rng, int(rng.integers(1, 40)))
+                for _ in range(int(rng.integers(8, 25)))
+            ]
+            capacity = sum(len(w) for w in scores)
+            for c in (
+                *(Constraint.budget(int(f * capacity)) for f in (0.1, 0.5, 0.9)),
+                *(Constraint.target(r) for r in (0.3, 0.8, 0.99)),
+            ):
+                assert allocate(scores, c).sizes == token_at_a_time(scores, c)
+
+    def test_uniform_scores_identical_sizes(self):
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            scores = seeded_scores(rng, int(rng.integers(1, 6)), int(rng.integers(1, 30)))
+            for c in (Constraint.budget(int(rng.integers(0, 5))), Constraint.target(0.75)):
+                assert allocate(scores, c).sizes == token_at_a_time(scores, c)
 
 
-class TestWaitList:
-    def test_initial_gains_are_best_scores(self):
-        gains = [np.array([0.5, 0.3]), np.array([0.9, 0.1])]
-        wl = WaitList.from_gains(gains)
-        assert wl.next_gain.tolist() == [0.5, 0.9]
-        assert wl.best_layer() == 1
+small_layer = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any)
 
-    def test_advance_to_exhaustion(self):
-        gains = [np.array([0.6, 0.4])]
-        wl = WaitList.from_gains(gains)
-        wl.advance(0, gains, [1])
-        assert wl.next_gain[0] == 0.4
-        wl.advance(0, gains, [2])
-        assert wl.next_gain[0] == EXHAUSTED
 
-    def test_exhausted_never_wins(self):
-        wl = WaitList(next_gain=np.array([EXHAUSTED, 0.001]))
-        assert wl.best_layer() == 1
+class TestOracleProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(small_layer, min_size=1, max_size=3), st.sampled_from([1e-3, 1.0, 1 / 3]))
+    def test_budget_mode_reaches_oracle_r_avg(self, layers, scale):
+        scores = [np.asarray(w, dtype=np.float64) * scale for w in layers]
+        for n in range(sum(len(w) for w in layers) + 1):
+            c = Constraint.budget(n)
+            assert allocation_r_avg(scores, allocate(scores, c)) == pytest.approx(
+                allocation_r_avg(scores, oracle_allocate(scores, c)), abs=1e-9
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(small_layer, min_size=1, max_size=3),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_target_mode_matches_oracle_total(self, layers, target):
+        scores = [np.asarray(w, dtype=np.float64) for w in layers]
+        c = Constraint.target(target)
+        assert allocate(scores, c).total == oracle_allocate(scores, c).total
 
 
 class TestOracle:
@@ -255,6 +327,26 @@ class TestAllocationList:
     def test_bad_json_rejected(self):
         with pytest.raises(ValueError):
             AllocationList.from_json(json.dumps([1, 2]))
+
+    def test_numpy_integers_accepted(self):
+        alloc = AllocationList(sizes=(np.int64(3), np.int32(0), 5))
+        assert alloc.sizes == (3, 0, 5)
+        assert all(type(n) is int for n in alloc.sizes)
+        assert AllocationList(sizes=np.array([4, 1])).sizes == (4, 1)
+
+    @pytest.mark.parametrize(
+        "bad", [1.9, 2.0, True, False, "3", None, np.float64(2.0), np.bool_(True)], ids=repr
+    )
+    def test_non_integer_sizes_rejected(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            AllocationList(sizes=(1, bad))
+
+    @pytest.mark.parametrize(
+        "text", ['{"sizes":[1.9,2]}', '{"sizes":[1,true]}', '{"sizes":["3"]}', '{"sizes":3}']
+    )
+    def test_non_integer_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            AllocationList.from_json(text)
 
 
 class TestUniformAllocation:

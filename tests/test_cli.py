@@ -141,6 +141,18 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["sizes"] == [1, 2]
 
+    @pytest.mark.parametrize("sizes", ["[1.9,2]", "[1,true]", '["1",2]', "2"])
+    def test_non_integer_allocation_file_exits_2(self, fixture_trace_path, tmp_path, capsys, sizes):
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text('{"sizes":%s}' % sizes, encoding="utf-8")
+        code, out, err = run(
+            capsys, "simulate", fixture_trace_path,
+            "--allocation", str(alloc_path), "--ows", "2", "--pool-size", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_profile_reuse_skips_allocator(self, fixture_trace_path, tmp_path, capsys):
         profile_path = tmp_path / "profile.json"
         profile_path.write_text(

@@ -126,6 +126,31 @@ class TestProfilePersistence:
         profile = build_profile("sum", [alloc(1, 1)])
         assert profile.sample_ratio == 0.10
 
+    def test_file_bytes_are_to_json_line(self, tmp_path):
+        profile = build_profile("qa", [alloc(4, 2), alloc(2, 4)], sample_ratio=0.2)
+        path = tmp_path / "profile.json"
+        save_profile(profile, path)
+        assert path.read_text(encoding="utf-8") == profile.to_json() + "\n"
+        assert profile.to_json() == (
+            '{"task_type":"qa","samples":[[4,2],[2,4]],"averaged":[3,3],"sample_ratio":0.2}'
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"task_type":"qa","samples":[[1.9,2]],"averaged":[1,2]}',
+            '{"task_type":"qa","samples":[[1,2]],"averaged":[1,true]}',
+            '{"task_type":"qa","samples":[[1,2]],"averaged":["1",2]}',
+            '{"task_type":"qa","samples":5,"averaged":[1,2]}',
+            '[1,2]',
+        ],
+    )
+    def test_malformed_sizes_rejected(self, tmp_path, text):
+        path = tmp_path / "profile.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_profile(path)
+
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"task_type":"qa"}', encoding="utf-8")
