@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,20 +71,21 @@ class AllocationList:
 
 @dataclass(frozen=True)
 class Constraint:
-    """Either a total-size budget or a target average retention."""
+    """Either a total-size budget (an integer) or a target average retention (a real), never a bool."""
 
     mode: str
     value: int | float
 
     def __post_init__(self) -> None:
+        value = self.value
         if self.mode == "budget":
-            if int(self.value) != self.value or self.value < 0:
-                raise ValueError(f"budget must be a nonnegative integer, got {self.value}")
-            object.__setattr__(self, "value", int(self.value))
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"budget must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, "value", int(value))
         elif self.mode == "target":
-            if not 0.0 < float(self.value) <= 1.0:
-                raise ValueError(f"target average retention must be in (0, 1], got {self.value}")
-            object.__setattr__(self, "value", float(self.value))
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value <= 1.0:
+                raise ValueError(f"target average retention must be in (0, 1], got {value!r}")
+            object.__setattr__(self, "value", float(value))
         else:
             raise ValueError(f"unknown constraint mode {self.mode!r}")
 

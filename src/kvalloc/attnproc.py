@@ -22,8 +22,6 @@ import numpy as np
 
 from .trace import AttentionTrace
 
-HEAD_REDUCTIONS = ("mean", "sum", "max")
-
 
 @dataclass(frozen=True)
 class ProcSettings:
@@ -136,24 +134,18 @@ def process_layer(weights: np.ndarray, settings: ProcSettings, layer: int = 0) -
     return score_window(weights[t - settings.ows :], settings, layer=layer)
 
 
-def process_trace(
-    trace: AttentionTrace, settings: ProcSettings, head_reduce: str = "mean"
-) -> list[ScoreVector]:
-    """Score every layer of a trace, reducing heads before processing.
+def process_trace(trace: AttentionTrace, settings: ProcSettings) -> list[ScoreVector]:
+    """Score every layer of a trace from the mean of its heads' window rows.
 
-    Heads are collapsed with the given reduction ("mean" by default; "sum"
-    and "max" are provided as alternative readings of the per-layer score
-    definition). Only each layer's window rows are cast and reduced, which
-    gives the same scores, bit for bit, as reducing the whole matrices.
+    A layer's window rows are averaged over heads, then scored by
+    ``score_window``. Only those rows are cast to float64, which gives the
+    same scores, bit for bit, as averaging the whole matrices.
     """
-    if head_reduce not in HEAD_REDUCTIONS:
-        raise ValueError(f"head_reduce must be one of {HEAD_REDUCTIONS}, got {head_reduce!r}")
-    reducer = {"mean": np.mean, "sum": np.sum, "max": np.max}[head_reduce]
     t = trace.seq_len
     settings.check_seq_len(t)
     out = []
     for layer in range(trace.layers):
-        rows = reducer(trace.weights[layer, :, t - settings.ows :].astype(np.float64), axis=0)
+        rows = trace.weights[layer, :, t - settings.ows :].astype(np.float64).mean(axis=0)
         out.append(score_window(rows, settings, layer=layer))
     return out
 

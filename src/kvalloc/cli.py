@@ -9,11 +9,8 @@ failed oracle cross-check).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import allocator, attnproc, eviction, metrics, sampling, toymodel, trace
 
@@ -21,22 +18,6 @@ DEFAULT_OWS = 8
 DEFAULT_POOL_SIZE = 7
 
 ORACLE_CHECK_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common knobs shared by the pipeline commands."""
-
-    ows: int = DEFAULT_OWS
-    pool_size: int = DEFAULT_POOL_SIZE
-    seed: int = 0
-    fmt: str = "json"
-    constraint: allocator.Constraint | None = None
-    sample_ratio: float = sampling.DEFAULT_SAMPLE_RATIO
-
-    @property
-    def settings(self) -> attnproc.ProcSettings:
-        return attnproc.ProcSettings(ows=self.ows, pool_size=self.pool_size)
 
 
 def _add_proc_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,15 +43,8 @@ def _constraint(args: argparse.Namespace) -> allocator.Constraint:
     return allocator.Constraint.target(args.target_ravg)
 
 
-def _run_config(args: argparse.Namespace, constraint: allocator.Constraint | None = None) -> RunConfig:
-    return RunConfig(
-        ows=getattr(args, "ows", DEFAULT_OWS),
-        pool_size=getattr(args, "pool_size", DEFAULT_POOL_SIZE),
-        seed=getattr(args, "seed", 0),
-        fmt=getattr(args, "fmt", "json"),
-        constraint=constraint,
-        sample_ratio=getattr(args, "sample_ratio", sampling.DEFAULT_SAMPLE_RATIO),
-    )
+def _settings(args: argparse.Namespace) -> attnproc.ProcSettings:
+    return attnproc.ProcSettings(ows=args.ows, pool_size=args.pool_size)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -89,10 +63,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_scores(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
     loaded = trace.load_trace(args.trace)
-    vectors = attnproc.process_trace(loaded, cfg.settings, head_reduce=args.head_reduce)
-    if cfg.fmt == "csv":
+    vectors = attnproc.process_trace(loaded, _settings(args))
+    if args.fmt == "csv":
         sys.stdout.write(attnproc.scores_to_csv(vectors))
     else:
         sys.stdout.write(attnproc.scores_to_json(vectors) + "\n")
@@ -100,9 +73,8 @@ def _cmd_scores(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
     loaded = trace.load_trace(args.trace)
-    vectors = attnproc.process_trace(loaded, cfg.settings)
+    vectors = attnproc.process_trace(loaded, _settings(args))
     if (args.sizes is None) == (args.targets is None):
         raise ValueError("exactly one of --sizes or --targets is required")
     if args.sizes is not None:
@@ -117,9 +89,8 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
     constraint = _constraint(args)
-    cfg = _run_config(args, constraint)
     loaded = trace.load_trace(args.trace)
-    vectors = attnproc.process_trace(loaded, cfg.settings)
+    vectors = attnproc.process_trace(loaded, _settings(args))
     allocation = allocator.allocate(vectors, constraint)
     achieved = allocator.allocation_r_avg(vectors, allocation)
 
@@ -139,7 +110,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
             return 1
         print("oracle check passed", file=sys.stderr)
 
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         sys.stdout.write(allocation.to_csv())
         print(f"r_avg {achieved!r}", file=sys.stderr)
     else:
@@ -149,7 +120,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _simulate_source(args: argparse.Namespace):
-    """Resolve the attention source and projection width for simulation."""
+    """Resolve the attention source, projection width and sequence length for simulation."""
     if args.toy:
         if args.trace is not None:
             raise ValueError("a trace path and --toy are mutually exclusive")
@@ -161,11 +132,11 @@ def _simulate_source(args: argparse.Namespace):
             seq_len=args.seq_len,
             seed=args.seed,
         )
-        result = toymodel.mini_prefill(config)
-        return result, config.proj_dim
+        return toymodel.mini_prefill(config), config.proj_dim, config.seq_len
     if args.trace is None:
         raise ValueError("either a trace path or --toy is required")
-    return trace.load_trace(args.trace), args.proj_dim
+    loaded = trace.load_trace(args.trace)
+    return loaded, args.proj_dim, loaded.seq_len
 
 
 def _simulate_allocation(
@@ -181,49 +152,31 @@ def _simulate_allocation(
         return sampling.load_profile(args.profile).averaged
     constraint = _constraint(args)
     if isinstance(source, toymodel.PrefillResult):
-        vectors = attnproc.process_trace(source.attention_trace(), settings)
-    else:
-        vectors = attnproc.process_trace(source, settings)
-    return allocator.allocate(vectors, constraint)
-
-
-def _report_rows(method: str, report: eviction.EvictionReport) -> list[list]:
-    rows = []
-    for layer, (n, idx, r) in enumerate(
-        zip(report.sizes, report.retained_indices, report.per_layer_r)
-    ):
-        rows.append([method, layer, n, len(idx), repr(r)])
-    return rows
+        source = source.attention_trace()
+    return allocator.allocate(attnproc.process_trace(source, settings), constraint)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
-    settings = cfg.settings
-    source, proj_dim = _simulate_source(args)
+    settings = _settings(args)
+    source, proj_dim, seq_len = _simulate_source(args)
     allocation = _simulate_allocation(args, source, settings)
     report = eviction.simulate_task(source, allocation, settings, proj_dim=proj_dim)
     print(f"personalized: {report.summary()}", file=sys.stderr)
 
     uniform_report = None
     if args.compare_uniform:
-        seq_len = (
-            source.per_layer_attention.shape[2]
-            if isinstance(source, toymodel.PrefillResult)
-            else source.seq_len
-        )
         capacity = seq_len - settings.ows
         uniform = allocator.uniform_allocation(allocation.total, len(allocation), capacity)
         uniform_report = eviction.simulate_task(source, uniform, settings, proj_dim=proj_dim)
         print(f"uniform: {uniform_report.summary()}", file=sys.stderr)
 
-    if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", "layer", "n", "retained", "r"])
-        writer.writerows(_report_rows("personalized", report))
-        if uniform_report is not None:
-            writer.writerows(_report_rows("uniform", uniform_report))
-        sys.stdout.write(buf.getvalue())
+    if args.fmt == "csv":
+        # EvictionReport.to_csv formats the rows; each line gets its method in front.
+        lines = ["method," + report.to_csv().splitlines(keepends=True)[0]]
+        for method, each in (("personalized", report), ("uniform", uniform_report)):
+            if each is not None:
+                lines += [f"{method},{row}" for row in each.to_csv().splitlines(keepends=True)[1:]]
+        sys.stdout.write("".join(lines))
     else:
         payload = json.loads(report.to_json())
         if uniform_report is not None:
@@ -234,13 +187,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     constraint = _constraint(args)
-    cfg = _run_config(args, constraint)
     lists = []
     for path in args.traces:
         loaded = trace.load_trace(path)
-        vectors = attnproc.process_trace(loaded, cfg.settings)
+        vectors = attnproc.process_trace(loaded, _settings(args))
         lists.append(allocator.allocate(vectors, constraint))
-    profile = sampling.build_profile(args.task_type, lists, sample_ratio=cfg.sample_ratio)
+    profile = sampling.build_profile(args.task_type, lists)
     if len(lists) >= 2:
         try:
             similarity = sampling.profile_similarity(lists)
@@ -274,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     scores = sub.add_parser("scores", help="emit per-layer token scores from a trace")
     scores.add_argument("trace")
-    scores.add_argument("--head-reduce", choices=attnproc.HEAD_REDUCTIONS, default="mean")
     _add_proc_flags(scores)
     _add_format_flag(scores)
     scores.set_defaults(func=_cmd_scores)
@@ -315,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof = sub.add_parser("profile", help="build an allocation profile from sampled tasks")
     prof.add_argument("traces", nargs="+")
     prof.add_argument("--task-type", required=True)
-    prof.add_argument("--sample-ratio", type=float, default=sampling.DEFAULT_SAMPLE_RATIO)
     prof.add_argument("-o", "--output", default=None)
     _add_constraint_flags(prof)
     _add_proc_flags(prof)

@@ -128,36 +128,28 @@ def evict_layer(
     return k_arr[retained], v_arr[retained], retained
 
 
-def _attention_and_width(
-    source: AttentionTrace | PrefillResult | np.ndarray, proj_dim: int
-) -> tuple[np.ndarray, int]:
-    if isinstance(source, AttentionTrace):
-        return source.weights, proj_dim
-    if isinstance(source, PrefillResult):
-        if source.kv_pairs:
-            proj_dim = source.kv_pairs[0][0].shape[-1]
-        return source.per_layer_attention, proj_dim
-    attn = np.asarray(source)
-    if attn.ndim != 4:
-        raise ValueError(f"expected attention of shape (l, h, t, t), got {attn.shape}")
-    return attn, proj_dim
-
-
 def simulate_task(
-    source: AttentionTrace | PrefillResult | np.ndarray,
+    source: AttentionTrace | PrefillResult,
     allocation: AllocationList,
     settings: ProcSettings,
     proj_dim: int = 64,
 ) -> EvictionReport:
     """Apply per-layer eviction across a whole task and account for memory.
 
-    ``source`` supplies the attention weights: a trace, a prefill result, or
-    a raw ``(layers, heads, t, t)`` array. ``proj_dim`` sets the per-token
-    projection width used for byte accounting when the source carries no
-    K/V (a full-prefill result overrides it with the real width). Only each
-    layer's window rows are read and cast to float64.
+    ``source`` supplies the attention weights: a trace or a prefill result.
+    ``proj_dim`` sets the per-token projection width used for byte
+    accounting when the source carries no K/V (a full-prefill result
+    overrides it with the real width). Only each layer's window rows are
+    read and cast to float64.
     """
-    attn, p = _attention_and_width(source, proj_dim)
+    if isinstance(source, AttentionTrace):
+        attn = source.weights
+    elif isinstance(source, PrefillResult):
+        attn = source.per_layer_attention
+        if source.kv_pairs:
+            proj_dim = source.kv_pairs[0][0].shape[-1]
+    else:
+        raise TypeError(f"expected an AttentionTrace or a PrefillResult, got {type(source).__name__}")
     l, h, t, _ = attn.shape
     if len(allocation) != l:
         raise ValueError(f"allocation has {len(allocation)} layers, source has {l}")
@@ -175,7 +167,7 @@ def simulate_task(
         per_layer_r.append(metrics.retention(scores, n))
 
     ratio = metrics.compression_ratio(allocation.sizes, t, settings.ows)
-    per_token = 2 * h * p * ELEMENT_BYTES
+    per_token = 2 * h * proj_dim * ELEMENT_BYTES
     bytes_before = l * t * per_token
     bytes_after = sum((n + settings.ows) * per_token for n in allocation.sizes)
     return EvictionReport(

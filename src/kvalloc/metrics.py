@@ -50,7 +50,9 @@ def retention_curve(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray
 
     Entry ``n`` is the mass of the n largest scores over the total mass,
     accumulated left-to-right over the descending sort so repeated runs are
-    bit-identical. The final entry is exactly 1.0.
+    bit-identical. The final entry is exactly 1.0. An all-zero vector has
+    nothing to keep: its curve is all ones, so every size retains everything
+    and no slot gains anything.
     """
     scores = _as_scores(w)
     if scores.size == 0:
@@ -58,8 +60,8 @@ def retention_curve(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray
     ordered = scores[np.argsort(-scores, kind="stable")]
     cum = np.cumsum(ordered)
     total = cum[-1]
-    if total <= 0:
-        raise ValueError("all-zero score vector: retention ratio is undefined")
+    if total == 0:
+        return np.ones(scores.size + 1)
     curve = np.empty(scores.size + 1, dtype=np.float64)
     curve[0] = 0.0
     curve[1:] = cum / total

@@ -1,9 +1,9 @@
 """Allocation reuse across tasks of one type.
 
 Running the scoring pass and the allocator for every task costs time. Tasks
-of the same type tend to want similar per-layer cache sizes, so a small
-sample of tasks can be processed fully, their allocation lists averaged, and
-the averaged list reused for the rest.
+of the same type tend to want similar per-layer cache sizes, so the caller
+can process a small sample of tasks fully (the paper samples 10%), average
+their allocation lists into a profile, and reuse the average for the rest.
 
 Averaging preserves totals exactly: per-layer means are rounded with a
 largest-remainder correction so that the output total equals the rounded
@@ -21,6 +21,7 @@ import numpy as np
 
 from .allocator import AllocationList
 
+# Share of a task stream a caller samples to build a profile (the paper's 10%).
 DEFAULT_SAMPLE_RATIO = 0.10
 
 
@@ -80,9 +81,10 @@ class AllocationProfile:
     task_type: str
     samples: tuple[AllocationList, ...]
     averaged: AllocationList
-    sample_ratio: float = DEFAULT_SAMPLE_RATIO
 
     def __post_init__(self) -> None:
+        if not isinstance(self.task_type, str):
+            raise ValueError(f"task_type must be a string, got {self.task_type!r}")
         if not self.samples:
             raise ValueError("profile needs at least one sample")
         lengths = {len(s) for s in self.samples} | {len(self.averaged)}
@@ -94,22 +96,16 @@ class AllocationProfile:
             "task_type": self.task_type,
             "samples": [list(s.sizes) for s in self.samples],
             "averaged": list(self.averaged.sizes),
-            "sample_ratio": self.sample_ratio,
         }
         return json.dumps(payload, separators=(",", ":"))
 
 
-def build_profile(
-    task_type: str,
-    samples: Sequence[AllocationList],
-    sample_ratio: float = DEFAULT_SAMPLE_RATIO,
-) -> AllocationProfile:
+def build_profile(task_type: str, samples: Sequence[AllocationList]) -> AllocationProfile:
     """Assemble a profile, computing the averaged list from the samples."""
     return AllocationProfile(
         task_type=task_type,
         samples=tuple(samples),
         averaged=average_allocations(samples),
-        sample_ratio=sample_ratio,
     )
 
 
@@ -118,6 +114,7 @@ def save_profile(profile: AllocationProfile, path: str | Path) -> None:
 
 
 def load_profile(path: str | Path) -> AllocationProfile:
+    """Read a profile file; keys other than the three a profile holds are ignored."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     missing = {"task_type", "samples", "averaged"} - (obj.keys() if isinstance(obj, dict) else set())
     if missing:
@@ -128,5 +125,4 @@ def load_profile(path: str | Path) -> AllocationProfile:
         task_type=obj["task_type"],
         samples=tuple(AllocationList(sizes=s) for s in obj["samples"]),
         averaged=AllocationList(sizes=obj["averaged"]),
-        sample_ratio=obj.get("sample_ratio", DEFAULT_SAMPLE_RATIO),
     )

@@ -74,9 +74,10 @@ class TraceHeader:
 
     @classmethod
     def from_json_line(cls, line: bytes) -> "TraceHeader":
+        # Also an integer past Python's digit limit, or nesting past the recursion limit.
         try:
             obj = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise TraceFormatError(f"malformed trace header: {exc}") from exc
         if not isinstance(obj, dict):
             raise TraceFormatError("malformed trace header: not a JSON object")
@@ -243,9 +244,7 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
             weights[layer, head] = mat.astype(np.float32)
 
     header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
-    trace = AttentionTrace(header=header, weights=weights)
-    trace.validate()
-    return trace
+    return AttentionTrace(header=header, weights=weights)
 
 
 def save_trace(trace: AttentionTrace, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 """Greedy allocation against hand enumeration and the exhaustive oracle."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,6 +245,18 @@ class TestMatchesTokenAtATimeLoop:
             ):
                 assert allocate(scores, c).sizes == token_at_a_time(scores, c)
 
+    def test_zero_layers_identical_sizes(self):
+        rng = np.random.default_rng(73)
+        for scores in tied_instances()[:60]:
+            scores = list(scores)
+            scores.insert(int(rng.integers(len(scores) + 1)), np.zeros(int(rng.integers(1, 6))))
+            capacity = sum(len(w) for w in scores)
+            for c in (
+                *(Constraint.budget(n) for n in range(capacity + 1)),
+                *(Constraint.target(r) for r in (0.2, 0.6, 0.9, 1.0)),
+            ):
+                assert allocate(scores, c).sizes == token_at_a_time(scores, c), (scores, c)
+
     def test_uniform_scores_identical_sizes(self):
         rng = np.random.default_rng(67)
         for _ in range(20):
@@ -252,7 +265,10 @@ class TestMatchesTokenAtATimeLoop:
                 assert allocate(scores, c).sizes == token_at_a_time(scores, c)
 
 
-small_layer = st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any)
+# All-zero layers included: their curves are all ones, with nothing to gain.
+small_layer = st.lists(st.integers(0, 3), min_size=1, max_size=4) | st.lists(
+    st.just(0), min_size=1, max_size=4
+)
 
 
 class TestOracleProperty:
@@ -374,9 +390,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             allocate([], Constraint.budget(0))
 
-    def test_zero_sum_layer_rejected(self):
-        with pytest.raises(ValueError):
-            allocate([[0.0, 0.0], W1], Constraint.budget(1))
+    def test_zero_sum_layer_gets_no_slots(self):
+        # An all-zero layer keeps everything at size 0, and no slot gains anything there.
+        zero = [0.0, 0.0]
+        assert allocate([zero, W1], Constraint.budget(1)).sizes == (0, 1)
+        assert allocate([zero, W1], Constraint.budget(3)).sizes == (0, 3)
+        assert allocation_r_avg([zero, W1], AllocationList(sizes=(0, 1))) == pytest.approx(0.75)
+        assert allocate([W1, zero], Constraint.target(0.85)).sizes == (2, 0)
+        assert allocate([zero, zero], Constraint.target(1.0)).sizes == (0, 0)
+
+    def test_zero_sum_layer_takes_slots_past_the_others_capacity(self):
+        # Past every positive step the budget is spent on zero steps, in layer order.
+        assert allocate([[0.0, 0.0], W1], Constraint.budget(4)).sizes == (1, 3)
+        assert allocate([W1, [0.0, 0.0]], Constraint.budget(4)).sizes == (3, 1)
+
+    @pytest.mark.parametrize("value", [5, np.int64(5), np.uint8(5), 0])
+    def test_budget_accepts_integers(self, value):
+        c = Constraint.budget(value)
+        assert c.value == value and type(c.value) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, 5.0, np.float64(5), "5", None, [5]])
+    def test_budget_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="budget"):
+            Constraint.budget(value)
+
+    @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.5), np.int64(1), Fraction(1, 2)])
+    def test_target_accepts_real_numbers(self, value):
+        c = Constraint.target(value)
+        assert c.value == float(value) and type(c.value) is float
+
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None, [0.5], 0.5j, float("nan")])
+    def test_target_rejects_non_reals(self, value):
+        with pytest.raises(ValueError, match="target"):
+            Constraint.target(value)
 
     def test_allocation_r_avg_length_mismatch(self):
         with pytest.raises(ValueError):

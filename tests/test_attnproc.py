@@ -130,30 +130,15 @@ class TestProcessTrace:
         vectors = process_trace(trace, ProcSettings(ows=2, pool_size=1))
         assert [sv.layer for sv in vectors] == [0, 1, 2]
 
-    def test_alternative_head_reductions(self):
-        trace = generate_trace(
-            SyntheticSpec(layers=1, heads=3, seq_len=12, sparsity=0.4, seed=6, layer_skew=0.5)
-        )
-        settings = ProcSettings(ows=2, pool_size=1)
-        for reduce_name, reducer in (("sum", np.sum), ("max", np.max)):
-            got = process_trace(trace, settings, head_reduce=reduce_name)[0]
-            expected = process_layer(
-                reducer(trace.weights[0].astype(np.float64), axis=0), settings
-            )
-            assert np.array_equal(got.scores, expected.scores)
-        with pytest.raises(ValueError, match="head_reduce"):
-            process_trace(trace, settings, head_reduce="median")
-
-    @pytest.mark.parametrize("head_reduce,reducer", [("mean", np.mean), ("sum", np.sum), ("max", np.max)])
-    def test_window_rows_match_full_matrix_reference(self, head_reduce, reducer):
-        # Reference: reduce heads over the whole float64 matrix, then score it.
+    def test_window_rows_match_full_matrix_reference(self):
+        # Reference: average heads over the whole float64 matrix, then score it.
         trace = generate_trace(
             SyntheticSpec(layers=3, heads=4, seq_len=40, sparsity=0.2, seed=13, layer_skew=1.5)
         )
         for settings in (ProcSettings(ows=1, pool_size=1), ProcSettings(ows=8, pool_size=7)):
-            got = process_trace(trace, settings, head_reduce=head_reduce)
+            got = process_trace(trace, settings)
             for layer, sv in enumerate(got):
-                full = reducer(trace.weights[layer].astype(np.float64), axis=0)
+                full = trace.weights[layer].astype(np.float64).mean(axis=0)
                 expected = process_layer(full, settings, layer=layer)
                 assert sv.scores.tobytes() == expected.scores.tobytes()
                 assert sv.layer == layer

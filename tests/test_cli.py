@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from kvalloc.cli import main
-from kvalloc.trace import load_trace, save_trace
+from kvalloc.trace import AttentionTrace, SyntheticSpec, generate_trace, load_trace, save_trace
 
 from conftest import TWO_LAYER_ROWS, make_trace
 
@@ -72,6 +73,21 @@ class TestAllocate:
         )
         assert code == 0
         assert json.loads(out)["sizes"] == [0, 0]
+
+    def test_diagonal_layer_gets_no_slots(self, tmp_path, capsys):
+        # Layer 1 attends only to itself, so its window rows give all-zero scores.
+        generated = generate_trace(SyntheticSpec(layers=3, heads=2, seq_len=24, sparsity=0.2, seed=4))
+        weights = generated.weights.copy()
+        weights[1] = np.eye(24)
+        path = tmp_path / "diagonal.bin"
+        save_trace(AttentionTrace(header=generated.header, weights=weights), path)
+        code, out, err = run(capsys, "allocate", str(path), "--budget", "20")
+        assert code == 0, err
+        sizes = json.loads(out)["sizes"]
+        assert sizes[1] == 0 and sum(sizes) == 20
+        code, out, err = run(capsys, "simulate", str(path), "--auto", "--budget", "20")
+        assert code == 0, err
+        assert json.loads(out)["per_layer_r"][1] == 1.0
 
     def test_budget_beyond_capacity_exits_2(self, fixture_trace_path, capsys):
         code, _, err = run(
@@ -220,6 +236,34 @@ class TestSimulate:
         assert lines[0] == "method,layer,n,retained,r"
         assert lines[1].startswith("personalized,0,1,3,")
 
+    def test_csv_compare_uniform_bytes(self, fixture_trace_path, tmp_path, capsys):
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text('{"sizes":[0,3]}', encoding="utf-8")
+        code, out, _ = run(
+            capsys, "simulate", fixture_trace_path,
+            "--allocation", str(alloc_path), "--compare-uniform", "--ows", "2", "--pool-size", "1",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out == (
+            "method,layer,n,retained,r\n"
+            "personalized,0,0,2,0.0\n"
+            "personalized,1,3,5,1.0\n"
+            "uniform,0,2,4,0.8\n"
+            "uniform,1,1,3,0.8999999962747096\n"
+        )
+
+    def test_profile_with_non_string_task_type_exits_2(self, fixture_trace_path, tmp_path, capsys):
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text('{"task_type":["x"],"samples":[[1,2]],"averaged":[1,2]}', encoding="utf-8")
+        code, out, err = run(
+            capsys, "simulate", fixture_trace_path,
+            "--profile", str(profile_path), "--ows", "2", "--pool-size", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "task_type must be a string" in err
+
 
 class TestScoresAndCurves:
     def test_scores_csv(self, fixture_trace_path, capsys):
@@ -290,6 +334,22 @@ class TestProfileCommand:
         assert json.loads(out)["averaged"]
 
 
+class TestRemovedFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scores", "t.bin", "--head-reduce", "mean"],
+            ["profile", "t.bin", "--task-type", "qa", "--budget", "1", "--sample-ratio", "0.1"],
+        ],
+        ids=["head-reduce", "sample-ratio"],
+    )
+    def test_unknown_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_stdout_reproducible_across_runs(self, fixture_trace_path, capsys):
         commands = [
@@ -324,6 +384,17 @@ class TestMalformedTraceFiles:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "header", [b"[" * 100_000, b'{"version":' + b"1" * 5000 + b"}"], ids=["deep-nesting", "long-integer"]
+    )
+    def test_unparsable_header_exits_2(self, tmp_path, capsys, header):
+        path = tmp_path / "t.bin"
+        path.write_bytes(header + b"\n")
+        code, out, err = run(capsys, "scores", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed trace header")
 
     def test_nan_weight_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t.bin"

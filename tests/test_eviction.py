@@ -205,14 +205,13 @@ class TestSimulateTask:
         assert report.bytes_before == full_report.bytes_before
         assert report.retained_indices == full_report.retained_indices
 
-    def test_matches_full_matrix_reference_for_trace_and_array(self):
+    def test_matches_full_matrix_reference_for_trace(self):
         trace = generate_trace(
             SyntheticSpec(layers=3, heads=4, seq_len=40, sparsity=0.2, seed=19, layer_skew=1.5)
         )
         settings = ProcSettings(ows=8, pool_size=7)
         allocation = AllocationList(sizes=(5, 0, 32))
         from_trace = simulate_task(trace, allocation, settings)
-        assert simulate_task(np.array(trace.weights), allocation, settings) == from_trace
         # The whole-matrix reference: float64 head mean over full matrices.
         for layer in range(3):
             full = trace.weights[layer].astype(np.float64).mean(axis=0)
@@ -221,6 +220,19 @@ class TestSimulateTask:
             top = np.argsort(-scores, kind="stable")[: allocation.sizes[layer]]
             expected = np.sort(np.concatenate([top, np.arange(32, 40)]))
             assert from_trace.retained_indices[layer] == tuple(expected.tolist())
+
+    def test_raw_array_source_rejected(self):
+        trace = generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=0))
+        settings = ProcSettings(ows=2, pool_size=1)
+        with pytest.raises(TypeError, match="AttentionTrace or a PrefillResult"):
+            simulate_task(np.array(trace.weights), AllocationList(sizes=(1, 1)), settings)
+
+    def test_zero_score_layer_retains_everything(self):
+        # The second layer's window rows attend only inside the window.
+        trace = make_trace([TWO_LAYER_ROWS[0], np.eye(5).tolist()])
+        report = simulate_task(trace, AllocationList(sizes=(1, 0)), ProcSettings(ows=2, pool_size=1))
+        assert report.per_layer_r[1] == 1.0
+        assert report.retained_indices[1] == (3, 4)
 
     def test_allocation_length_mismatch_rejected(self):
         trace = generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=0))

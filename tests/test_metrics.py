@@ -39,9 +39,11 @@ class TestRetention:
         sv = ScoreVector(layer=3, scores=np.array([0.4, 0.6]))
         assert retention(sv, 1) == pytest.approx(0.6)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            retention([0.0, 0.0], 1)
+    def test_all_zero_retains_everything_at_every_size(self):
+        # Nothing to keep: retention is 1 from n = 0 on, and no slot gains anything.
+        assert retention_curve([0.0, 0.0, 0.0]).tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert retention([0.0, 0.0], 0) == 1.0
+        assert min_cache_size([0.0, 0.0], 1.0) == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Allocation averaging, similarity, and profile persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -114,26 +116,40 @@ class TestProfileReuse:
 
 class TestProfilePersistence:
     def test_roundtrip(self, tmp_path):
-        profile = build_profile("qa", [alloc(4, 2), alloc(2, 4)], sample_ratio=0.2)
+        profile = build_profile("qa", [alloc(4, 2), alloc(2, 4)])
         path = tmp_path / "profile.json"
         save_profile(profile, path)
         loaded = load_profile(path)
         assert loaded == profile
         assert loaded.averaged.sizes == (3, 3)
-        assert loaded.sample_ratio == 0.2
-
-    def test_default_sample_ratio(self):
-        profile = build_profile("sum", [alloc(1, 1)])
-        assert profile.sample_ratio == 0.10
 
     def test_file_bytes_are_to_json_line(self, tmp_path):
-        profile = build_profile("qa", [alloc(4, 2), alloc(2, 4)], sample_ratio=0.2)
+        profile = build_profile("qa", [alloc(4, 2), alloc(2, 4)])
         path = tmp_path / "profile.json"
         save_profile(profile, path)
         assert path.read_text(encoding="utf-8") == profile.to_json() + "\n"
-        assert profile.to_json() == (
-            '{"task_type":"qa","samples":[[4,2],[2,4]],"averaged":[3,3],"sample_ratio":0.2}'
+        assert profile.to_json() == '{"task_type":"qa","samples":[[4,2],[2,4]],"averaged":[3,3]}'
+
+    @pytest.mark.parametrize("ratio", ["0.2", '"a"', "null"])
+    def test_old_sample_ratio_key_ignored(self, tmp_path, ratio):
+        path = tmp_path / "profile.json"
+        path.write_text(
+            '{"task_type":"qa","samples":[[4,2],[2,4]],"averaged":[3,3],"sample_ratio":%s}' % ratio,
+            encoding="utf-8",
         )
+        assert load_profile(path) == build_profile("qa", [alloc(4, 2), alloc(2, 4)])
+
+    @pytest.mark.parametrize("task_type", [["x"], 3, None, True])
+    def test_task_type_must_be_a_string(self, tmp_path, task_type):
+        with pytest.raises(ValueError, match="task_type"):
+            build_profile(task_type, [alloc(1, 2)])
+        path = tmp_path / "profile.json"
+        path.write_text(
+            json.dumps({"task_type": task_type, "samples": [[1, 2]], "averaged": [1, 2]}),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="task_type"):
+            load_profile(path)
 
     @pytest.mark.parametrize(
         "text",
