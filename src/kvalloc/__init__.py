@@ -16,7 +16,7 @@ from .allocator import (
     oracle_allocate,
     uniform_allocation,
 )
-from .attnproc import ProcSettings, ScoreVector, causal_softmax, process_layer, process_trace
+from .attnproc import ProcSettings, ScoreVector, process_trace
 from .eviction import EvictionReport, evict_layer, simulate_task
 from .metrics import (
     RetentionPoint,
@@ -36,7 +36,7 @@ from .sampling import (
     profile_similarity,
     save_profile,
 )
-from .toymodel import PrefillResult, ToyModelConfig, default_input, full_prefill, mini_prefill
+from .toymodel import PrefillResult, ToyModelConfig, causal_softmax, default_input, full_prefill, mini_prefill
 from .trace import (
     AttentionTrace,
     SyntheticSpec,
@@ -80,7 +80,6 @@ __all__ = [
     "mini_prefill",
     "min_cache_size",
     "oracle_allocate",
-    "process_layer",
     "process_trace",
     "profile_similarity",
     "r_avg",

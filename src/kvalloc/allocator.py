@@ -13,8 +13,6 @@ composition; the test suite holds the greedy to it.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import numbers
@@ -59,14 +57,6 @@ class AllocationList:
         if not isinstance(obj, dict) or "sizes" not in obj:
             raise ValueError('allocation JSON must be an object with a "sizes" key')
         return cls(sizes=obj["sizes"])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["layer", "n"])
-        for layer, n in enumerate(self.sizes):
-            writer.writerow([layer, n])
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,20 @@ columns, averages over the rows, and smooths the result. The output is one
 nonnegative score per non-window token; higher means the token matters more
 to the window and therefore to the first generated token.
 
-Scoring reads only those ``ows`` window rows: ``score_window`` is the one
-implementation, and every caller slices the window rows out before any
-float64 cast or head reduction, so no whole-matrix copy is made.
+Scoring reads only those ``ows`` window rows. ``score_window`` is the one
+implementation; ``process_trace`` feeds it each layer's window rows of a
+trace or a toy-model prefill, averaged over heads, and the eviction simulator
+scores through ``process_trace``. The rows are sliced out before any float64
+cast or head reduction, so no whole-matrix copy is made.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .toymodel import PrefillResult
 from .trace import AttentionTrace
 
 
@@ -72,26 +72,6 @@ class ScoreVector:
         return int(self.scores.size)
 
 
-def causal_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the causal part of the last rows of a square matrix.
-
-    An ``(r, t)`` input with ``1 <= r <= t`` is read as the last ``r`` rows
-    of a ``t x t`` causal matrix, so row ``i`` attends to columns up to
-    ``t - r + i``; a square input is the whole matrix. Masked entries come
-    out exactly zero; rows sum to 1. Uses max-subtraction for numerical
-    stability.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2 or not 1 <= logits.shape[0] <= logits.shape[1]:
-        raise ValueError(f"expected an (r, t) matrix with 1 <= r <= t, got shape {logits.shape}")
-    r, t = logits.shape
-    masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights
-
-
 def smooth(values: np.ndarray, pool_size: int) -> np.ndarray:
     """Stride-1, length-preserving average smoothing with zero padding.
 
@@ -99,8 +79,6 @@ def smooth(values: np.ndarray, pool_size: int) -> np.ndarray:
     entries, with ``(pool_size - 1) / 2`` zeros padded at each end; the
     divisor is always ``pool_size``.
     """
-    if pool_size == 1:
-        return np.asarray(values, dtype=np.float64).copy()
     return np.convolve(np.asarray(values, dtype=np.float64), np.ones(pool_size), mode="same") / pool_size
 
 
@@ -121,49 +99,23 @@ def score_window(rows: np.ndarray, settings: ProcSettings, layer: int = 0) -> Sc
     return ScoreVector(layer=layer, scores=smooth(merged, settings.pool_size))
 
 
-def process_layer(weights: np.ndarray, settings: ProcSettings, layer: int = 0) -> ScoreVector:
-    """Score one layer's ``t x t`` causal row-stochastic matrix.
+def process_trace(source: AttentionTrace | PrefillResult, settings: ProcSettings) -> list[ScoreVector]:
+    """Score every layer of a trace or a prefill from the mean of its heads' window rows.
 
-    Only the last ``ows`` rows are read; see ``score_window``.
-    """
-    weights = np.asarray(weights)
-    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-        raise ValueError(f"expected a square attention matrix, got shape {weights.shape}")
-    t = weights.shape[0]
-    settings.check_seq_len(t)
-    return score_window(weights[t - settings.ows :], settings, layer=layer)
-
-
-def process_trace(trace: AttentionTrace, settings: ProcSettings) -> list[ScoreVector]:
-    """Score every layer of a trace from the mean of its heads' window rows.
-
-    A layer's window rows are averaged over heads, then scored by
+    A trace is read from its float32 weights, a prefill from its own float64
+    attention. A layer's window rows are averaged over heads, then scored by
     ``score_window``. Only those rows are cast to float64, which gives the
     same scores, bit for bit, as averaging the whole matrices.
     """
-    t = trace.seq_len
+    if isinstance(source, AttentionTrace):
+        attn = source.weights
+    elif isinstance(source, PrefillResult):
+        attn = source.per_layer_attention
+    else:
+        raise TypeError(f"expected an AttentionTrace or a PrefillResult, got {type(source).__name__}")
+    t = attn.shape[-1]
     settings.check_seq_len(t)
-    out = []
-    for layer in range(trace.layers):
-        rows = trace.weights[layer, :, t - settings.ows :].astype(np.float64).mean(axis=0)
-        out.append(score_window(rows, settings, layer=layer))
-    return out
-
-
-def scores_to_csv(score_vectors: list[ScoreVector]) -> str:
-    """Serialize score vectors as ``layer,position,score`` CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer", "position", "score"])
-    for sv in score_vectors:
-        for pos, score in enumerate(sv.scores):
-            writer.writerow([sv.layer, pos, repr(float(score))])
-    return buf.getvalue()
-
-
-def scores_to_json(score_vectors: list[ScoreVector]) -> str:
-    """Serialize score vectors as a JSON list of per-layer objects."""
-    payload = [
-        {"layer": sv.layer, "scores": [float(x) for x in sv.scores]} for sv in score_vectors
+    return [
+        score_window(layer_attn[:, t - settings.ows :].astype(np.float64).mean(axis=0), settings, layer=layer)
+        for layer, layer_attn in enumerate(attn)
     ]
-    return json.dumps(payload, separators=(",", ":"))

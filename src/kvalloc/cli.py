@@ -4,13 +4,21 @@ Every command is deterministic given its flags and seed; machine-readable
 output (JSON or CSV) goes to stdout, diagnostics to stderr. Exit codes: 0 on
 success, 2 on validation or usage errors, 1 on internal errors (including a
 failed oracle cross-check).
+
+This module owns the stdout formats: the library returns score vectors,
+retention points, allocations and reports, and every command writes them
+through ``_write_csv`` or ``_write_json``. Only the formats of files that the
+library also reads back (traces, ``--allocation`` files, profiles) live next
+to their readers, and ``curves --targets`` prints ``metrics.min_size_table_csv``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from collections.abc import Iterable
 
 from . import allocator, attnproc, eviction, metrics, sampling, toymodel, trace
 
@@ -18,6 +26,10 @@ DEFAULT_OWS = 8
 DEFAULT_POOL_SIZE = 7
 
 ORACLE_CHECK_ATOL = 1e-9
+
+# The keys of the simulate JSON object, in order: the report's fields and its memory reduction.
+REPORT_KEYS = ("sizes", "ows", "retained_indices", "compression_ratio", "memory_reduction",
+               "bytes_before", "bytes_after", "per_layer_r", "r_avg", "window_policy")
 
 
 def _add_proc_flags(parser: argparse.ArgumentParser) -> None:
@@ -33,6 +45,16 @@ def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
+
+
+def _write_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _write_json(obj: object) -> None:
+    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def _constraint(args: argparse.Namespace) -> allocator.Constraint:
@@ -66,9 +88,12 @@ def _cmd_scores(args: argparse.Namespace) -> int:
     loaded = trace.load_trace(args.trace)
     vectors = attnproc.process_trace(loaded, _settings(args))
     if args.fmt == "csv":
-        sys.stdout.write(attnproc.scores_to_csv(vectors))
+        _write_csv(
+            ("layer", "position", "score"),
+            ((sv.layer, pos, repr(score)) for sv in vectors for pos, score in enumerate(sv.scores.tolist())),
+        )
     else:
-        sys.stdout.write(attnproc.scores_to_json(vectors) + "\n")
+        _write_json([{"layer": sv.layer, "scores": sv.scores.tolist()} for sv in vectors])
     return 0
 
 
@@ -80,7 +105,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     if args.sizes is not None:
         sizes = [int(x) for x in args.sizes.split(",") if x]
         points = metrics.retention_table(vectors, sizes)
-        sys.stdout.write(metrics.retention_table_csv(points))
+        _write_csv(("layer", "n", "r"), ((p.layer, p.n, repr(p.r)) for p in points))
     else:
         targets = [float(x) for x in args.targets.split(",") if x]
         sys.stdout.write(metrics.min_size_table_csv(vectors, targets))
@@ -111,11 +136,10 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         print("oracle check passed", file=sys.stderr)
 
     if args.fmt == "csv":
-        sys.stdout.write(allocation.to_csv())
+        _write_csv(("layer", "n"), enumerate(allocation.sizes))
         print(f"r_avg {achieved!r}", file=sys.stderr)
     else:
-        payload = {"sizes": list(allocation.sizes), "r_avg": achieved}
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        _write_json({"sizes": allocation.sizes, "r_avg": achieved})
     return 0
 
 
@@ -151,8 +175,6 @@ def _simulate_allocation(
     if args.profile is not None:
         return sampling.load_profile(args.profile).averaged
     constraint = _constraint(args)
-    if isinstance(source, toymodel.PrefillResult):
-        source = source.attention_trace()
     return allocator.allocate(attnproc.process_trace(source, settings), constraint)
 
 
@@ -163,25 +185,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = eviction.simulate_task(source, allocation, settings, proj_dim=proj_dim)
     print(f"personalized: {report.summary()}", file=sys.stderr)
 
-    uniform_report = None
+    reports = {"personalized": report}
     if args.compare_uniform:
         capacity = seq_len - settings.ows
         uniform = allocator.uniform_allocation(allocation.total, len(allocation), capacity)
-        uniform_report = eviction.simulate_task(source, uniform, settings, proj_dim=proj_dim)
-        print(f"uniform: {uniform_report.summary()}", file=sys.stderr)
+        reports["uniform"] = eviction.simulate_task(source, uniform, settings, proj_dim=proj_dim)
+        print(f"uniform: {reports['uniform'].summary()}", file=sys.stderr)
 
     if args.fmt == "csv":
-        # EvictionReport.to_csv formats the rows; each line gets its method in front.
-        lines = ["method," + report.to_csv().splitlines(keepends=True)[0]]
-        for method, each in (("personalized", report), ("uniform", uniform_report)):
-            if each is not None:
-                lines += [f"{method},{row}" for row in each.to_csv().splitlines(keepends=True)[1:]]
-        sys.stdout.write("".join(lines))
+        _write_csv(
+            ("method", "layer", "n", "retained", "r"),
+            (
+                (method, layer, n, len(idx), repr(r))
+                for method, each in reports.items()
+                for layer, (n, idx, r) in enumerate(zip(each.sizes, each.retained_indices, each.per_layer_r))
+            ),
+        )
     else:
-        payload = json.loads(report.to_json())
-        if uniform_report is not None:
-            payload["uniform"] = json.loads(uniform_report.to_json())
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        payload = {key: getattr(report, key) for key in REPORT_KEYS}
+        if "uniform" in reports:
+            payload["uniform"] = {key: getattr(reports["uniform"], key) for key in REPORT_KEYS}
+        _write_json(payload)
     return 0
 
 

@@ -8,25 +8,23 @@ retained indices, per-layer retention, and the compressed memory footprint.
 Window tokens are retained on top of the per-layer budget, not inside it;
 every report says so explicitly.
 
-Scoring reads only the observation-window rows of each layer, through
-``attnproc.score_window``: ``simulate_task`` casts just those rows to
-float64, and ``evict_layer`` computes logits for just the last ``ows``
-queries.
+Scoring reads only the observation-window rows of each layer:
+``simulate_task`` scores through ``attnproc.process_trace``, which casts just
+those rows to float64, and ``evict_layer`` computes logits for just the last
+``ows`` queries and scores them with ``attnproc.score_window``. Reports are
+data; the CLI decides how they are printed.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .attnproc import ProcSettings, causal_softmax, score_window
+from .attnproc import ProcSettings, process_trace, score_window
 from .allocator import AllocationList
-from .toymodel import PrefillResult
+from .toymodel import PrefillResult, causal_softmax
 from .trace import AttentionTrace
 
 ELEMENT_BYTES = 4
@@ -60,32 +58,6 @@ class EvictionReport:
             f"{self.bytes_after} of {self.bytes_before} bytes retained; "
             f"{self.window_policy}"
         )
-
-    def to_json(self) -> str:
-        payload = {
-            "sizes": list(self.sizes),
-            "ows": self.ows,
-            "retained_indices": [list(idx) for idx in self.retained_indices],
-            "compression_ratio": self.compression_ratio,
-            "memory_reduction": self.memory_reduction,
-            "bytes_before": self.bytes_before,
-            "bytes_after": self.bytes_after,
-            "per_layer_r": list(self.per_layer_r),
-            "r_avg": self.r_avg,
-            "window_policy": self.window_policy,
-        }
-        return json.dumps(payload, separators=(",", ":"))
-
-    def to_csv(self) -> str:
-        """Per-layer summary: ``layer,n,retained,r``."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["layer", "n", "retained", "r"])
-        for layer, (n, idx, r) in enumerate(
-            zip(self.sizes, self.retained_indices, self.per_layer_r)
-        ):
-            writer.writerow([layer, n, len(idx), repr(r)])
-        return buf.getvalue()
 
 
 def _retained_for_layer(scores: np.ndarray, n: int, seq_len: int, ows: int) -> np.ndarray:
@@ -136,35 +108,29 @@ def simulate_task(
 ) -> EvictionReport:
     """Apply per-layer eviction across a whole task and account for memory.
 
-    ``source`` supplies the attention weights: a trace or a prefill result.
-    ``proj_dim`` sets the per-token projection width used for byte
-    accounting when the source carries no K/V (a full-prefill result
-    overrides it with the real width). Only each layer's window rows are
-    read and cast to float64.
+    ``source`` supplies the attention weights: a trace or a prefill result,
+    scored by ``process_trace``. ``proj_dim`` sets the per-token projection
+    width used for byte accounting when the source carries no K/V (a
+    full-prefill result overrides it with the real width).
     """
-    if isinstance(source, AttentionTrace):
-        attn = source.weights
-    elif isinstance(source, PrefillResult):
+    vectors = process_trace(source, settings)
+    if isinstance(source, PrefillResult):
         attn = source.per_layer_attention
         if source.kv_pairs:
             proj_dim = source.kv_pairs[0][0].shape[-1]
     else:
-        raise TypeError(f"expected an AttentionTrace or a PrefillResult, got {type(source).__name__}")
+        attn = source.weights
     l, h, t, _ = attn.shape
     if len(allocation) != l:
         raise ValueError(f"allocation has {len(allocation)} layers, source has {l}")
-    settings.check_seq_len(t)
     cap = t - settings.ows
     retained_indices = []
     per_layer_r = []
-    for layer in range(l):
-        n = allocation.sizes[layer]
+    for sv, n in zip(vectors, allocation.sizes):
         if n > cap:
-            raise ValueError(f"layer {layer}: n_i {n} exceeds capacity {cap}")
-        rows = attn[layer, :, t - settings.ows :].astype(np.float64).mean(axis=0)
-        scores = score_window(rows, settings, layer=layer).scores
-        retained_indices.append(tuple(int(i) for i in _retained_for_layer(scores, n, t, settings.ows)))
-        per_layer_r.append(metrics.retention(scores, n))
+            raise ValueError(f"layer {sv.layer}: n_i {n} exceeds capacity {cap}")
+        retained_indices.append(tuple(int(i) for i in _retained_for_layer(sv.scores, n, t, settings.ows)))
+        per_layer_r.append(metrics.retention(sv, n))
 
     ratio = metrics.compression_ratio(allocation.sizes, t, settings.ows)
     per_token = 2 * h * proj_dim * ELEMENT_BYTES

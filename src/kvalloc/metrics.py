@@ -141,16 +141,6 @@ def retention_table(
     return points
 
 
-def retention_table_csv(points: list[RetentionPoint]) -> str:
-    """``layer,n,r`` CSV for retention-vs-size curves."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer", "n", "r"])
-    for p in points:
-        writer.writerow([p.layer, p.n, repr(p.r)])
-    return buf.getvalue()
-
-
 def min_size_table_csv(score_vectors: list[ScoreVector], targets: Iterable[float]) -> str:
     """``layer,r_target,n_min`` CSV: minimal cache size reaching each target."""
     buf = io.StringIO()

@@ -9,7 +9,8 @@ elementwise equal, which is what lets allocation decisions computed on the
 cheap pass apply to the real one.
 
 Weights are a pure function of the seed: identical configs give bit-identical
-results.
+results. ``causal_softmax``, the masked row softmax of every attention layer
+here, is also what the eviction simulator recomputes window rows with.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attnproc import causal_softmax
 from .trace import AttentionTrace, TraceHeader
 
 
@@ -60,6 +60,26 @@ class PrefillResult:
         l, h, t, _ = self.per_layer_attention.shape
         header = TraceHeader(layers=l, heads=h, seq_len=t)
         return AttentionTrace(header=header, weights=self.per_layer_attention.astype(np.float32))
+
+
+def causal_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax over the causal part of the last rows of a square matrix.
+
+    An ``(r, t)`` input with ``1 <= r <= t`` is read as the last ``r`` rows
+    of a ``t x t`` causal matrix, so row ``i`` attends to columns up to
+    ``t - r + i``; a square input is the whole matrix. Masked entries come
+    out exactly zero; rows sum to 1. Uses max-subtraction for numerical
+    stability.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or not 1 <= logits.shape[0] <= logits.shape[1]:
+        raise ValueError(f"expected an (r, t) matrix with 1 <= r <= t, got shape {logits.shape}")
+    r, t = logits.shape
+    masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
+    shifted = masked - masked.max(axis=1, keepdims=True)
+    weights = np.exp(shifted)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
 
 
 def _rms_normalize(x: np.ndarray) -> np.ndarray:
@@ -109,9 +129,7 @@ def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(
-    config: ToyModelConfig, x: np.ndarray, *, keep_kv: bool, stop_after_last_attention: bool
-) -> PrefillResult:
+def _forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillResult:
     weights = _Weights(config)
     t, p, h = config.seq_len, config.proj_dim, config.heads
     attention = np.empty((config.layers, h, t, t), dtype=np.float64)
@@ -119,7 +137,7 @@ def _forward(
     kv_bytes = 0
 
     for layer_idx, lw in enumerate(weights.layers):
-        last = layer_idx == config.layers - 1
+        stop = not full and layer_idx == config.layers - 1
         xn = _rms_normalize(x)
         keys = np.empty((h, t, p))
         values = np.empty((h, t, p))
@@ -129,16 +147,16 @@ def _forward(
             k = xn @ lw["wk"][head]
             attn = causal_softmax(q @ k.T / np.sqrt(p))
             attention[layer_idx, head] = attn
-            if stop_after_last_attention and last:
+            if stop:
                 continue
             v = xn @ lw["wv"][head]
             keys[head], values[head] = k, v
             contexts[head] = attn @ v
-        if stop_after_last_attention and last:
+        if stop:
             # All attention statistics exist; the rest of the layer is dead
             # weight for scoring purposes.
             return PrefillResult(per_layer_attention=attention, kv_bytes=0)
-        if keep_kv:
+        if full:
             k32 = keys.astype(np.float32)
             v32 = values.astype(np.float32)
             kv_pairs.append((k32, v32))
@@ -150,7 +168,7 @@ def _forward(
     logits = _rms_normalize(x)[-1] @ weights.unembed
     return PrefillResult(
         per_layer_attention=attention,
-        kv_pairs=kv_pairs if keep_kv else None,
+        kv_pairs=kv_pairs,
         first_token_logits=logits,
         kv_bytes=kv_bytes,
     )
@@ -159,7 +177,7 @@ def _forward(
 def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> PrefillResult:
     """Run every layer, keeping attention weights, K/V pairs, and logits."""
     x = default_input(config) if x is None else _check_input(config, x)
-    return _forward(config, x, keep_kv=True, stop_after_last_attention=False)
+    return _forward(config, x, full=True)
 
 
 def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> PrefillResult:
@@ -169,4 +187,4 @@ def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> Prefill
     K/V is ever stored, so the live cache footprint is zero bytes.
     """
     x = default_input(config) if x is None else _check_input(config, x)
-    return _forward(config, x, keep_kv=False, stop_after_last_attention=True)
+    return _forward(config, x, full=False)

@@ -333,9 +333,6 @@ class TestAllocationList:
         assert alloc.to_json() == '{"sizes":[3,0,5]}'
         assert AllocationList.from_json(alloc.to_json()) == alloc
 
-    def test_csv(self):
-        assert AllocationList(sizes=(2, 4)).to_csv() == "layer,n\n0,2\n1,4\n"
-
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
             AllocationList(sizes=(1, -1))

@@ -3,17 +3,8 @@
 import numpy as np
 import pytest
 
-from kvalloc.attnproc import (
-    ProcSettings,
-    ScoreVector,
-    causal_softmax,
-    process_layer,
-    process_trace,
-    score_window,
-    scores_to_csv,
-    scores_to_json,
-    smooth,
-)
+from kvalloc.attnproc import ProcSettings, ScoreVector, process_trace, score_window, smooth
+from kvalloc.toymodel import ToyModelConfig, causal_softmax, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace
 
 FIG_PIPELINE_MATRIX = [
@@ -50,47 +41,50 @@ class TestSettings:
 
 
 class TestProcessLayer:
+    """One layer's whole matrix, scored by ``score_window`` on its last ``ows`` rows."""
+
     def test_select_merge_hand_example(self):
         # window rows over non-window columns are [[0.2, 0.3], [0.1, 0.2]]
-        sv = process_layer(np.array(FIG_PIPELINE_MATRIX), ProcSettings(ows=2, pool_size=1))
+        sv = score_window(np.array(FIG_PIPELINE_MATRIX)[2:], ProcSettings(ows=2, pool_size=1))
         assert sv.scores == pytest.approx([0.15, 0.25], abs=1e-12)
 
     def test_pool_size_one_is_identity(self):
         rng = np.random.default_rng(4)
         mat = causal_softmax(rng.normal(size=(10, 10)))
         merged = mat[8:, :8].mean(axis=0)
-        sv = process_layer(mat, ProcSettings(ows=2, pool_size=1))
+        sv = score_window(mat[8:], ProcSettings(ows=2, pool_size=1))
         assert np.array_equal(sv.scores, merged)
 
     def test_uniform_matrix_interior_positions_constant(self):
-        sv = process_layer(uniform_causal(6), ProcSettings(ows=2, pool_size=3))
+        sv = score_window(uniform_causal(6)[4:], ProcSettings(ows=2, pool_size=3))
         interior = sv.scores[1:-1]
         assert np.abs(interior - interior[0]).max() <= 1e-9
-        flat = process_layer(uniform_causal(6), ProcSettings(ows=2, pool_size=1))
+        flat = score_window(uniform_causal(6)[4:], ProcSettings(ows=2, pool_size=1))
         assert np.abs(flat.scores - flat.scores[0]).max() <= 1e-9
 
     def test_output_length_is_t_minus_ows_for_any_pool(self):
         mat = uniform_causal(12)
         for ps in (1, 3, 5, 7):
-            assert len(process_layer(mat, ProcSettings(ows=3, pool_size=ps))) == 9
+            assert len(score_window(mat[9:], ProcSettings(ows=3, pool_size=ps))) == 9
 
     def test_merge_mass_identity(self):
         rng = np.random.default_rng(9)
         mat = causal_softmax(rng.normal(size=(14, 14)))
         ows = 4
-        sv = process_layer(mat, ProcSettings(ows=ows, pool_size=1))
+        sv = score_window(mat[14 - ows :], ProcSettings(ows=ows, pool_size=1))
         window_to_rest = mat[14 - ows :, : 14 - ows].sum()
         assert sv.scores.sum() == pytest.approx(window_to_rest / ows, abs=1e-12)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            process_layer(np.zeros((3, 4)), ProcSettings(ows=1, pool_size=1))
+        # A whole (here 3 x 4) matrix in place of its window rows is rejected.
+        with pytest.raises(ValueError, match="window rows"):
+            score_window(np.zeros((3, 4)), ProcSettings(ows=1, pool_size=1))
 
     def test_deterministic(self):
         mat = uniform_causal(9)
         settings = ProcSettings(ows=3, pool_size=3)
-        a = process_layer(mat, settings)
-        b = process_layer(mat, settings)
+        a = score_window(mat[6:], settings)
+        b = score_window(mat[6:], settings)
         assert np.array_equal(a.scores, b.scores)
 
 
@@ -109,7 +103,7 @@ class TestProcessTrace:
         settings = ProcSettings(ows=4, pool_size=3)
         vectors = process_trace(trace, settings)
         for layer, sv in enumerate(vectors):
-            direct = process_layer(trace.weights[layer, 0].astype(np.float64), settings, layer=layer)
+            direct = score_window(trace.weights[layer, 0, 16:].astype(np.float64), settings, layer=layer)
             assert np.array_equal(sv.scores, direct.scores)
             assert sv.layer == layer
 
@@ -122,7 +116,7 @@ class TestProcessTrace:
         for layer, sv in enumerate(vectors):
             a = trace.weights[layer, 0].astype(np.float64)
             b = trace.weights[layer, 1].astype(np.float64)
-            expected = process_layer((a + b) / 2.0, settings)
+            expected = score_window(((a + b) / 2.0)[15:], settings)
             assert np.abs(sv.scores - expected.scores).max() <= 1e-15
 
     def test_layer_count_and_order(self):
@@ -139,7 +133,7 @@ class TestProcessTrace:
             got = process_trace(trace, settings)
             for layer, sv in enumerate(got):
                 full = trace.weights[layer].astype(np.float64).mean(axis=0)
-                expected = process_layer(full, settings, layer=layer)
+                expected = score_window(full[40 - settings.ows :], settings, layer=layer)
                 assert sv.scores.tobytes() == expected.scores.tobytes()
                 assert sv.layer == layer
 
@@ -148,17 +142,23 @@ class TestProcessTrace:
         with pytest.raises(ValueError, match="ows 6 must be < seq_len 6"):
             process_trace(trace, ProcSettings(ows=6, pool_size=1))
 
+    @pytest.mark.parametrize("prefill", [mini_prefill, full_prefill])
+    def test_prefill_scored_from_its_float64_attention(self, prefill):
+        result = prefill(ToyModelConfig(layers=3, heads=2, model_dim=12, proj_dim=4, seq_len=20, seed=6))
+        settings = ProcSettings(ows=4, pool_size=3)
+        got = process_trace(result, settings)
+        assert [sv.layer for sv in got] == [0, 1, 2]
+        for layer, sv in enumerate(got):
+            rows = result.per_layer_attention[layer, :, 16:].mean(axis=0)
+            assert sv.scores.tobytes() == score_window(rows, settings).scores.tobytes()
+
+    def test_other_sources_rejected(self):
+        trace = generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=0))
+        with pytest.raises(TypeError, match="AttentionTrace or a PrefillResult"):
+            process_trace(np.array(trace.weights), ProcSettings(ows=2, pool_size=1))
+
 
 class TestScoreWindow:
-    def test_process_layer_is_score_window_on_last_rows(self):
-        rng = np.random.default_rng(17)
-        mat = causal_softmax(rng.normal(size=(30, 30)))
-        settings = ProcSettings(ows=5, pool_size=3)
-        a = process_layer(mat, settings, layer=2)
-        b = score_window(mat[-5:], settings, layer=2)
-        assert a.layer == b.layer == 2
-        assert a.scores.tobytes() == b.scores.tobytes()
-
     def test_hand_example_from_window_rows(self):
         rows = np.array(FIG_PIPELINE_MATRIX)[2:]
         sv = score_window(rows, ProcSettings(ows=2, pool_size=1))
@@ -182,15 +182,6 @@ class TestScoreVector:
     def test_matrix_rejected(self):
         with pytest.raises(ValueError, match="vector"):
             ScoreVector(layer=0, scores=np.zeros((2, 2)))
-
-    def test_csv_and_json_serialization(self):
-        vectors = [ScoreVector(layer=0, scores=np.array([0.5, 0.25]))]
-        csv_text = scores_to_csv(vectors)
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == "layer,position,score"
-        assert lines[1] == "0,0,0.5"
-        assert lines[2] == "0,1,0.25"
-        assert scores_to_json(vectors) == '[{"layer":0,"scores":[0.5,0.25]}]'
 
 
 class TestCausalSoftmax:

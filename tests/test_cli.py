@@ -133,6 +133,12 @@ class TestAllocate:
         )
         assert code == 0
         assert out == "layer,n\n0,1\n1,1\n"
+        code, out, _ = run(
+            capsys, "allocate", fixture_trace_path,
+            "--target-ravg", "0.95", "--ows", "2", "--pool-size", "1", "--format", "csv",
+        )
+        assert code == 0
+        assert out == "layer,n\n0,3\n1,2\n"
 
 
 class TestSimulate:
@@ -253,6 +259,28 @@ class TestSimulate:
             "uniform,1,1,3,0.8999999962747096\n"
         )
 
+    def test_json_compare_uniform_bytes(self, fixture_trace_path, tmp_path, capsys):
+        alloc_path = tmp_path / "alloc.json"
+        alloc_path.write_text('{"sizes":[0,3]}', encoding="utf-8")
+        code, out, _ = run(
+            capsys, "simulate", fixture_trace_path,
+            "--allocation", str(alloc_path), "--compare-uniform", "--ows", "2", "--pool-size", "1",
+        )
+        assert code == 0
+        policy = '"window_policy":"observation window retained in addition to per-layer budget"'
+        assert out == (
+            '{"sizes":[0,3],"ows":2,"retained_indices":[[3,4],[0,1,2,3,4]],'
+            '"compression_ratio":0.7,"memory_reduction":0.30000000000000004,'
+            '"bytes_before":640,"bytes_after":448,"per_layer_r":[0.0,1.0],"r_avg":0.5,'
+            + policy
+            + ',"uniform":{"sizes":[2,1],"ows":2,"retained_indices":[[0,1,3,4],[0,3,4]],'
+            '"compression_ratio":0.7,"memory_reduction":0.30000000000000004,'
+            '"bytes_before":640,"bytes_after":448,"per_layer_r":[0.8,0.8999999962747096],'
+            '"r_avg":0.8499999981373548,'
+            + policy
+            + "}}\n"
+        )
+
     def test_profile_with_non_string_task_type_exits_2(self, fixture_trace_path, tmp_path, capsys):
         profile_path = tmp_path / "profile.json"
         profile_path.write_text('{"task_type":["x"],"samples":[[1,2]],"averaged":[1,2]}', encoding="utf-8")
@@ -282,15 +310,39 @@ class TestScoresAndCurves:
         payload = json.loads(out)
         assert payload[0]["scores"] == pytest.approx([0.25, 0.15, 0.10], abs=1e-6)
 
+    def test_scores_csv_bytes(self, fixture_trace_path, capsys):
+        code, out, _ = run(
+            capsys, "scores", fixture_trace_path, "--ows", "1", "--pool-size", "3",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out == (
+            "layer,position,score\n"
+            "0,0,0.13333333532015482\n"
+            "0,1,0.16666666915019354\n"
+            "0,2,0.0833333358168602\n"
+            "0,3,0.033333333830038704\n"
+            "1,0,0.1583333294838667\n"
+            "1,1,0.16666666294137636\n"
+            "1,2,0.016666666915019352\n"
+            "1,3,0.008333333457509676\n"
+        )
+
+    def test_scores_json_bytes(self, fixture_trace_path, capsys):
+        code, out, _ = run(capsys, "scores", fixture_trace_path, "--ows", "2", "--pool-size", "1")
+        assert code == 0
+        assert out == (
+            '[{"layer":0,"scores":[0.25,0.15000000596046448,0.10000000149011612]},'
+            '{"layer":1,"scores":[0.44999998807907104,0.02500000037252903,0.02500000037252903]}]\n'
+        )
+
     def test_curves_sizes(self, fixture_trace_path, capsys):
         code, out, _ = run(
             capsys, "curves", fixture_trace_path, "--sizes", "0,1,3",
             "--ows", "2", "--pool-size", "1",
         )
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "layer,n,r"
-        assert len(lines) == 1 + 2 * 3
+        assert out == "layer,n,r\n0,0,0.0\n0,1,0.4999999925494195\n0,3,1.0\n1,0,0.0\n1,1,0.8999999962747096\n1,3,1.0\n"
 
     def test_curves_targets(self, fixture_trace_path, capsys):
         code, out, _ = run(

@@ -1,16 +1,14 @@
 """Eviction: index selection, retained-row fidelity, memory accounting."""
 
-import json
-
 import numpy as np
 import pytest
 
 from kvalloc.allocator import AllocationList, Constraint, allocate, uniform_allocation
-from kvalloc.attnproc import ProcSettings, causal_softmax, process_layer, process_trace
-from kvalloc.eviction import WINDOW_POLICY, EvictionReport, evict_layer, simulate_task
+from kvalloc.attnproc import ProcSettings, process_trace, score_window
+from kvalloc.eviction import WINDOW_POLICY, evict_layer, simulate_task
 from kvalloc.metrics import r_avg as mean_retention
 from kvalloc.metrics import retention
-from kvalloc.toymodel import ToyModelConfig, full_prefill, mini_prefill
+from kvalloc.toymodel import ToyModelConfig, causal_softmax, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace
 
 from conftest import TWO_LAYER_ROWS, make_trace
@@ -38,7 +36,7 @@ def full_matrix_selection(q, k, n, settings):
     """The whole-matrix path: softmax over all t x t logits, then score."""
     t, p = q.shape
     weights = causal_softmax(q @ np.asarray(k, dtype=np.float64).T / np.sqrt(p))
-    scores = process_layer(weights, settings).scores
+    scores = score_window(weights[t - settings.ows :], settings).scores
     top = np.argsort(-scores, kind="stable")[:n]
     return np.sort(np.concatenate([top, np.arange(t - settings.ows, t)]))
 
@@ -215,7 +213,7 @@ class TestSimulateTask:
         # The whole-matrix reference: float64 head mean over full matrices.
         for layer in range(3):
             full = trace.weights[layer].astype(np.float64).mean(axis=0)
-            scores = process_layer(full, settings).scores
+            scores = score_window(full[32:], settings).scores
             assert from_trace.per_layer_r[layer] == retention(scores, allocation.sizes[layer])
             top = np.argsort(-scores, kind="stable")[: allocation.sizes[layer]]
             expected = np.sort(np.concatenate([top, np.arange(32, 40)]))
@@ -243,27 +241,3 @@ class TestSimulateTask:
         trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=8, sparsity=0.5, seed=0))
         with pytest.raises(ValueError, match="capacity"):
             simulate_task(trace, AllocationList(sizes=(7,)), ProcSettings(ows=2, pool_size=1))
-
-
-class TestReportSerialization:
-    def make_report(self) -> EvictionReport:
-        trace = generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=10, sparsity=0.4, seed=9))
-        return simulate_task(trace, AllocationList(sizes=(2, 4)), ProcSettings(ows=2, pool_size=1))
-
-    def test_json_fields(self):
-        report = self.make_report()
-        obj = json.loads(report.to_json())
-        assert obj["sizes"] == [2, 4]
-        assert obj["ows"] == 2
-        assert obj["window_policy"] == WINDOW_POLICY
-        assert obj["compression_ratio"] == report.compression_ratio
-        assert obj["memory_reduction"] == pytest.approx(1 - report.compression_ratio)
-        assert len(obj["retained_indices"]) == 2
-        assert obj["r_avg"] == report.r_avg
-
-    def test_csv_layout(self):
-        report = self.make_report()
-        lines = report.to_csv().strip().split("\n")
-        assert lines[0] == "layer,n,retained,r"
-        assert lines[1].startswith("0,2,4,")
-        assert lines[2].startswith("1,4,6,")

@@ -16,7 +16,6 @@ from kvalloc.metrics import (
     retention,
     retention_curve,
     retention_table,
-    retention_table_csv,
     topk_indices,
 )
 from kvalloc.attnproc import ScoreVector
@@ -182,8 +181,6 @@ class TestTables:
         assert points[0] == RetentionPoint(layer=0, n=0, r=0.0)
         assert points[1].r == pytest.approx(0.7, abs=1e-12)
         assert points[5].r == 1.0
-        csv_text = retention_table_csv(points)
-        assert csv_text.startswith("layer,n,r\n0,0,0.0\n")
 
     def test_min_size_table(self):
         vectors = [ScoreVector(layer=0, scores=np.array([0.7, 0.2, 0.1]))]
