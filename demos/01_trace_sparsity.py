@@ -16,10 +16,10 @@ trace = generate_trace(spec)
 print(f"trace: {spec.layers} layers x {spec.heads} head(s) x {spec.seq_len} tokens")
 print(f"sparsity {spec.sparsity}, layer_skew {spec.layer_skew}, seed {spec.seed}\n")
 
-# Column mass = how much attention a token receives, summed over all rows.
+# Column mass = how much head-averaged attention a token receives, summed over all rows.
 k = max(1, round(spec.sparsity * spec.seq_len))
 for layer in range(spec.layers):
-    mass = trace.layer_mean(layer).sum(axis=0)
+    mass = trace.weights[layer].astype(np.float64).mean(axis=0).sum(axis=0)
     order = np.argsort(-mass)
     heavy_share = mass[order[:k]].sum() / mass.sum()
     print(
@@ -33,7 +33,7 @@ print("relaxes with depth: early layers are easy to compress, late ones are not.
 with open("trace_column_mass.csv", "w", encoding="utf-8") as fh:
     fh.write("layer,position,mass\n")
     for layer in range(spec.layers):
-        mass = trace.layer_mean(layer).sum(axis=0)
+        mass = trace.weights[layer].astype(np.float64).mean(axis=0).sum(axis=0)
         for pos, m in enumerate(mass):
             fh.write(f"{layer},{pos},{m!r}\n")
 print("\nwrote trace_column_mass.csv (layer,position,mass) for heatmap plotting")

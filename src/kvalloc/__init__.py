@@ -21,8 +21,6 @@ from .eviction import EvictionReport, evict_layer, simulate_task
 from .metrics import (
     RetentionPoint,
     compression_ratio,
-    isr,
-    isr_difference,
     min_cache_size,
     r_avg,
     retention,
@@ -36,7 +34,7 @@ from .sampling import (
     profile_similarity,
     save_profile,
 )
-from .toymodel import PrefillResult, ToyModelConfig, causal_softmax, default_input, full_prefill, mini_prefill
+from .toymodel import PrefillResult, ToyModelConfig, causal_softmax, full_prefill, mini_prefill
 from .trace import (
     AttentionTrace,
     SyntheticSpec,
@@ -69,12 +67,9 @@ __all__ = [
     "build_profile",
     "causal_softmax",
     "compression_ratio",
-    "default_input",
     "evict_layer",
     "full_prefill",
     "generate_trace",
-    "isr",
-    "isr_difference",
     "load_profile",
     "load_trace",
     "mini_prefill",

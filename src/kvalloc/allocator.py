@@ -253,10 +253,10 @@ def oracle_allocate(
 def uniform_allocation(
     total_size: int, num_layers: int, capacity_per_layer: int
 ) -> AllocationList:
-    """Spread a total budget as evenly as layer capacities allow.
+    """Spread a total budget as evenly as possible; the remainder goes to the earliest layers.
 
-    The remainder goes to the earliest layers; overflow beyond a layer's
-    capacity is redistributed so the total is preserved exactly.
+    With ``total_size <= num_layers * capacity_per_layer`` no layer gets
+    more than its capacity.
     """
     if num_layers < 1:
         raise ValueError("need at least one layer")
@@ -265,14 +265,4 @@ def uniform_allocation(
             f"total {total_size} outside [0, {num_layers * capacity_per_layer}]"
         )
     base, extra = divmod(total_size, num_layers)
-    sizes = [base + (1 if i < extra else 0) for i in range(num_layers)]
-    overflow = sum(max(0, n - capacity_per_layer) for n in sizes)
-    sizes = [min(n, capacity_per_layer) for n in sizes]
-    i = 0
-    while overflow > 0:
-        if sizes[i] < capacity_per_layer:
-            room = min(overflow, capacity_per_layer - sizes[i])
-            sizes[i] += room
-            overflow -= room
-        i += 1
-    return AllocationList(sizes=tuple(sizes))
+    return AllocationList(sizes=tuple(base + (1 if i < extra else 0) for i in range(num_layers)))

@@ -52,19 +52,32 @@ class ProcSettings:
             )
 
 
+def checked_scores(values) -> np.ndarray:
+    """``values`` as a contiguous float64 vector, nonnegative with a finite sum.
+
+    NaN fails the sign test; an infinity, or finite scores whose sum
+    overflows, fail the sum test. Raises ValueError.
+    """
+    s = np.ascontiguousarray(values, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError(f"scores must be a vector, got shape {s.shape}")
+    if s.size and not s.min() >= 0:
+        raise ValueError("scores must be nonnegative")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(s.sum()):
+            raise ValueError("scores must have a finite sum")
+    return s
+
+
 @dataclass(frozen=True)
 class ScoreVector:
-    """Per-layer attention-score distribution over non-window tokens."""
+    """Per-layer attention-score distribution over non-window tokens, checked by ``checked_scores``."""
 
     layer: int
     scores: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        s = np.ascontiguousarray(self.scores, dtype=np.float64)
-        if s.ndim != 1:
-            raise ValueError(f"scores must be a vector, got shape {s.shape}")
-        if s.size and s.min() < 0:
-            raise ValueError("scores must be nonnegative")
+        s = checked_scores(self.scores)
         s.setflags(write=False)
         object.__setattr__(self, "scores", s)
 

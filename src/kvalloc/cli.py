@@ -98,10 +98,10 @@ def _cmd_scores(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
-    loaded = trace.load_trace(args.trace)
-    vectors = attnproc.process_trace(loaded, _settings(args))
     if (args.sizes is None) == (args.targets is None):
         raise ValueError("exactly one of --sizes or --targets is required")
+    loaded = trace.load_trace(args.trace)
+    vectors = attnproc.process_trace(loaded, _settings(args))
     if args.sizes is not None:
         sizes = [int(x) for x in args.sizes.split(",") if x]
         points = metrics.retention_table(vectors, sizes)
@@ -163,25 +163,20 @@ def _simulate_source(args: argparse.Namespace):
     return loaded, args.proj_dim, loaded.seq_len
 
 
-def _simulate_allocation(
-    args: argparse.Namespace, source, settings: attnproc.ProcSettings
-) -> allocator.AllocationList:
-    chosen = [args.allocation is not None, args.auto, args.profile is not None]
-    if sum(chosen) != 1:
-        raise ValueError("exactly one of --allocation, --auto, or --profile is required")
-    if args.allocation is not None:
-        with open(args.allocation, "r", encoding="utf-8") as fh:
-            return allocator.AllocationList.from_json(fh.read())
-    if args.profile is not None:
-        return sampling.load_profile(args.profile).averaged
-    constraint = _constraint(args)
-    return allocator.allocate(attnproc.process_trace(source, settings), constraint)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     settings = _settings(args)
+    # Flag errors come before the trace is read or the prefill is run.
+    if sum([args.allocation is not None, args.auto, args.profile is not None]) != 1:
+        raise ValueError("exactly one of --allocation, --auto, or --profile is required")
+    constraint = _constraint(args) if args.auto else None
     source, proj_dim, seq_len = _simulate_source(args)
-    allocation = _simulate_allocation(args, source, settings)
+    if args.allocation is not None:
+        with open(args.allocation, "r", encoding="utf-8") as fh:
+            allocation = allocator.AllocationList.from_json(fh.read())
+    elif args.profile is not None:
+        allocation = sampling.load_profile(args.profile).averaged
+    else:
+        allocation = allocator.allocate(attnproc.process_trace(source, settings), constraint)
     report = eviction.simulate_task(source, allocation, settings, proj_dim=proj_dim)
     print(f"personalized: {report.summary()}", file=sys.stderr)
 

@@ -2,21 +2,22 @@
 
 The central quantity is the retention ratio: the fraction of a layer's total
 score mass preserved by keeping its ``n`` highest-scoring tokens. On top of
-it sit the retention-per-log-size ratio, its marginal difference, and the
-cross-layer average that drives allocation.
+it sits the cross-layer average that drives allocation.
+
+Every function takes a ``ScoreVector``, which was checked when it was built,
+or a raw array, which ``attnproc.checked_scores`` checks on the way in.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attnproc import ScoreVector
+from .attnproc import ScoreVector, checked_scores
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,12 +30,7 @@ class RetentionPoint:
 
 
 def _as_scores(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray:
-    scores = w.scores if isinstance(w, ScoreVector) else np.asarray(w, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"scores must be a vector, got shape {scores.shape}")
-    if scores.size and scores.min() < 0:
-        raise ValueError("scores must be nonnegative")
-    return scores
+    return w.scores if isinstance(w, ScoreVector) else checked_scores(w)
 
 
 def topk_indices(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> np.ndarray:
@@ -74,23 +70,6 @@ def retention(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> float:
     if not 0 <= n < curve.size:
         raise ValueError(f"n must be in [0, {curve.size - 1}], got {n}")
     return float(curve[n])
-
-
-def isr(r: float, n: int) -> float:
-    """Retention per log2 unit of cache size; defined for n > 1 only."""
-    if n <= 1:
-        raise ValueError(f"cache size must be > 1, got {n}")
-    return r / math.log2(n)
-
-
-def isr_difference(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> float:
-    """Marginal change of the retention-to-size ratio from ``n - 1`` to ``n``."""
-    if n <= 2:
-        raise ValueError(f"cache size must be > 2 so both terms are defined, got {n}")
-    curve = retention_curve(w)
-    if n >= curve.size:
-        raise ValueError(f"n must be <= {curve.size - 1}, got {n}")
-    return isr(float(curve[n]), n) - isr(float(curve[n - 1]), n - 1)
 
 
 def r_avg(values: Iterable[float]) -> float:

@@ -9,6 +9,9 @@ terminated by ``\\n``, followed immediately by ``layers * heads * seq_len *
 seq_len`` IEEE-754 binary32 little-endian values in layer-major / head /
 row-major order.
 
+A trace is valid by construction: building an ``AttentionTrace`` checks
+every row once, so saving and scoring need not check again.
+
 Loading reads the payload straight into one preallocated payload-sized
 array, after checking the file size against the header; saving writes the
 header and then the trace's own float32 buffer. Neither makes a second
@@ -28,10 +31,9 @@ import numpy as np
 HEADER_DTYPE = "f32le"
 HEADER_VERSION = 1
 
-# Row sums are held to 1e-5 internally; files are accepted up to 1e-3 so
-# traces exported from half-precision sources still load.
-ROW_SUM_ATOL = 1e-5
-LOAD_ROW_SUM_ATOL = 1e-3
+# Row sums may be off by up to 1e-3, so traces exported from half-precision
+# sources still load.
+ROW_SUM_ATOL = 1e-3
 
 
 class TraceFormatError(ValueError):
@@ -40,19 +42,13 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class TraceHeader:
-    """Shape and encoding metadata for one attention trace."""
+    """Shape of one attention trace; the file's version and dtype have one value each."""
 
     layers: int
     heads: int
     seq_len: int
-    version: int = HEADER_VERSION
-    dtype: str = HEADER_DTYPE
 
     def __post_init__(self) -> None:
-        if self.version != HEADER_VERSION:
-            raise TraceFormatError(f"unsupported trace version {self.version!r}")
-        if self.dtype != HEADER_DTYPE:
-            raise TraceFormatError(f"unsupported dtype {self.dtype!r} (version 1 is {HEADER_DTYPE} only)")
         if self.layers < 1 or self.heads < 1:
             raise TraceFormatError(f"layers and heads must be >= 1, got {self.layers}x{self.heads}")
         if self.seq_len < 2:
@@ -64,11 +60,11 @@ class TraceHeader:
 
     def to_json_line(self) -> bytes:
         obj = {
-            "version": self.version,
+            "version": HEADER_VERSION,
             "layers": self.layers,
             "heads": self.heads,
             "seq_len": self.seq_len,
-            "dtype": self.dtype,
+            "dtype": HEADER_DTYPE,
         }
         return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
 
@@ -88,13 +84,11 @@ class TraceHeader:
             value = obj[key]
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TraceFormatError(f"trace header field {key!r} must be an integer, got {value!r}")
-        return cls(
-            layers=obj["layers"],
-            heads=obj["heads"],
-            seq_len=obj["seq_len"],
-            version=obj["version"],
-            dtype=obj["dtype"],
-        )
+        if obj["version"] != HEADER_VERSION:
+            raise TraceFormatError(f"unsupported trace version {obj['version']!r}")
+        if obj["dtype"] != HEADER_DTYPE:
+            raise TraceFormatError(f"unsupported dtype {obj['dtype']!r} (version 1 is {HEADER_DTYPE} only)")
+        return cls(layers=obj["layers"], heads=obj["heads"], seq_len=obj["seq_len"])
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,8 @@ class AttentionTrace:
 
     ``weights`` has shape ``(layers, heads, seq_len, seq_len)``; every row of
     every per-head matrix is a probability distribution over positions up to
-    its own index (zeros above the diagonal, row sums 1).
+    its own index (zeros above the diagonal, row sums 1). Construction checks
+    this with ``validate`` and raises TraceFormatError on the first offender.
     """
 
     header: TraceHeader
@@ -116,6 +111,7 @@ class AttentionTrace:
             raise TraceFormatError(f"weights shape {w.shape} does not match header {expected}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        self.validate()
 
     @property
     def layers(self) -> int:
@@ -129,12 +125,12 @@ class AttentionTrace:
     def seq_len(self) -> int:
         return self.header.seq_len
 
-    def validate(self, row_sum_atol: float = ROW_SUM_ATOL) -> None:
-        """Check causality, finiteness, sign and row-stochasticity.
+    def validate(self) -> None:
+        """Check causality, finiteness, sign and row sums within ``ROW_SUM_ATOL``.
 
         Every row of every (layer, head) block is checked, one block at a
         time. Raises TraceFormatError carrying the layer/head/row coordinates
-        of the first offender.
+        of the first offender. Construction runs it once.
         """
         t = self.seq_len
         upper = ~np.tri(t, dtype=bool)
@@ -160,16 +156,12 @@ class AttentionTrace:
                         f"negative weight at {where}, row {row}: {float(mat[row, col]):g} in column {col}"
                     )
                 off = np.abs(sums - 1.0)
-                if off.max() > row_sum_atol:
+                if off.max() > ROW_SUM_ATOL:
                     row = int(off.argmax())
                     raise TraceFormatError(
                         f"row-sum violation at {where}, row {row}: "
-                        f"sum {sums[row]:.6f} deviates beyond {row_sum_atol:g}"
+                        f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
                     )
-
-    def layer_mean(self, layer: int) -> np.ndarray:
-        """Head-averaged attention matrix for one layer, as float64."""
-        return self.weights[layer].astype(np.float64).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -250,10 +242,9 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
 def save_trace(trace: AttentionTrace, path: str | Path) -> None:
     """Write a trace to disk in the bit-exact header+payload format.
 
-    Refuses to save traces whose invariants do not hold. The payload is
-    written straight from the trace's float32 buffer, with no copy.
+    The trace was checked when it was built, so it is written as it is,
+    straight from its float32 buffer, with no copy.
     """
-    trace.validate(row_sum_atol=LOAD_ROW_SUM_ATOL)
     payload = trace.weights.astype("<f4", copy=False)
     with open(path, "wb") as fh:
         fh.write(trace.header.to_json_line())
@@ -274,7 +265,7 @@ def load_trace(path: str | Path) -> AttentionTrace:
     For a regular file the payload size is checked against the header
     before anything is allocated; the payload is then read into one
     payload-sized array, which the returned trace holds. A pipe is checked
-    by the count of bytes read.
+    by the count of bytes read. Building the trace checks its rows.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -293,6 +284,4 @@ def load_trace(path: str | Path) -> AttentionTrace:
             ) from exc
         got = fh.readinto(weights.data)
         _check_payload_length(got + len(fh.read()), header)
-    trace = AttentionTrace(header=header, weights=weights)
-    trace.validate(row_sum_atol=LOAD_ROW_SUM_ATOL)
-    return trace
+    return AttentionTrace(header=header, weights=weights)

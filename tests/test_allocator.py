@@ -1,6 +1,8 @@
 """Greedy allocation against hand enumeration and the exhaustive oracle."""
 
 import json
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from kvalloc.allocator import (
     oracle_allocate,
     uniform_allocation,
 )
+from kvalloc.attnproc import ScoreVector
 from kvalloc.metrics import r_avg, retention, retention_curve
 
 W1 = [0.5, 0.3, 0.2]
@@ -380,6 +383,56 @@ class TestUniformAllocation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             uniform_allocation(13, 4, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 14), st.data())
+    def test_even_within_capacity(self, layers, cap, data):
+        total = data.draw(st.integers(0, layers * cap))
+        sizes = uniform_allocation(total, layers, cap).sizes
+        assert len(sizes) == layers and sum(sizes) == total
+        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail a call that does not return in time instead of hanging the run."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+BAD_SCORES = {
+    "nan": [1.0, float("nan"), 2.0],
+    "inf": [1.0, float("inf"), 2.0],
+    "-inf": [1.0, float("-inf"), 2.0],
+    "overflowing-sum": [1e308, 1e308, 1.0],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", BAD_SCORES.values(), ids=BAD_SCORES.keys())
+class TestNonFiniteScores:
+    def test_score_vector_rejects(self, bad):
+        with pytest.raises(ValueError, match="nonnegative|finite sum"):
+            ScoreVector(layer=0, scores=np.array(bad))
+
+    def test_retention_curve_rejects(self, bad):
+        with pytest.raises(ValueError, match="nonnegative|finite sum"):
+            retention_curve(np.array(bad))
+
+    @pytest.mark.parametrize("constraint", [Constraint.budget(1), Constraint.target(0.5)], ids=["budget", "target"])
+    @pytest.mark.parametrize("allocator", [allocate, oracle_allocate])
+    def test_allocators_reject(self, bad, allocator, constraint):
+        with time_limit(10), pytest.raises(ValueError, match="nonnegative|finite sum"):
+            allocator([np.array(bad), np.array([3.0, 1.0, 1.0])], constraint)
 
 
 class TestValidation:

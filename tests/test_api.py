@@ -24,12 +24,9 @@ PUBLIC_NAMES = [
     "build_profile",
     "causal_softmax",
     "compression_ratio",
-    "default_input",
     "evict_layer",
     "full_prefill",
     "generate_trace",
-    "isr",
-    "isr_difference",
     "load_profile",
     "load_trace",
     "min_cache_size",
@@ -49,7 +46,7 @@ PUBLIC_NAMES = [
 
 def test_all_is_the_snapshot():
     assert sorted(kvalloc.__all__) == PUBLIC_NAMES
-    assert len(kvalloc.__all__) == len(set(kvalloc.__all__)) == 39
+    assert len(kvalloc.__all__) == len(set(kvalloc.__all__)) == 36
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)

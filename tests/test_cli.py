@@ -457,3 +457,21 @@ class TestMalformedTraceFiles:
         code, _, err = run(capsys, "scores", str(path), "--ows", "1", "--pool-size", "1")
         assert code == 2
         assert "non-finite weight at layer 0, head 0, row 1" in err
+
+
+class TestUsageErrorsBeforeInput:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "missing.bin"], "exactly one of --allocation, --auto, or --profile is required"),
+            (["simulate", "missing.bin", "--auto"], "exactly one of --budget or --target-ravg is required"),
+            (["curves", "missing.bin"], "exactly one of --sizes or --targets is required"),
+        ],
+        ids=["simulate-no-allocation", "simulate-auto-no-constraint", "curves-no-sizes"],
+    )
+    def test_flag_error_reported_before_the_trace_is_read(self, tmp_path, capsys, argv, message):
+        argv = [str(tmp_path / arg) if arg == "missing.bin" else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"

@@ -3,7 +3,9 @@
 tracemalloc sees numpy's buffers, so a peak here counts every array a call
 allocates. Scoring and eviction read only the observation-window rows, so
 they stay far below one payload; loading holds exactly one payload-sized
-array; saving writes the trace's own buffer.
+array; saving writes the trace's own buffer. Generation holds the payload
+plus one head's float64 temporaries, and building the trace checks it one
+block at a time without a second payload.
 """
 
 import tracemalloc
@@ -37,6 +39,10 @@ def peak_over_payload(fn, *args):
         tracemalloc.stop()
     del result
     return peak / PAYLOAD
+
+
+def test_generation_checks_without_copying_the_payload():
+    assert peak_over_payload(generate_trace, SPEC) < 2.5
 
 
 def test_save_writes_without_copying_the_payload(trace, tmp_path):

@@ -1,15 +1,11 @@
 """Retention metrics: hand values, invariants, and dual-path checks."""
 
-import math
-
 import numpy as np
 import pytest
 
 from kvalloc.metrics import (
     RetentionPoint,
     compression_ratio,
-    isr,
-    isr_difference,
     min_cache_size,
     min_size_table_csv,
     r_avg,
@@ -85,44 +81,6 @@ class TestTopK:
     def test_bounds(self):
         with pytest.raises(ValueError):
             topk_indices([0.1], 2)
-
-
-class TestISR:
-    def test_hand_example(self):
-        assert isr(0.64, 16) == pytest.approx(0.16, abs=1e-12)
-
-    def test_zero_retention(self):
-        assert isr(0.0, 37) == 0.0
-
-    def test_log2_of_two_is_one(self):
-        assert isr(1.0, 2) == 1.0
-
-    @pytest.mark.parametrize("n", [1, 0, -3])
-    def test_domain(self, n):
-        with pytest.raises(ValueError):
-            isr(0.5, n)
-
-
-class TestISRDifference:
-    def test_hand_example(self):
-        got = isr_difference([0.5, 0.3, 0.2], 3)
-        assert got == pytest.approx(1.0 / math.log2(3) - 0.8, abs=1e-12)
-
-    def test_uniform_closed_form(self):
-        m = 10
-        w = np.full(m, 1.0 / m)
-        for n in range(3, m + 1):
-            expected = (n / m) / math.log2(n) - ((n - 1) / m) / math.log2(n - 1)
-            assert isr_difference(w, n) == pytest.approx(expected, abs=1e-12)
-
-    def test_single_nonzero_entry(self):
-        got = isr_difference([0.8, 0.0, 0.0], 3)
-        assert got == pytest.approx(1.0 / math.log2(3) - 1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 1, 0])
-    def test_domain(self, n):
-        with pytest.raises(ValueError):
-            isr_difference([0.5, 0.3, 0.2], n)
 
 
 class TestRAvg:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc.metrics import retention_curve
 from kvalloc.trace import (
-    ROW_SUM_ATOL,
     AttentionTrace,
     SyntheticSpec,
     TraceFormatError,
@@ -46,7 +45,13 @@ class TestHeader:
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
+        # The header line carries the version and dtype, each with one allowed
+        # value: from_json_line checks them, and TraceHeader holds the shape only.
+        line = json.dumps({"version": 1, "dtype": "f32le", **kwargs}).encode("utf-8")
         with pytest.raises(TraceFormatError):
+            TraceHeader.from_json_line(line)
+        shape_only = kwargs.keys() == {"layers", "heads", "seq_len"}
+        with pytest.raises(TraceFormatError if shape_only else TypeError):
             TraceHeader(**kwargs)
 
     def test_missing_keys_rejected(self):
@@ -102,18 +107,18 @@ class TestLoadSave:
             load_trace(path)
 
     def test_half_precision_slack_accepted(self, tmp_path):
-        # off by 5e-4: beyond the internal tolerance, within the load one
+        # off by 5e-4: within the 1e-3 row-sum tolerance
         path = tmp_path / "t.bin"
         path.write_bytes(HEADER_2TOK + struct.pack("<4f", 1.0, 0.0, 0.5005, 0.5))
         trace = load_trace(path)
-        with pytest.raises(TraceFormatError):
-            trace.validate()
+        assert trace.weights[0, 0, 1].tolist() == [np.float32(0.5005), 0.5]
 
     def test_save_refuses_invariant_violation(self, tmp_path):
+        # A trace that breaks an invariant cannot be built, so there is nothing to save.
         header = TraceHeader(layers=1, heads=1, seq_len=2)
-        bad = AttentionTrace(header=header, weights=np.array([[[[0.5, 0.5], [0.5, 0.5]]]]))
-        with pytest.raises(TraceFormatError):
-            save_trace(bad, tmp_path / "bad.bin")
+        weights = np.array([[[[0.5, 0.5], [0.5, 0.5]]]])
+        with pytest.raises(TraceFormatError, match=r"causality violation at layer 0, head 0, row 0"):
+            save_trace(AttentionTrace(header=header, weights=weights), tmp_path / "bad.bin")
         assert not (tmp_path / "bad.bin").exists()
 
     def test_save_empty_path_is_io_error(self):
@@ -134,8 +139,8 @@ class TestGenerate:
         b = generate_trace(spec)
         assert a.weights.tobytes() == b.weights.tobytes()
 
-    # generate_trace does not validate its own output; this property holds it
-    # to the strict row-sum tolerance instead.
+    # Building the trace checks rows to the 1e-3 file tolerance; this property
+    # holds the generator to 1e-5.
     @settings(max_examples=60, deadline=None)
     @given(
         st.builds(
@@ -150,9 +155,8 @@ class TestGenerate:
     )
     def test_generated_traces_are_causal_row_stochastic(self, spec):
         trace = generate_trace(spec)
-        trace.validate(row_sum_atol=ROW_SUM_ATOL)
         sums = trace.weights.sum(axis=3, dtype=np.float64)
-        assert np.abs(sums - 1.0).max() <= ROW_SUM_ATOL
+        assert np.abs(sums - 1.0).max() <= 1e-5
 
     def test_sparsity_one_skew_zero_gives_near_uniform_rows(self):
         spec = SyntheticSpec(layers=3, heads=1, seq_len=16, sparsity=1.0, seed=5, layer_skew=0.0)
@@ -175,7 +179,7 @@ class TestGenerate:
         trace = generate_trace(spec)
         top8 = []
         for layer in range(4):
-            mass = trace.layer_mean(layer).sum(axis=0)
+            mass = trace.weights[layer].astype(np.float64).mean(axis=0).sum(axis=0)
             top8.append(frozenset(np.argsort(-mass, kind="stable")[:8].tolist()))
         assert len(set(top8)) >= 2
 
@@ -264,22 +268,41 @@ class TestNonFiniteAndNegativeWeights:
         path = tmp_path / "t.bin"
         path.write_bytes(two_head_payload(rows))
         pattern = rf"{kind} weight at layer 0, head 1, row {row}"
-        with pytest.raises(TraceFormatError, match=pattern):
+        with pytest.raises(TraceFormatError, match=pattern) as loaded:
             load_trace(path)
         header = TraceHeader(layers=1, heads=2, seq_len=3)
         weights = np.frombuffer(two_head_payload(rows).split(b"\n", 1)[1], dtype="<f4")
-        trace = AttentionTrace(header=header, weights=weights.reshape(1, 2, 3, 3))
-        with pytest.raises(TraceFormatError, match=pattern):
-            trace.validate()
-        with pytest.raises(TraceFormatError, match=pattern):
-            save_trace(trace, tmp_path / "out.bin")
-        assert not (tmp_path / "out.bin").exists()
+        with pytest.raises(TraceFormatError) as built:
+            AttentionTrace(header=header, weights=weights.reshape(1, 2, 3, 3))
+        assert str(built.value) == str(loaded.value)
 
     def test_nan_above_diagonal_is_a_causality_violation(self, tmp_path):
         path = tmp_path / "t.bin"
         path.write_bytes(two_head_payload([[1.0, float("nan"), 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]))
         with pytest.raises(TraceFormatError, match=r"causality violation at layer 0, head 1, row 0"):
             load_trace(path)
+
+
+class TestBuiltTracesAreChecked:
+    @pytest.mark.parametrize(
+        "rows,kind,row",
+        [
+            ([[1.0, 0.0, 0.0], [0.4, 0.3, 0.3], [0.2, 0.3, 0.5]], "causality violation", 1),
+            ([[1.0, float("nan"), 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], "causality violation", 0),
+            ([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.4]], "row-sum violation", 2),
+        ],
+        ids=["non-causal", "nan-above-diagonal", "off-sum"],
+    )
+    def test_construction_raises_the_load_message(self, tmp_path, rows, kind, row):
+        data = two_head_payload(rows)
+        path = tmp_path / "t.bin"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError, match=rf"{kind} at layer 0, head 1, row {row}") as loaded:
+            load_trace(path)
+        weights = np.frombuffer(data.split(b"\n", 1)[1], dtype="<f4").reshape(1, 2, 3, 3)
+        with pytest.raises(TraceFormatError) as built:
+            AttentionTrace(header=TraceHeader(layers=1, heads=2, seq_len=3), weights=weights)
+        assert str(built.value) == str(loaded.value)
 
 
 class TestFileCopies:
@@ -411,5 +434,5 @@ class TestLoaderFuzz:
             trace = load_trace(path)
         except TraceFormatError:
             return
-        trace.validate(row_sum_atol=1e-3)
+        trace.validate()
         assert len(data) == data.index(b"\n") + 1 + trace.header.payload_bytes
