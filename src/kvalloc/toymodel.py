@@ -8,13 +8,17 @@ moment the last layer's attention weights exist. Their attention traces are
 elementwise equal, which is what lets allocation decisions computed on the
 cheap pass apply to the real one.
 
-Weights are a pure function of the seed: identical configs give bit-identical
-results. ``causal_softmax``, the masked row softmax of every attention layer
-here, is also what the eviction simulator recomputes window rows with.
+Weights are a pure function of the seed, drawn once per config and read-only:
+identical configs give bit-identical results. Attention is written in place,
+one head at a time: the logits go straight into the head's slot of the
+attention array, and the masked row softmax runs there in row blocks, with
+``exp`` only on causal columns. ``causal_softmax`` is that softmax on a copy;
+the eviction simulator recomputes window rows with it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,15 +75,31 @@ def causal_softmax(logits: np.ndarray) -> np.ndarray:
     out exactly zero; rows sum to 1. Uses max-subtraction for numerical
     stability.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.array(logits, dtype=np.float64, order="C")
     if logits.ndim != 2 or not 1 <= logits.shape[0] <= logits.shape[1]:
         raise ValueError(f"expected an (r, t) matrix with 1 <= r <= t, got shape {logits.shape}")
-    r, t = logits.shape
-    masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights
+    _causal_softmax_inplace(logits)
+    return logits
+
+
+_BLOCK = 128
+_STRICT_UPPER = ~np.tri(_BLOCK, dtype=bool)
+
+
+def _causal_softmax_inplace(a: np.ndarray, scale: float = 1.0) -> None:
+    # Each block of rows touches only the columns its rows see, so exp skips
+    # the masked part. Every step is elementwise or exact and the sum still
+    # reduces whole rows, so the bits equal a where/exp/divide on the square.
+    r, t = a.shape
+    for i0 in range(0, r, _BLOCK):
+        i1 = min(i0 + _BLOCK, r)
+        rows, block = a[i0:i1], a[i0:i1, : t - r + i1]
+        block /= scale
+        np.copyto(block[:, t - r + i0 :], -np.inf, where=_STRICT_UPPER[: i1 - i0, : i1 - i0])
+        block -= block.max(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        rows[:, t - r + i1 :] = 0.0
+        block /= rows.sum(axis=1, keepdims=True)
 
 
 def _rms_normalize(x: np.ndarray) -> np.ndarray:
@@ -87,6 +107,7 @@ def _rms_normalize(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
 
 
+@functools.lru_cache(maxsize=8)
 class _Weights:
     """All model parameters, drawn once per config in a fixed order."""
 
@@ -96,20 +117,12 @@ class _Weights:
         d, p, h = config.model_dim, config.proj_dim, config.heads
 
         def draw(*shape: int) -> np.ndarray:
-            return rng.uniform(-1.0, 1.0, size=shape) * scale
+            w = rng.uniform(-1.0, 1.0, size=shape) * scale
+            w.flags.writeable = False
+            return w
 
-        self.layers = []
-        for _ in range(config.layers):
-            self.layers.append(
-                {
-                    "wq": draw(h, d, p),
-                    "wk": draw(h, d, p),
-                    "wv": draw(h, d, p),
-                    "wo": draw(h * p, d),
-                    "w1": draw(d, 4 * d),
-                    "w2": draw(4 * d, d),
-                }
-            )
+        shapes = dict(wq=(h, d, p), wk=(h, d, p), wv=(h, d, p), wo=(h * p, d), w1=(d, 4 * d), w2=(4 * d, d))
+        self.layers = [{name: draw(*shape) for name, shape in shapes.items()} for _ in range(config.layers)]
         self.unembed = draw(d, d)
 
 
@@ -145,13 +158,13 @@ def _forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillRes
         for head in range(h):
             q = xn @ lw["wq"][head]
             k = xn @ lw["wk"][head]
-            attn = causal_softmax(q @ k.T / np.sqrt(p))
-            attention[layer_idx, head] = attn
+            attn = np.matmul(q, k.T, out=attention[layer_idx, head])
+            _causal_softmax_inplace(attn, np.sqrt(p))
             if stop:
                 continue
             v = xn @ lw["wv"][head]
             keys[head], values[head] = k, v
-            contexts[head] = attn @ v
+            np.matmul(attn, v, out=contexts[head])
         if stop:
             # All attention statistics exist; the rest of the layer is dead
             # weight for scoring purposes.

@@ -188,8 +188,9 @@ class SyntheticSpec:
             raise ValueError(f"seq_len must be >= 2, got {self.seq_len}")
         if not (0.0 < self.sparsity <= 1.0):
             raise ValueError(f"sparsity must be in (0, 1], got {self.sparsity}")
-        if self.layer_skew < 0.0:
-            raise ValueError(f"layer_skew must be >= 0, got {self.layer_skew}")
+        # NaN fails >= 0; the last layer shifts by (layers - 1) * layer_skew.
+        if not (self.layer_skew >= 0.0 and np.isfinite(self.layer_skew * max(1, self.layers - 1))):
+            raise ValueError(f"layer_skew must be >= 0 with a finite (layers - 1) * layer_skew, got {self.layer_skew}")
 
 
 def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
@@ -218,7 +219,7 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
     lower = np.tri(t, dtype=np.float64)
     denom = max(1, spec.layers - 1)
     for layer in range(spec.layers):
-        shift = int(round(layer * spec.layer_skew))
+        shift = round(layer * spec.layer_skew) % span  # reduced as a Python int, before int64
         heavy = (base_columns + shift) % span
         # Mass share of the heavy set: 0.95 at the first layer, easing toward
         # 0.50 as layer_skew * layer grows. Seed-independent, so tasks of the

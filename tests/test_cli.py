@@ -53,6 +53,31 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("skew", ["nan", "inf"])
+    def test_non_finite_layer_skew_exits_2(self, tmp_path, capsys, skew):
+        code, _, err = run(
+            capsys, "gen", "--layers", "2", "--seq-len", "8", "--layer-skew", skew,
+            "-o", str(tmp_path / "t.bin"),
+        )
+        assert code == 2
+        assert "layer_skew" in err
+
+    def test_huge_layer_skew_generates(self, tmp_path, capsys):
+        code, _, _ = run(
+            capsys, "gen", "--layers", "2", "--seq-len", "8", "--layer-skew", "1e300",
+            "-o", str(tmp_path / "t.bin"),
+        )
+        assert code == 0
+        assert load_trace(tmp_path / "t.bin").layers == 2
+
+    def test_overflowing_layer_skew_exits_2(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "gen", "--layers", "3", "--seq-len", "8", "--layer-skew", "1e308",
+            "-o", str(tmp_path / "t.bin"),
+        )
+        assert code == 2
+        assert "layer_skew" in err
+
 
 class TestAllocate:
     def test_budget_two_hand_example(self, fixture_trace_path, capsys):

@@ -1,11 +1,17 @@
-"""Memory bounds of the trace data path, as multiples of the trace payload.
+"""Memory bounds of the trace data path and the toy prefill.
 
 tracemalloc sees numpy's buffers, so a peak here counts every array a call
-allocates. Scoring and eviction read only the observation-window rows, so
-they stay far below one payload; loading holds exactly one payload-sized
-array; saving writes the trace's own buffer. Generation holds the payload
-plus one head's float64 temporaries, and building the trace checks it one
-block at a time without a second payload.
+allocates. Trace bounds are multiples of the trace payload. Scoring and
+eviction read only the observation-window rows, so they stay far below one
+payload; loading holds exactly one payload-sized array; saving writes the
+trace's own buffer. Generation holds the payload plus one head's float64
+temporaries, and building the trace checks it one block at a time without a
+second payload.
+
+Prefill bounds are multiples of the float64 attention array the prefill
+returns. Each head's logits and softmax are computed in place in that
+array, so beyond it a prefill holds only per-layer activations, the K/V
+copies and a few row vectors, not a t x t temporary per step.
 """
 
 import tracemalloc
@@ -15,11 +21,14 @@ import pytest
 from kvalloc.allocator import AllocationList
 from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc.eviction import simulate_task
+from kvalloc.toymodel import ToyModelConfig, default_input, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace, load_trace, save_trace
 
 SPEC = SyntheticSpec(layers=4, heads=2, seq_len=256, sparsity=0.1, seed=3, layer_skew=1.0)
 SETTINGS = ProcSettings(ows=8, pool_size=7)
 PAYLOAD = SPEC.layers * SPEC.heads * SPEC.seq_len * SPEC.seq_len * 4
+TOY = ToyModelConfig(layers=2, heads=2, model_dim=16, proj_dim=8, seq_len=256)
+ATTENTION = TOY.layers * TOY.heads * TOY.seq_len * TOY.seq_len * 8
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +36,8 @@ def trace():
     return generate_trace(SPEC)
 
 
-def peak_over_payload(fn, *args):
-    """Peak bytes traced while ``fn`` runs, over the payload size."""
+def peak_bytes(fn, *args):
+    """Peak bytes traced while ``fn`` runs."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -38,7 +47,11 @@ def peak_over_payload(fn, *args):
     finally:
         tracemalloc.stop()
     del result
-    return peak / PAYLOAD
+    return peak
+
+
+def peak_over_payload(fn, *args):
+    return peak_bytes(fn, *args) / PAYLOAD
 
 
 def test_generation_checks_without_copying_the_payload():
@@ -62,3 +75,10 @@ def test_scoring_reads_only_window_rows(trace):
 def test_simulation_reads_only_window_rows(trace):
     allocation = AllocationList(sizes=(10, 40, 90, 160))
     assert peak_over_payload(simulate_task, trace, allocation, SETTINGS) < 0.1
+
+
+@pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+def test_prefill_holds_little_beyond_its_attention(prefill):
+    # The input is the caller's; drawing it here also warms numpy's generator.
+    x = default_input(TOY)
+    assert peak_bytes(prefill, TOY, x) / ATTENTION <= 1.5

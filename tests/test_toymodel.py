@@ -2,16 +2,68 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc.toymodel import (
     PrefillResult,
     ToyModelConfig,
+    _Weights,
+    causal_softmax,
     default_input,
     full_prefill,
     mini_prefill,
 )
 from kvalloc.trace import load_trace, save_trace
+
+
+def where_exp_softmax(logits: np.ndarray) -> np.ndarray:
+    """Reference softmax: mask the whole square with np.where, then exp and
+    divide it, one new array per step."""
+    logits = np.asarray(logits, dtype=np.float64)
+    r, t = logits.shape
+    masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
+    shifted = masked - masked.max(axis=1, keepdims=True)
+    weights = np.exp(shifted)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
+
+
+def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillResult:
+    """Reference forward: each head's scaled logits and softmax are new arrays,
+    copied into the attention array afterwards. Only the weights are shared."""
+
+    def rms(v):
+        return v / np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6)
+
+    weights = _Weights(config)
+    t, p, h = config.seq_len, config.proj_dim, config.heads
+    attention = np.empty((config.layers, h, t, t), dtype=np.float64)
+    kv_pairs, kv_bytes = [], 0
+    for layer_idx, lw in enumerate(weights.layers):
+        stop = not full and layer_idx == config.layers - 1
+        xn = rms(x)
+        keys, values, contexts = np.empty((h, t, p)), np.empty((h, t, p)), np.empty((h, t, p))
+        for head in range(h):
+            q = xn @ lw["wq"][head]
+            k = xn @ lw["wk"][head]
+            attn = where_exp_softmax(q @ k.T / np.sqrt(p))
+            attention[layer_idx, head] = attn
+            if stop:
+                continue
+            v = xn @ lw["wv"][head]
+            keys[head], values[head] = k, v
+            contexts[head] = attn @ v
+        if stop:
+            return PrefillResult(per_layer_attention=attention)
+        k32, v32 = keys.astype(np.float32), values.astype(np.float32)
+        kv_pairs.append((k32, v32))
+        kv_bytes += k32.nbytes + v32.nbytes
+        x = x + contexts.transpose(1, 0, 2).reshape(t, h * p) @ lw["wo"]
+        x = x + np.tanh(rms(x) @ lw["w1"]) @ lw["w2"]
+    logits = rms(x)[-1] @ weights.unembed
+    return PrefillResult(attention, kv_pairs, logits, kv_bytes)
 
 
 class TestConfig:
@@ -118,3 +170,64 @@ class TestTraceExport:
     def test_prefill_result_is_plain_data(self):
         result = PrefillResult(per_layer_attention=np.ones((1, 1, 1, 1)))
         assert result.kv_bytes == 0 and result.kv_pairs is None
+
+
+class TestMatchesWhereExpReference:
+    """The in-place softmax and forward give the reference's exact bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        t=st.integers(1, 300),
+        r_share=st.floats(0.0, 1.0),
+        magnitude=st.sampled_from([1.0, 50.0, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(t=1, r_share=1.0, magnitude=1.0, seed=0)  # r = t = 1
+    @example(t=200, r_share=0.0, magnitude=1.0, seed=1)  # r = 1
+    @example(t=300, r_share=1.0, magnitude=1e6, seed=2)  # square, r > 128
+    @example(t=261, r_share=0.8, magnitude=50.0, seed=3)  # r > 128, t % 128 != 0
+    @example(t=256, r_share=0.5, magnitude=1e6, seed=4)  # r = 128, t = 2 blocks
+    def test_causal_softmax_bit_equal(self, t, r_share, magnitude, seed):
+        r = max(1, round(r_share * t))
+        logits = np.random.default_rng(seed).normal(size=(r, t)) * magnitude
+        assert causal_softmax(logits).tobytes() == where_exp_softmax(logits).tobytes()
+
+    def test_causal_softmax_leaves_its_input_alone(self):
+        logits = np.random.default_rng(5).normal(size=(130, 140))
+        before = logits.copy()
+        causal_softmax(logits)
+        assert logits.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("seq_len", [1, 2, 127, 128, 129, 200, 300])
+    def test_prefills_bit_equal(self, seq_len):
+        rng = np.random.default_rng(seq_len)
+        for _ in range(2):
+            config = ToyModelConfig(
+                layers=int(rng.integers(1, 4)),
+                heads=int(rng.integers(1, 4)),
+                model_dim=int(rng.integers(2, 17)),
+                proj_dim=int(rng.integers(1, 9)),
+                seq_len=seq_len,
+                seed=int(rng.integers(1000)),
+            )
+            x = rng.uniform(-1.0, 1.0, size=(seq_len, config.model_dim))
+            ref_full = per_head_forward(config, x, full=True)
+            ref_mini = per_head_forward(config, x, full=False)
+            full, mini = full_prefill(config, x), mini_prefill(config, x)
+            assert full.per_layer_attention.tobytes() == ref_full.per_layer_attention.tobytes()
+            assert mini.per_layer_attention.tobytes() == ref_mini.per_layer_attention.tobytes()
+            assert full.first_token_logits.tobytes() == ref_full.first_token_logits.tobytes()
+            assert full.kv_bytes == ref_full.kv_bytes
+            for (k, v), (rk, rv) in zip(full.kv_pairs, ref_full.kv_pairs, strict=True):
+                assert k.tobytes() == rk.tobytes() and v.tobytes() == rv.tobytes()
+
+
+class TestWeights:
+    def test_drawn_once_per_config_and_read_only(self):
+        config = ToyModelConfig(layers=2, heads=2, model_dim=6, proj_dim=3, seq_len=4, seed=17)
+        weights = _Weights(config)
+        assert _Weights(ToyModelConfig(**vars(config))) is weights
+        assert not weights.unembed.flags.writeable
+        assert not any(a.flags.writeable for lw in weights.layers for a in lw.values())
+        with pytest.raises(ValueError):
+            weights.layers[0]["wq"][0, 0, 0] = 1.0

@@ -197,6 +197,43 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "layers, skew", [(1, float("nan")), (2, float("nan")), (1, float("inf")), (3, 1e308)]
+    )
+    def test_non_finite_layer_skew_rejected_by_name(self, layers, skew):
+        with pytest.raises(ValueError, match="layer_skew"):
+            SyntheticSpec(layers=layers, heads=1, seq_len=8, layer_skew=skew)
+
+    # Every finite skew either builds a valid trace or is refused with a
+    # ValueError; it is refused only when the last layer's shift overflows.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layers=st.integers(1, 4),
+        heads=st.integers(1, 2),
+        seq_len=st.integers(2, 12),
+        layer_skew=st.floats(0.0, 1e308),
+    )
+    @example(layers=2, heads=1, seq_len=8, layer_skew=1e300)
+    @example(layers=2, heads=1, seq_len=8, layer_skew=1e308)
+    @example(layers=4, heads=1, seq_len=8, layer_skew=2.0**63)
+    def test_every_finite_layer_skew_builds_or_is_refused(self, layers, heads, seq_len, layer_skew):
+        try:
+            spec = SyntheticSpec(layers=layers, heads=heads, seq_len=seq_len, layer_skew=layer_skew)
+        except ValueError as exc:
+            assert "layer_skew" in str(exc)
+            assert not np.isfinite(layer_skew * (layers - 1))
+            return
+        trace = generate_trace(spec)
+        assert trace.weights.shape == (layers, heads, seq_len, seq_len)
+
+    def test_huge_skew_shifts_by_its_remainder(self):
+        # Past tanh's saturation only shift % span tells two skews apart, so
+        # 1e300 must give the trace of its remainder plus a multiple of span.
+        spec = SyntheticSpec(layers=2, heads=1, seq_len=8, layer_skew=1e300)
+        span = 6  # max(k_heavy, 3 * 8 // 4) with k_heavy = round(0.1 * 8)
+        small = SyntheticSpec(layers=2, heads=1, seq_len=8, layer_skew=float(int(1e300) % span + 10 * span))
+        assert generate_trace(spec).weights.tobytes() == generate_trace(small).weights.tobytes()
+
     def test_header_matches_synthetic_spec(self):
         spec = SyntheticSpec(layers=2, heads=3, seq_len=12, sparsity=0.5, seed=1)
         trace = generate_trace(spec)
