@@ -78,14 +78,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         seed=args.seed,
         layer_skew=args.layer_skew,
     )
-    generated = trace.generate_trace(spec)
-    trace.save_trace(generated, args.output)
+    trace.write_synthetic(spec, args.output)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 
 def _cmd_scores(args: argparse.Namespace) -> int:
-    loaded = trace.load_trace(args.trace)
+    loaded = trace.read_window(args.trace, args.ows)
     vectors = attnproc.process_trace(loaded, _settings(args))
     if args.fmt == "csv":
         _write_csv(
@@ -100,7 +99,7 @@ def _cmd_scores(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     if (args.sizes is None) == (args.targets is None):
         raise ValueError("exactly one of --sizes or --targets is required")
-    loaded = trace.load_trace(args.trace)
+    loaded = trace.read_window(args.trace, args.ows)
     vectors = attnproc.process_trace(loaded, _settings(args))
     if args.sizes is not None:
         sizes = [int(x) for x in args.sizes.split(",") if x]
@@ -114,7 +113,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
     constraint = _constraint(args)
-    loaded = trace.load_trace(args.trace)
+    loaded = trace.read_window(args.trace, args.ows)
     vectors = attnproc.process_trace(loaded, _settings(args))
     allocation = allocator.allocate(vectors, constraint)
     achieved = allocator.allocation_r_avg(vectors, allocation)
@@ -159,8 +158,8 @@ def _simulate_source(args: argparse.Namespace):
         return toymodel.mini_prefill(config), config.proj_dim, config.seq_len
     if args.trace is None:
         raise ValueError("either a trace path or --toy is required")
-    loaded = trace.load_trace(args.trace)
-    return loaded, args.proj_dim, loaded.seq_len
+    loaded = trace.read_window(args.trace, args.ows)
+    return loaded, args.proj_dim, loaded.header.seq_len
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -208,7 +207,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     constraint = _constraint(args)
     lists = []
     for path in args.traces:
-        loaded = trace.load_trace(path)
+        loaded = trace.read_window(path, args.ows)
         vectors = attnproc.process_trace(loaded, _settings(args))
         lists.append(allocator.allocate(vectors, constraint))
     profile = sampling.build_profile(args.task_type, lists)

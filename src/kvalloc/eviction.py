@@ -25,7 +25,7 @@ from . import metrics
 from .attnproc import ProcSettings, process_trace, score_window
 from .allocator import AllocationList
 from .toymodel import PrefillResult, causal_softmax
-from .trace import AttentionTrace
+from .trace import AttentionTrace, TraceWindow
 
 ELEMENT_BYTES = 4
 
@@ -101,26 +101,25 @@ def evict_layer(
 
 
 def simulate_task(
-    source: AttentionTrace | PrefillResult,
+    source: AttentionTrace | TraceWindow | PrefillResult,
     allocation: AllocationList,
     settings: ProcSettings,
     proj_dim: int = 64,
 ) -> EvictionReport:
     """Apply per-layer eviction across a whole task and account for memory.
 
-    ``source`` supplies the attention weights: a trace or a prefill result,
-    scored by ``process_trace``. ``proj_dim`` sets the per-token projection
-    width used for byte accounting when the source carries no K/V (a
-    full-prefill result overrides it with the real width).
+    ``source`` supplies the attention weights: a trace, a trace window or a
+    prefill result, scored by ``process_trace``. ``proj_dim`` sets the
+    per-token projection width used for byte accounting when the source
+    carries no K/V (a full-prefill result overrides it with the real width).
     """
     vectors = process_trace(source, settings)
     if isinstance(source, PrefillResult):
-        attn = source.per_layer_attention
+        l, h, t, _ = source.per_layer_attention.shape
         if source.kv_pairs:
             proj_dim = source.kv_pairs[0][0].shape[-1]
     else:
-        attn = source.weights
-    l, h, t, _ = attn.shape
+        l, h, t = source.header.layers, source.header.heads, source.header.seq_len
     if len(allocation) != l:
         raise ValueError(f"allocation has {len(allocation)} layers, source has {l}")
     cap = t - settings.ows

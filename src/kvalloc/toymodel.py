@@ -142,10 +142,15 @@ def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillResult:
-    weights = _Weights(config)
+def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> PrefillResult:
     t, p, h = config.seq_len, config.proj_dim, config.heads
-    attention = np.empty((config.layers, h, t, t), dtype=np.float64)
+    try:  # before the input is drawn, so a shape too large fails at once
+        attention = np.empty((config.layers, h, t, t), dtype=np.float64)
+    except (MemoryError, ValueError) as exc:
+        size = config.layers * h * t * t * 8
+        raise ValueError(f"a {size}-byte toy attention array cannot be allocated") from exc
+    x = default_input(config) if x is None else _check_input(config, x)
+    weights = _Weights(config)
     kv_pairs: list[tuple[np.ndarray, np.ndarray]] = []
     kv_bytes = 0
 
@@ -189,7 +194,6 @@ def _forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillRes
 
 def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> PrefillResult:
     """Run every layer, keeping attention weights, K/V pairs, and logits."""
-    x = default_input(config) if x is None else _check_input(config, x)
     return _forward(config, x, full=True)
 
 
@@ -199,5 +203,4 @@ def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> Prefill
     The recorded attention weights equal ``full_prefill``'s elementwise; no
     K/V is ever stored, so the live cache footprint is zero bytes.
     """
-    x = default_input(config) if x is None else _check_input(config, x)
     return _forward(config, x, full=False)

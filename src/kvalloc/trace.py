@@ -10,16 +10,20 @@ seq_len`` IEEE-754 binary32 little-endian values in layer-major / head /
 row-major order.
 
 A trace is valid by construction: building an ``AttentionTrace`` checks
-every row once, so saving and scoring need not check again.
+every row once, so saving and scoring need not check again. ``_check_block``
+is the one check, over any run of rows of one (layer, head) matrix.
 
-Loading reads the payload straight into one preallocated payload-sized
-array, after checking the file size against the header; saving writes the
-header and then the trace's own float32 buffer. Neither makes a second
-whole-trace copy, and the file format is unchanged.
+The CLI streams traces through one reused ``(t, t)`` float32 buffer:
+``read_window`` reads and checks each (layer, head) block in turn and keeps
+its last ``ows`` rows (a ``TraceWindow``), and ``write_synthetic`` generates,
+checks and writes one block at a time. Neither holds the payload, so traces
+larger than memory can be written and scored. ``load_trace`` and
+``save_trace`` hold the whole payload in one array, without a second copy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import stat
@@ -132,36 +136,69 @@ class AttentionTrace:
         time. Raises TraceFormatError carrying the layer/head/row coordinates
         of the first offender. Construction runs it once.
         """
-        t = self.seq_len
-        upper = ~np.tri(t, dtype=bool)
-        for layer in range(self.layers):
-            for head in range(self.heads):
-                mat = self.weights[layer, head]
-                where = f"layer {layer}, head {head}"
-                bad = (mat != 0) & upper
-                if bad.any():
-                    row, col = np.argwhere(bad)[0]
-                    raise TraceFormatError(
-                        f"causality violation at {where}, row {row}: nonzero weight in column {col}"
-                    )
-                # A NaN or infinity anywhere in a row makes its sum non-finite.
-                sums = mat.sum(axis=1, dtype=np.float64)
-                finite = np.isfinite(sums)
-                if not finite.all():
-                    row = int(finite.argmin())
-                    raise TraceFormatError(f"non-finite weight at {where}, row {row}")
-                if mat.min() < 0:
-                    row, col = np.argwhere(mat < 0)[0]
-                    raise TraceFormatError(
-                        f"negative weight at {where}, row {row}: {float(mat[row, col]):g} in column {col}"
-                    )
-                off = np.abs(sums - 1.0)
-                if off.max() > ROW_SUM_ATOL:
-                    row = int(off.argmax())
-                    raise TraceFormatError(
-                        f"row-sum violation at {where}, row {row}: "
-                        f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
-                    )
+        for layer, head in np.ndindex(self.layers, self.heads):
+            _check_block(self.weights[layer, head], layer, head, 0)
+
+
+@functools.lru_cache(maxsize=2)
+def _above_diagonal(rows: int, cols: int, first_row: int) -> np.ndarray:
+    mask = ~np.tri(rows, cols, k=first_row, dtype=bool)
+    mask.setflags(write=False)  # cached, so shared by every caller
+    return mask
+
+
+def _check_block(rows: np.ndarray, layer: int, head: int, first_row: int) -> None:
+    """Check rows ``first_row`` onward of one (layer, head) matrix.
+
+    ``rows`` is ``(r, t)``; its row ``i`` is row ``first_row + i`` of the
+    ``t x t`` matrix. Checks causality, then finiteness, sign and row sums
+    over all the rows; raises TraceFormatError at the first offender.
+    """
+    where = f"layer {layer}, head {head}"
+    bad = (rows != 0) & _above_diagonal(*rows.shape, first_row)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise TraceFormatError(
+            f"causality violation at {where}, row {first_row + row}: nonzero weight in column {col}"
+        )
+    # A NaN or infinity anywhere in a row makes its sum non-finite.
+    sums = rows.sum(axis=1, dtype=np.float64)
+    finite = np.isfinite(sums)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise TraceFormatError(f"non-finite weight at {where}, row {first_row + row}")
+    if rows.min() < 0:
+        row, col = np.argwhere(rows < 0)[0]
+        raise TraceFormatError(
+            f"negative weight at {where}, row {first_row + row}: {float(rows[row, col]):g} in column {col}"
+        )
+    off = np.abs(sums - 1.0)
+    if off.max() > ROW_SUM_ATOL:
+        row = int(off.argmax())
+        raise TraceFormatError(
+            f"row-sum violation at {where}, row {first_row + row}: "
+            f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
+        )
+
+
+@dataclass(frozen=True)
+class TraceWindow:
+    """The last ``w`` rows of every (layer, head) matrix of a trace, checked when built.
+
+    ``rows`` is read-only float32 of shape ``(layers, heads, w, seq_len)``, ``1 <= w <= seq_len``.
+    """
+
+    header: TraceHeader
+    rows: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        r, h = np.ascontiguousarray(self.rows, dtype=np.float32), self.header
+        if r.ndim != 4 or r.shape[:2] != (h.layers, h.heads) or not 1 <= r.shape[2] <= r.shape[3] == h.seq_len:
+            raise TraceFormatError(f"window rows shape {r.shape} does not match header {h}")
+        r.setflags(write=False)
+        object.__setattr__(self, "rows", r)
+        for layer, head in np.ndindex(h.layers, h.heads):
+            _check_block(r[layer, head], layer, head, h.seq_len - r.shape[2])
 
 
 @dataclass(frozen=True)
@@ -193,15 +230,8 @@ class SyntheticSpec:
             raise ValueError(f"layer_skew must be >= 0 with a finite (layers - 1) * layer_skew, got {self.layer_skew}")
 
 
-def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
-    """Generate a causal, row-stochastic trace with sparse column structure.
-
-    Each layer concentrates most attention mass on a small heavy-column set
-    drawn from a seeded permutation and shifted by ``layer_index *
-    layer_skew``; the concentration itself also relaxes with the shifted
-    layer index, so layers differ both in where the mass sits and in how
-    hard it is to retain. With ``layer_skew == 0`` all layers are identical.
-    """
+def _head_profiles(spec: SyntheticSpec):
+    """Yield ``(layer, head, profile)``: the column weights each row of a head normalises."""
     t = spec.seq_len
     rng = np.random.default_rng(spec.seed)
     k_heavy = max(1, int(round(spec.sparsity * t)))
@@ -215,8 +245,6 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
     # without breaking cross-layer retention agreement at layer_skew == 0.
     jitter = 1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=t)
 
-    weights = np.empty((spec.layers, spec.heads, t, t), dtype=np.float32)
-    lower = np.tri(t, dtype=np.float64)
     denom = max(1, spec.layers - 1)
     for layer in range(spec.layers):
         shift = round(layer * spec.layer_skew) % span  # reduced as a Python int, before int64
@@ -231,13 +259,64 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
             profile[:] = 1.0 / t
         profile *= jitter
         for head in range(spec.heads):
-            tempered = profile if spec.heads == 1 else profile ** (0.9 + 0.2 * head / (spec.heads - 1))
-            mat = lower * tempered[None, :]
-            mat /= mat.sum(axis=1, keepdims=True)
-            weights[layer, head] = mat.astype(np.float32)
+            yield layer, head, profile if spec.heads == 1 else profile ** (0.9 + 0.2 * head / (spec.heads - 1))
 
+
+def _fill_head(out: np.ndarray, profile: np.ndarray) -> None:
+    """Fill the float32 ``(t, t)`` ``out`` with ``profile``'s causal rows, normalised.
+
+    Rows are built in float64 blocks and cast into ``out``; each row sum
+    reduces one contiguous row, so the bits equal a whole-matrix build.
+    """
+    t, step = profile.size, 256
+    block = np.empty((min(step, t), t))
+    for start in range(0, t, step):
+        mat = block[: min(step, t - start)]
+        np.multiply(np.tri(len(mat), t, k=start), profile, out=mat)
+        mat /= mat.sum(axis=1, keepdims=True)
+        out[start : start + len(mat)] = mat
+
+
+def _empty(shape: tuple[int, ...], what: str) -> np.ndarray:
+    """An uninitialised ``<f4`` array, or TraceFormatError saying ``what`` cannot be allocated."""
+    try:
+        return np.empty(shape, dtype="<f4")
+    except (MemoryError, ValueError) as exc:
+        raise TraceFormatError(f"{what}, which cannot be allocated") from exc
+
+
+def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
+    """Generate a causal, row-stochastic trace with sparse column structure.
+
+    Each layer concentrates most attention mass on a small heavy-column set
+    drawn from a seeded permutation and shifted by ``layer_index *
+    layer_skew``; the concentration itself also relaxes with the shifted
+    layer index, so layers differ both in where the mass sits and in how
+    hard it is to retain. With ``layer_skew == 0`` all layers are identical.
+    """
+    t = spec.seq_len
+    weights = np.empty((spec.layers, spec.heads, t, t), dtype=np.float32)
+    for layer, head, profile in _head_profiles(spec):
+        _fill_head(weights[layer, head], profile)
     header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
     return AttentionTrace(header=header, weights=weights)
+
+
+def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
+    """Write ``save_trace(generate_trace(spec), path)``'s bytes, one checked block at a time.
+
+    The one ``(t, t)`` buffer is allocated before ``path`` is opened, so a
+    shape too large for memory raises TraceFormatError and writes nothing.
+    """
+    t = spec.seq_len
+    header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
+    block = _empty((t, t), f"a {spec.layers}x{spec.heads}x{t} trace needs a {t * t * 4}-byte block buffer")
+    with open(path, "wb") as fh:
+        fh.write(header.to_json_line())
+        for layer, head, profile in _head_profiles(spec):
+            _fill_head(block, profile)
+            _check_block(block, layer, head, 0)
+            fh.write(block.data)
 
 
 def save_trace(trace: AttentionTrace, path: str | Path) -> None:
@@ -260,29 +339,61 @@ def _check_payload_length(size: int, header: TraceHeader) -> None:
         )
 
 
+def _read_header(fh) -> tuple[TraceHeader, bool]:
+    """Parse the header line; check a regular file's payload size before any allocation, and say if it was."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise TraceFormatError("malformed trace file: missing header line")
+    header = TraceHeader.from_json_line(line[:-1])
+    st = os.fstat(fh.fileno())
+    sized = stat.S_ISREG(st.st_mode)
+    if sized:
+        _check_payload_length(st.st_size - fh.tell(), header)
+    return header, sized
+
+
 def load_trace(path: str | Path) -> AttentionTrace:
     """Read a trace file, validating format, payload length, and invariants.
 
-    For a regular file the payload size is checked against the header
-    before anything is allocated; the payload is then read into one
-    payload-sized array, which the returned trace holds. A pipe is checked
-    by the count of bytes read. Building the trace checks its rows.
+    The payload is read into one payload-sized array, which the returned
+    trace holds. Building the trace checks its rows.
     """
     with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise TraceFormatError("malformed trace file: missing header line")
-        header = TraceHeader.from_json_line(line[:-1])
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            _check_payload_length(st.st_size - fh.tell(), header)
-        shape = (header.layers, header.heads, header.seq_len, header.seq_len)
-        try:
-            weights = np.empty(shape, dtype="<f4")
-        except (MemoryError, ValueError) as exc:
-            raise TraceFormatError(
-                f"header promises a {header.payload_bytes}-byte payload, which cannot be allocated"
-            ) from exc
+        header, _ = _read_header(fh)
+        promise = f"header promises a {header.payload_bytes}-byte payload"
+        weights = _empty((header.layers, header.heads, header.seq_len, header.seq_len), promise)
         got = fh.readinto(weights.data)
         _check_payload_length(got + len(fh.read()), header)
     return AttentionTrace(header=header, weights=weights)
+
+
+def read_window(path: str | Path, ows: int) -> TraceWindow:
+    """Read a trace file block by block, keeping the last ``min(ows, seq_len)`` rows of each.
+
+    Each block is read into one reused ``(t, t)`` buffer and checked whole, so
+    this accepts and rejects what ``load_trace`` does, with its messages. A
+    pipe is read on past a failed block: a wrong payload length comes first.
+    """
+    with open(path, "rb") as fh:
+        header, sized = _read_header(fh)
+        # At least one row: an ows below 1 is refused by ProcSettings, after the file.
+        t, w = header.seq_len, min(max(ows, 1), header.seq_len)
+        promise = f"header promises a {header.payload_bytes}-byte payload"
+        block, rows = _empty((t, t), promise), _empty((header.layers, header.heads, w, t), promise)
+        got, error = 0, None
+        for layer, head in np.ndindex(header.layers, header.heads):
+            n = fh.readinto(block.data)
+            got += n
+            if n < block.nbytes:
+                break
+            rows[layer, head] = block[t - w :]
+            try:
+                _check_block(block, layer, head, 0)
+            except TraceFormatError as exc:
+                if sized:
+                    raise
+                error = error or exc
+        _check_payload_length(got + len(fh.read()), header)
+    if error is not None:
+        raise error
+    return TraceWindow(header=header, rows=rows)

@@ -1,12 +1,13 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from kvalloc.cli import main
-from kvalloc.trace import AttentionTrace, SyntheticSpec, generate_trace, load_trace, save_trace
+from kvalloc.trace import AttentionTrace, SyntheticSpec, TraceFormatError, generate_trace, load_trace, save_trace
 
 from conftest import TWO_LAYER_ROWS, make_trace
 
@@ -77,6 +78,20 @@ class TestGen:
         )
         assert code == 2
         assert "layer_skew" in err
+
+    # Each shape's one (t, t) float32 block is 1 TiB or more, so it cannot be
+    # allocated, and the command stops before the output is opened.
+    @pytest.mark.parametrize(
+        "layers, seq_len, nbytes",
+        [("1", "1000000", 4 * 10**12), ("1", "10000000000", 4 * 10**20), ("100000", "1000000", 4 * 10**12)],
+    )
+    def test_shape_too_large_to_allocate_exits_2(self, tmp_path, capsys, layers, seq_len, nbytes):
+        path = tmp_path / "t.bin"
+        code, out, err = run(capsys, "gen", "--layers", layers, "--seq-len", seq_len, "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"{nbytes}-byte" in err
+        assert not path.exists()
 
 
 class TestAllocate:
@@ -177,6 +192,16 @@ class TestSimulate:
         assert sum(payload["sizes"]) == 8
         assert payload["compression_ratio"] == pytest.approx((8 + 2 * 4) / (2 * 16), abs=1e-15)
         assert "compression ratio" in err
+
+    # A 1x1xT toy prefill needs a T x T float64 attention array: 8 and 72 TB here.
+    @pytest.mark.parametrize("seq_len, nbytes", [("1000000", 8 * 10**12), ("3000000", 72 * 10**12)])
+    def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, seq_len, nbytes):
+        code, out, err = run(
+            capsys, "simulate", "--toy", "--auto", "--budget", "5", "--layers", "1", "--seq-len", seq_len,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"{nbytes}-byte" in err
 
     def test_allocation_file_source(self, fixture_trace_path, tmp_path, capsys):
         alloc_path = tmp_path / "alloc.json"
@@ -482,6 +507,42 @@ class TestMalformedTraceFiles:
         code, _, err = run(capsys, "scores", str(path), "--ows", "1", "--pool-size", "1")
         assert code == 2
         assert "non-finite weight at layer 0, head 0, row 1" in err
+
+
+    # One defect outside the observation window, in the last (layer, head)
+    # block: scoring never reads that row, but every row a file holds is
+    # checked, so every command exits 2 with the loader's message.
+    @pytest.mark.parametrize(
+        "row, col, value",
+        [(0, 0, float("nan")), (0, 5, 0.25), (3, 1, -0.5), (10, 0, 2.0)],
+        ids=["nan", "non-causal", "negative", "row-sum"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scores"],
+            ["curves", "--sizes", "1,2"],
+            ["allocate", "--budget", "4"],
+            ["simulate", "--auto", "--budget", "4", "--compare-uniform"],
+            ["profile", "--budget", "4", "--task-type", "t"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_defect_outside_the_window_exits_2(self, tmp_path, capsys, argv, row, col, value):
+        t = 32
+        path = tmp_path / "t.bin"
+        save_trace(generate_trace(SyntheticSpec(layers=3, heads=2, seq_len=t, sparsity=0.2, seed=1)), path)
+        data = bytearray(path.read_bytes())
+        offset = data.index(b"\n") + 1 + ((3 * 2 - 1) * t * t + row * t + col) * 4
+        data[offset : offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError) as loaded:
+            load_trace(path)
+        assert f"at layer 2, head 1, row {row}" in str(loaded.value)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {loaded.value}\n"
 
 
 class TestUsageErrorsBeforeInput:

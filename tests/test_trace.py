@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from kvalloc import trace as trace_module
 from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc.metrics import retention_curve
 from kvalloc.trace import (
@@ -17,12 +18,65 @@ from kvalloc.trace import (
     SyntheticSpec,
     TraceFormatError,
     TraceHeader,
+    TraceWindow,
     generate_trace,
     load_trace,
+    read_window,
     save_trace,
+    write_synthetic,
 )
 
 HEADER_2TOK = b'{"version":1,"layers":1,"heads":1,"seq_len":2,"dtype":"f32le"}\n'
+
+
+def whole_matrix_generate(spec: SyntheticSpec) -> np.ndarray:
+    """The generator as it was before row blocks: each head a float64 t x t matrix, then cast."""
+    t = spec.seq_len
+    rng = np.random.default_rng(spec.seed)
+    k_heavy = max(1, int(round(spec.sparsity * t)))
+    span = max(k_heavy, (3 * t) // 4)
+    base_columns = rng.permutation(span)[:k_heavy]
+    jitter = 1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=t)
+    weights = np.empty((spec.layers, spec.heads, t, t), dtype=np.float32)
+    lower = np.tri(t, dtype=np.float64)
+    denom = max(1, spec.layers - 1)
+    for layer in range(spec.layers):
+        heavy = (base_columns + round(layer * spec.layer_skew) % span) % span
+        share = 0.95 - 0.45 * np.tanh(spec.layer_skew * layer / denom)
+        profile = np.full(t, (1.0 - share) / max(1, t - k_heavy), dtype=np.float64)
+        profile[heavy] = share / k_heavy
+        if k_heavy == t:
+            profile[:] = 1.0 / t
+        profile *= jitter
+        for head in range(spec.heads):
+            tempered = profile if spec.heads == 1 else profile ** (0.9 + 0.2 * head / (spec.heads - 1))
+            mat = lower * tempered[None, :]
+            mat /= mat.sum(axis=1, keepdims=True)
+            weights[layer, head] = mat.astype(np.float32)
+    return weights
+
+
+def feed_pipe(tmp_path, data: bytes, read):
+    """Call ``read`` on a named pipe that a thread fills with ``data``; return or raise what it does."""
+    fifo = tmp_path / "fifo"
+    if fifo.exists():
+        fifo.unlink()
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            try:
+                fh.write(data)
+            except BrokenPipeError:
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestHeader:
@@ -234,6 +288,40 @@ class TestGenerate:
         small = SyntheticSpec(layers=2, heads=1, seq_len=8, layer_skew=float(int(1e300) % span + 10 * span))
         assert generate_trace(spec).weights.tobytes() == generate_trace(small).weights.tobytes()
 
+    # Row blocks of 256 must give the whole-matrix bits, so seq_len runs past
+    # one block and off its multiples; writing block by block gives the bytes
+    # of saving the generated trace.
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.builds(
+            SyntheticSpec,
+            layers=st.integers(1, 3),
+            heads=st.integers(1, 3),
+            seq_len=st.one_of(st.integers(2, 40), st.integers(257, 700)),
+            sparsity=st.floats(0.001, 1.0),
+            seed=st.integers(0, 2**32 - 1),
+            layer_skew=st.floats(0.0, 8.0),
+        )
+    )
+    @example(SyntheticSpec(layers=1, heads=2, seq_len=513, sparsity=0.02, seed=1, layer_skew=2.5))
+    @example(SyntheticSpec(layers=2, heads=1, seq_len=768, sparsity=1.0, seed=2))
+    def test_row_blocks_match_the_whole_matrix_build(self, tmp_path, spec):
+        trace = generate_trace(spec)
+        assert trace.weights.tobytes() == whole_matrix_generate(spec).tobytes()
+        save_trace(trace, tmp_path / "saved.bin")
+        write_synthetic(spec, tmp_path / "written.bin")
+        assert (tmp_path / "written.bin").read_bytes() == (tmp_path / "saved.bin").read_bytes()
+
+    def test_writer_checks_each_block_before_writing_it(self, tmp_path, monkeypatch):
+        spec = SyntheticSpec(layers=2, heads=1, seq_len=8)
+        bad = np.ones(8)
+        bad[1] = -0.5  # row 1 normalises to [2, -1]
+        monkeypatch.setattr(trace_module, "_head_profiles", lambda spec: iter([(0, 0, bad)]))
+        path = tmp_path / "t.bin"
+        with pytest.raises(TraceFormatError, match="negative weight at layer 0, head 0, row 1: -1 in column 1"):
+            write_synthetic(spec, path)
+        assert path.read_bytes() == TraceHeader(layers=2, heads=1, seq_len=8).to_json_line()
+
     def test_header_matches_synthetic_spec(self):
         spec = SyntheticSpec(layers=2, heads=3, seq_len=12, sparsity=0.5, seed=1)
         trace = generate_trace(spec)
@@ -412,6 +500,103 @@ class TestFileCopies:
         assert not writer.is_alive()
 
 
+class TestReadWindow:
+    SPEC = SyntheticSpec(layers=3, heads=2, seq_len=40, sparsity=0.2, seed=6, layer_skew=1.0)
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "t.bin"
+        save_trace(generate_trace(self.SPEC), path)
+        return path
+
+    @pytest.mark.parametrize("ows", [1, 8, 39, 40, 100])
+    def test_keeps_the_last_rows_of_every_block(self, path, ows):
+        window = read_window(path, ows)
+        full = load_trace(path)
+        w = min(ows, 40)
+        assert window.header == full.header
+        assert window.rows.shape == (3, 2, w, 40)
+        assert window.rows.tobytes() == full.weights[:, :, 40 - w :].tobytes()
+        with pytest.raises(ValueError):
+            window.rows[0, 0, 0, 0] = 0.0
+
+    def test_window_scores_equal_trace_scores(self, path):
+        settings_ = ProcSettings(ows=5, pool_size=3)
+        from_window = process_trace(read_window(path, 5), settings_)
+        from_trace = process_trace(load_trace(path), settings_)
+        assert [v.scores.tobytes() for v in from_window] == [v.scores.tobytes() for v in from_trace]
+
+    def test_a_defect_outside_the_window_is_still_rejected(self, path):
+        data = bytearray(path.read_bytes())
+        offset = data.index(b"\n") + 1 + ((2 * 2 + 1) * 40 * 40) * 4  # layer 2, head 1, row 0
+        data[offset : offset + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="non-finite weight at layer 2, head 1, row 0"):
+            read_window(path, 8)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("delta", [0, -4, 4, None])
+    def test_from_a_pipe(self, tmp_path, path, delta):
+        raw = path.read_bytes()
+        if delta is None:
+            data = b'{"version":1,"layers":1000,"heads":1000,"seq_len":10000,"dtype":"f32le"}\n\0\0\0\0'
+        else:
+            data = raw[:delta] if delta < 0 else raw + b"\0" * delta
+        if delta == 0:
+            window = feed_pipe(tmp_path, data, lambda p: read_window(p, 8))
+            assert window.rows.tobytes() == read_window(path, 8).rows.tobytes()
+            return
+        expected = 3 * 2 * 40 * 40 * 4
+        pattern = "payload" if delta is None else rf"payload length {expected + delta} bytes"
+        with pytest.raises(TraceFormatError, match=pattern):
+            feed_pipe(tmp_path, data, lambda p: read_window(p, 8))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_reports_the_payload_length_before_a_bad_block(self, tmp_path, path):
+        data = bytearray(path.read_bytes())
+        offset = data.index(b"\n") + 1
+        data[offset : offset + 4] = struct.pack("<f", float("nan"))
+        with pytest.raises(TraceFormatError, match="payload length"):
+            feed_pipe(tmp_path, bytes(data[:-4]), lambda p: read_window(p, 8))
+        with pytest.raises(TraceFormatError, match="non-finite weight at layer 0, head 0, row 0"):
+            feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
+
+
+class TestTraceWindow:
+    HEADER = TraceHeader(layers=1, heads=2, seq_len=3)
+    HEAD0 = [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
+
+    def test_rows_are_checked_at_their_place_in_the_matrix(self):
+        # [0.5, 0.5, 0.0] is causal as row 1 and not as row 0; [0.2, 0.3, 0.5]
+        # is causal as row 2 and not as row 1.
+        rows = np.array([[self.HEAD0[1:], self.HEAD0[1:]]], dtype=np.float32)
+        assert TraceWindow(header=self.HEADER, rows=rows).rows.shape == (1, 2, 2, 3)
+        with pytest.raises(TraceFormatError, match="causality violation at layer 0, head 0, row 0: .* column 1"):
+            TraceWindow(header=self.HEADER, rows=rows[:, :, :1].repeat(3, axis=2))
+        with pytest.raises(TraceFormatError, match="causality violation at layer 0, head 1, row 1: .* column 2"):
+            TraceWindow(header=self.HEADER, rows=np.array([[self.HEAD0[1:], self.HEAD0[2:] * 2]], dtype=np.float32))
+
+    @pytest.mark.parametrize(
+        "row,kind",
+        [([0.2, float("nan"), 0.8], "non-finite"), ([0.6, -0.1, 0.5], "negative"), ([0.2, 0.3, 0.4], "row-sum")],
+    )
+    def test_construction_raises_the_load_message(self, tmp_path, row, kind):
+        data = two_head_payload([self.HEAD0[0], self.HEAD0[1], row])
+        path = tmp_path / "t.bin"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError, match=rf"{kind} .*layer 0, head 1, row 2") as loaded:
+            load_trace(path)
+        rows = np.array([[self.HEAD0[2:], [row]]], dtype=np.float32)
+        with pytest.raises(TraceFormatError) as built:
+            TraceWindow(header=self.HEADER, rows=rows)
+        assert str(built.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 3), (1, 2, 4, 3), (1, 1, 1, 3), (1, 2, 1, 4), (2, 3)])
+    def test_shape_must_match_header(self, shape):
+        with pytest.raises(TraceFormatError, match="shape"):
+            TraceWindow(header=self.HEADER, rows=np.zeros(shape))
+
+
 FIELD_VALUES = st.one_of(
     st.integers(-2, 4),
     st.just(2**62),
@@ -473,3 +658,40 @@ class TestLoaderFuzz:
             return
         trace.validate()
         assert len(data) == data.index(b"\n") + 1 + trace.header.payload_bytes
+
+    @staticmethod
+    def outcome(read):
+        """``("ok", value)`` or ``("error", message)`` of one read."""
+        try:
+            return "ok", read()
+        except TraceFormatError as exc:
+            return "error", str(exc)
+
+    def assert_window_agrees(self, loaded, windowed, ows):
+        assert loaded[0] == windowed[0], (loaded, windowed)
+        if loaded[0] == "error":
+            assert windowed[1] == loaded[1]
+        else:
+            t = loaded[1].seq_len
+            assert windowed[1].header == loaded[1].header
+            assert windowed[1].rows.tobytes() == loaded[1].weights[:, :, t - min(ows, t) :].tobytes()
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzzed_trace_files(), st.integers(1, 5))
+    @example(HEADER_2TOK + struct.pack("<4f", 1, 0, 0.5, 0.5), 1)
+    @example(b"[" * 100_000 + b"\n", 1)
+    @example(b"", 1)
+    def test_window_reader_agrees_with_the_loader(self, tmp_path, data, ows):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(data)
+        loaded = self.outcome(lambda: load_trace(path))
+        self.assert_window_agrees(loaded, self.outcome(lambda: read_window(path, ows)), ows)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzzed_trace_files(), st.integers(1, 5))
+    @example(HEADER_2TOK + struct.pack("<4f", 1, 0, 0.5, 0.5), 2)
+    def test_window_reader_agrees_with_the_loader_on_a_pipe(self, tmp_path, data, ows):
+        loaded = self.outcome(lambda: feed_pipe(tmp_path, data, load_trace))
+        windowed = self.outcome(lambda: feed_pipe(tmp_path, data, lambda p: read_window(p, ows)))
+        self.assert_window_agrees(loaded, windowed, ows)
