@@ -8,7 +8,7 @@ to the window and therefore to the first generated token.
 
 Scoring reads only those ``ows`` window rows. ``score_window`` is the one
 implementation; ``process_trace`` feeds it each layer's window rows of a
-trace, a trace window or a toy-model prefill, averaged over heads, and the
+trace, whole or windowed, or a toy-model prefill, averaged over heads, and the
 eviction simulator scores through ``process_trace``. The rows are sliced out
 before any float64 cast or head reduction, so no whole-matrix copy is made.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toymodel import PrefillResult
-from .trace import AttentionTrace, TraceWindow
+from .trace import AttentionTrace
 
 
 @dataclass(frozen=True)
@@ -112,25 +112,25 @@ def score_window(rows: np.ndarray, settings: ProcSettings, layer: int = 0) -> Sc
     return ScoreVector(layer=layer, scores=smooth(merged, settings.pool_size))
 
 
-def process_trace(source: AttentionTrace | TraceWindow | PrefillResult, settings: ProcSettings) -> list[ScoreVector]:
-    """Score every layer of a trace, a window or a prefill from the mean of its heads' window rows.
+def process_trace(source: AttentionTrace | PrefillResult, settings: ProcSettings) -> list[ScoreVector]:
+    """Score every layer of a trace or a prefill from the mean of its heads' window rows.
 
-    A trace is read from its float32 weights, a window from its float32 rows
-    (at least ``ows`` of them), a prefill from its own float64 attention. A
+    A trace is read from its float32 weights, which must hold at least
+    ``ows`` rows per matrix, a prefill from its own float64 attention. A
     layer's window rows are averaged over heads, then scored by
     ``score_window``. Only those rows are cast to float64, which gives the
     same scores, bit for bit, as averaging the whole matrices.
     """
     if isinstance(source, AttentionTrace):
         attn = source.weights
-    elif isinstance(source, TraceWindow):
-        attn = source.rows
     elif isinstance(source, PrefillResult):
         attn = source.per_layer_attention
     else:
-        raise TypeError(f"expected a TraceWindow, an AttentionTrace or a PrefillResult, got {type(source).__name__}")
+        raise TypeError(f"expected an AttentionTrace or a PrefillResult, got {type(source).__name__}")
     r, t = attn.shape[-2:]
     settings.check_seq_len(t)
+    if r < settings.ows:
+        raise ValueError(f"ows {settings.ows} needs {settings.ows} window rows; the source holds {r}")
     return [
         score_window(layer_attn[:, r - settings.ows :].astype(np.float64).mean(axis=0), settings, layer=layer)
         for layer, layer_attn in enumerate(attn)

@@ -2,8 +2,9 @@
 
 Eviction keeps each layer's ``n_i`` highest-scoring non-window tokens plus
 every observation-window token, in original order. The simulation entry
-point applies this across all layers of a trace or toy-model run and reports
-retained indices, per-layer retention, and the compressed memory footprint.
+point applies this across all layers of a trace, whole or windowed (its
+header gives the sequence length), or a toy-model run and reports retained
+indices, per-layer retention, and the compressed memory footprint.
 
 Window tokens are retained on top of the per-layer budget, not inside it;
 every report says so explicitly.
@@ -25,7 +26,7 @@ from . import metrics
 from .attnproc import ProcSettings, process_trace, score_window
 from .allocator import AllocationList
 from .toymodel import PrefillResult, causal_softmax
-from .trace import AttentionTrace, TraceWindow
+from .trace import AttentionTrace
 
 ELEMENT_BYTES = 4
 
@@ -101,16 +102,16 @@ def evict_layer(
 
 
 def simulate_task(
-    source: AttentionTrace | TraceWindow | PrefillResult,
+    source: AttentionTrace | PrefillResult,
     allocation: AllocationList,
     settings: ProcSettings,
     proj_dim: int = 64,
 ) -> EvictionReport:
     """Apply per-layer eviction across a whole task and account for memory.
 
-    ``source`` supplies the attention weights: a trace, a trace window or a
-    prefill result, scored by ``process_trace``. ``proj_dim`` sets the
-    per-token projection width used for byte accounting when the source
+    ``source`` supplies the attention weights: a trace (whole or its last
+    rows) or a prefill result, scored by ``process_trace``. ``proj_dim`` sets
+    the per-token projection width used for byte accounting when the source
     carries no K/V (a full-prefill result overrides it with the real width).
     """
     vectors = process_trace(source, settings)

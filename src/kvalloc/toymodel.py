@@ -142,20 +142,24 @@ def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> PrefillResult:
-    t, p, h = config.seq_len, config.proj_dim, config.heads
-    try:  # before the input is drawn, so a shape too large fails at once
-        attention = np.empty((config.layers, h, t, t), dtype=np.float64)
+def _allocated(what: str, nbytes: int, make):
+    try:
+        return make()
     except (MemoryError, ValueError) as exc:
-        size = config.layers * h * t * t * 8
-        raise ValueError(f"a {size}-byte toy attention array cannot be allocated") from exc
-    x = default_input(config) if x is None else _check_input(config, x)
-    weights = _Weights(config)
+        raise ValueError(f"a {nbytes}-byte toy {what} cannot be allocated") from exc
+
+
+def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> PrefillResult:
+    l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
+    # Attention first, before anything is drawn, so a shape too large fails at once.
+    attention = _allocated("attention array", l * h * t * t * 8, lambda: np.empty((l, h, t, t)))
+    x = _allocated("input", t * d * 8, lambda: default_input(config)) if x is None else _check_input(config, x)
+    weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 8, lambda: _Weights(config))
     kv_pairs: list[tuple[np.ndarray, np.ndarray]] = []
     kv_bytes = 0
 
     for layer_idx, lw in enumerate(weights.layers):
-        stop = not full and layer_idx == config.layers - 1
+        stop = not full and layer_idx == l - 1
         xn = _rms_normalize(x)
         keys = np.empty((h, t, p))
         values = np.empty((h, t, p))

@@ -9,16 +9,17 @@ terminated by ``\\n``, followed immediately by ``layers * heads * seq_len *
 seq_len`` IEEE-754 binary32 little-endian values in layer-major / head /
 row-major order.
 
-A trace is valid by construction: building an ``AttentionTrace`` checks
+An ``AttentionTrace`` holds the last rows of each (layer, head) matrix, all
+of them in a whole trace, and is valid by construction: building one checks
 every row once, so saving and scoring need not check again. ``_check_block``
 is the one check, over any run of rows of one (layer, head) matrix.
 
 The CLI streams traces through one reused ``(t, t)`` float32 buffer:
 ``read_window`` reads and checks each (layer, head) block in turn and keeps
-its last ``ows`` rows (a ``TraceWindow``), and ``write_synthetic`` generates,
-checks and writes one block at a time. Neither holds the payload, so traces
-larger than memory can be written and scored. ``load_trace`` and
-``save_trace`` hold the whole payload in one array, without a second copy.
+its last ``ows`` rows, and ``write_synthetic`` generates, checks and writes
+one block at a time. Neither holds the payload, so traces larger than memory
+can be written and scored. ``load_trace`` and ``save_trace`` hold the whole
+payload in one array, without a second copy.
 """
 
 from __future__ import annotations
@@ -99,45 +100,34 @@ class TraceHeader:
 class AttentionTrace:
     """Per-layer, per-head causal attention weights for one task.
 
-    ``weights`` has shape ``(layers, heads, seq_len, seq_len)``; every row of
-    every per-head matrix is a probability distribution over positions up to
-    its own index (zeros above the diagonal, row sums 1). Construction checks
-    this with ``validate`` and raises TraceFormatError on the first offender.
+    ``weights`` has shape ``(layers, heads, w, seq_len)``: the last ``w`` rows,
+    ``1 <= w <= seq_len``, of every per-head matrix (all of them in a whole
+    trace). Every row is a probability distribution over positions up to its
+    own index (zeros after it, row sums 1). Construction checks this with
+    ``validate`` and raises TraceFormatError on the first offender.
     """
 
     header: TraceHeader
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        w = np.ascontiguousarray(self.weights, dtype=np.float32)
-        expected = (self.header.layers, self.header.heads, self.header.seq_len, self.header.seq_len)
-        if w.shape != expected:
-            raise TraceFormatError(f"weights shape {w.shape} does not match header {expected}")
+        w, h = np.ascontiguousarray(self.weights, dtype=np.float32), self.header
+        if w.ndim != 4 or w.shape[:2] != (h.layers, h.heads) or not 1 <= w.shape[2] <= w.shape[3] == h.seq_len:
+            raise TraceFormatError(f"weights shape {w.shape} does not match header {h}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         self.validate()
 
-    @property
-    def layers(self) -> int:
-        return self.header.layers
-
-    @property
-    def heads(self) -> int:
-        return self.header.heads
-
-    @property
-    def seq_len(self) -> int:
-        return self.header.seq_len
-
     def validate(self) -> None:
         """Check causality, finiteness, sign and row sums within ``ROW_SUM_ATOL``.
 
-        Every row of every (layer, head) block is checked, one block at a
-        time. Raises TraceFormatError carrying the layer/head/row coordinates
-        of the first offender. Construction runs it once.
+        Every row of every (layer, head) block is checked at its place in the
+        matrix, one block at a time. Raises TraceFormatError carrying the
+        layer/head/row coordinates of the first offender. Construction runs it once.
         """
-        for layer, head in np.ndindex(self.layers, self.heads):
-            _check_block(self.weights[layer, head], layer, head, 0)
+        h, w = self.header, self.weights.shape[2]
+        for layer, head in np.ndindex(h.layers, h.heads):
+            _check_block(self.weights[layer, head], layer, head, h.seq_len - w)
 
 
 @functools.lru_cache(maxsize=2)
@@ -179,26 +169,6 @@ def _check_block(rows: np.ndarray, layer: int, head: int, first_row: int) -> Non
             f"row-sum violation at {where}, row {first_row + row}: "
             f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
         )
-
-
-@dataclass(frozen=True)
-class TraceWindow:
-    """The last ``w`` rows of every (layer, head) matrix of a trace, checked when built.
-
-    ``rows`` is read-only float32 of shape ``(layers, heads, w, seq_len)``, ``1 <= w <= seq_len``.
-    """
-
-    header: TraceHeader
-    rows: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        r, h = np.ascontiguousarray(self.rows, dtype=np.float32), self.header
-        if r.ndim != 4 or r.shape[:2] != (h.layers, h.heads) or not 1 <= r.shape[2] <= r.shape[3] == h.seq_len:
-            raise TraceFormatError(f"window rows shape {r.shape} does not match header {h}")
-        r.setflags(write=False)
-        object.__setattr__(self, "rows", r)
-        for layer, head in np.ndindex(h.layers, h.heads):
-            _check_block(r[layer, head], layer, head, h.seq_len - r.shape[2])
 
 
 @dataclass(frozen=True)
@@ -323,8 +293,12 @@ def save_trace(trace: AttentionTrace, path: str | Path) -> None:
     """Write a trace to disk in the bit-exact header+payload format.
 
     The trace was checked when it was built, so it is written as it is,
-    straight from its float32 buffer, with no copy.
+    straight from its float32 buffer, with no copy. A file holds whole
+    matrices, so a window raises TraceFormatError before ``path`` is opened.
     """
+    w, t = trace.weights.shape[2], trace.header.seq_len
+    if w != t:
+        raise TraceFormatError(f"cannot save the last {w} of {t} rows: files hold whole matrices")
     payload = trace.weights.astype("<f4", copy=False)
     with open(path, "wb") as fh:
         fh.write(trace.header.to_json_line())
@@ -367,12 +341,15 @@ def load_trace(path: str | Path) -> AttentionTrace:
     return AttentionTrace(header=header, weights=weights)
 
 
-def read_window(path: str | Path, ows: int) -> TraceWindow:
+def read_window(path: str | Path, ows: int) -> AttentionTrace:
     """Read a trace file block by block, keeping the last ``min(ows, seq_len)`` rows of each.
 
     Each block is read into one reused ``(t, t)`` buffer and checked whole, so
     this accepts and rejects what ``load_trace`` does, with its messages. A
     pipe is read on past a failed block: a wrong payload length comes first.
+    Only a piped header promising more than memory, whose block and window
+    rows fit, reports its payload length where ``load_trace`` says it cannot
+    be allocated.
     """
     with open(path, "rb") as fh:
         header, sized = _read_header(fh)
@@ -396,4 +373,4 @@ def read_window(path: str | Path, ows: int) -> TraceWindow:
         _check_payload_length(got + len(fh.read()), header)
     if error is not None:
         raise error
-    return TraceWindow(header=header, rows=rows)
+    return AttentionTrace(header=header, weights=rows)

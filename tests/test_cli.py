@@ -35,7 +35,7 @@ class TestGen:
         assert code == 0
         assert "wrote" in err
         trace = load_trace(out)
-        assert trace.layers == 4 and trace.seq_len == 64
+        assert (trace.header.layers, trace.header.seq_len) == (4, 64)
 
     def test_identical_flags_identical_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -69,7 +69,7 @@ class TestGen:
             "-o", str(tmp_path / "t.bin"),
         )
         assert code == 0
-        assert load_trace(tmp_path / "t.bin").layers == 2
+        assert load_trace(tmp_path / "t.bin").header.layers == 2
 
     def test_overflowing_layer_skew_exits_2(self, tmp_path, capsys):
         code, _, err = run(
@@ -202,6 +202,22 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and f"{nbytes}-byte" in err
+
+    # The drawn input is seq_len x model_dim float64; the weights are
+    # layers x (4 heads model_dim proj_dim + 8 model_dim^2) + model_dim^2 float64.
+    @pytest.mark.parametrize(
+        "flag, value, what, nbytes",
+        [
+            ("--model-dim", "100000000000", "input", 16 * 10**11 * 8),
+            ("--proj-dim", "100000000000", "weight set", (2 * (4 * 16 * 10**11 + 8 * 256) + 256) * 8),
+            ("--proj-dim", "1000000000000000000", "weight set", (2 * (4 * 16 * 10**18 + 8 * 256) + 256) * 8),
+        ],
+    )
+    def test_toy_dimension_too_large_to_allocate_exits_2(self, capsys, flag, value, what, nbytes):
+        code, out, err = run(capsys, "simulate", "--toy", "--auto", "--budget", "1", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: a {nbytes}-byte toy {what} cannot be allocated\n"
 
     def test_allocation_file_source(self, fixture_trace_path, tmp_path, capsys):
         alloc_path = tmp_path / "alloc.json"

@@ -11,14 +11,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kvalloc import trace as trace_module
+from kvalloc.allocator import AllocationList
 from kvalloc.attnproc import ProcSettings, process_trace
+from kvalloc.eviction import simulate_task
 from kvalloc.metrics import retention_curve
 from kvalloc.trace import (
     AttentionTrace,
     SyntheticSpec,
     TraceFormatError,
     TraceHeader,
-    TraceWindow,
     generate_trace,
     load_trace,
     read_window,
@@ -122,7 +123,7 @@ class TestLoadSave:
         path = tmp_path / "t.bin"
         path.write_bytes(HEADER_2TOK + struct.pack("<4f", 1.0, 0.0, 0.5, 0.5))
         trace = load_trace(path)
-        assert trace.layers == 1 and trace.heads == 1 and trace.seq_len == 2
+        assert trace.header == TraceHeader(layers=1, heads=1, seq_len=2)
         assert trace.weights.tolist() == [[[[1.0, 0.0], [0.5, 0.5]]]]
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -181,9 +182,24 @@ class TestLoadSave:
             save_trace(generate_trace(spec), "")
 
     def test_weights_shape_must_match_header(self):
-        header = TraceHeader(layers=2, heads=1, seq_len=2)
-        with pytest.raises(TraceFormatError, match="shape"):
-            AttentionTrace(header=header, weights=np.zeros((1, 1, 2, 2)))
+        # The last w rows of every matrix, 1 <= w <= seq_len, and nothing else.
+        cases = [(TraceHeader(layers=2, heads=1, seq_len=2), (1, 1, 2, 2))]
+        cases += [
+            (TraceHeader(layers=1, heads=2, seq_len=3), shape)
+            for shape in [(1, 2, 0, 3), (1, 2, 4, 3), (1, 1, 1, 3), (1, 2, 1, 4), (2, 3)]
+        ]
+        for header, shape in cases:
+            with pytest.raises(TraceFormatError, match="shape"):
+                AttentionTrace(header=header, weights=np.zeros(shape))
+
+    def test_save_refuses_a_window(self, tmp_path):
+        spec = SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=1)
+        whole = tmp_path / "whole.bin"
+        save_trace(generate_trace(spec), whole)
+        window = read_window(whole, 3)
+        with pytest.raises(TraceFormatError, match="cannot save the last 3 of 8 rows"):
+            save_trace(window, tmp_path / "window.bin")
+        assert not (tmp_path / "window.bin").exists()
 
 
 class TestGenerate:
@@ -515,16 +531,23 @@ class TestReadWindow:
         full = load_trace(path)
         w = min(ows, 40)
         assert window.header == full.header
-        assert window.rows.shape == (3, 2, w, 40)
-        assert window.rows.tobytes() == full.weights[:, :, 40 - w :].tobytes()
+        assert window.weights.shape == (3, 2, w, 40)
+        assert window.weights.tobytes() == full.weights[:, :, 40 - w :].tobytes()
         with pytest.raises(ValueError):
-            window.rows[0, 0, 0, 0] = 0.0
+            window.weights[0, 0, 0, 0] = 0.0
 
     def test_window_scores_equal_trace_scores(self, path):
         settings_ = ProcSettings(ows=5, pool_size=3)
         from_window = process_trace(read_window(path, 5), settings_)
         from_trace = process_trace(load_trace(path), settings_)
         assert [v.scores.tobytes() for v in from_window] == [v.scores.tobytes() for v in from_trace]
+
+    def test_fewer_rows_than_the_window_are_refused_with_both_counts(self, path):
+        window, settings_ = read_window(path, 5), ProcSettings(ows=8, pool_size=3)
+        with pytest.raises(ValueError, match="ows 8 needs 8 window rows; the source holds 5"):
+            process_trace(window, settings_)
+        with pytest.raises(ValueError, match="ows 8 needs 8 window rows; the source holds 5"):
+            simulate_task(window, AllocationList(sizes=(1, 1, 1)), settings_)
 
     def test_a_defect_outside_the_window_is_still_rejected(self, path):
         data = bytearray(path.read_bytes())
@@ -544,7 +567,7 @@ class TestReadWindow:
             data = raw[:delta] if delta < 0 else raw + b"\0" * delta
         if delta == 0:
             window = feed_pipe(tmp_path, data, lambda p: read_window(p, 8))
-            assert window.rows.tobytes() == read_window(path, 8).rows.tobytes()
+            assert window.weights.tobytes() == read_window(path, 8).weights.tobytes()
             return
         expected = 3 * 2 * 40 * 40 * 4
         pattern = "payload" if delta is None else rf"payload length {expected + delta} bytes"
@@ -562,7 +585,9 @@ class TestReadWindow:
             feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
 
 
-class TestTraceWindow:
+class TestWindowTrace:
+    """An AttentionTrace of the last rows of each matrix."""
+
     HEADER = TraceHeader(layers=1, heads=2, seq_len=3)
     HEAD0 = [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
 
@@ -570,11 +595,13 @@ class TestTraceWindow:
         # [0.5, 0.5, 0.0] is causal as row 1 and not as row 0; [0.2, 0.3, 0.5]
         # is causal as row 2 and not as row 1.
         rows = np.array([[self.HEAD0[1:], self.HEAD0[1:]]], dtype=np.float32)
-        assert TraceWindow(header=self.HEADER, rows=rows).rows.shape == (1, 2, 2, 3)
+        assert AttentionTrace(header=self.HEADER, weights=rows).weights.shape == (1, 2, 2, 3)
         with pytest.raises(TraceFormatError, match="causality violation at layer 0, head 0, row 0: .* column 1"):
-            TraceWindow(header=self.HEADER, rows=rows[:, :, :1].repeat(3, axis=2))
+            AttentionTrace(header=self.HEADER, weights=rows[:, :, :1].repeat(3, axis=2))
         with pytest.raises(TraceFormatError, match="causality violation at layer 0, head 1, row 1: .* column 2"):
-            TraceWindow(header=self.HEADER, rows=np.array([[self.HEAD0[1:], self.HEAD0[2:] * 2]], dtype=np.float32))
+            AttentionTrace(
+                header=self.HEADER, weights=np.array([[self.HEAD0[1:], self.HEAD0[2:] * 2]], dtype=np.float32)
+            )
 
     @pytest.mark.parametrize(
         "row,kind",
@@ -588,13 +615,8 @@ class TestTraceWindow:
             load_trace(path)
         rows = np.array([[self.HEAD0[2:], [row]]], dtype=np.float32)
         with pytest.raises(TraceFormatError) as built:
-            TraceWindow(header=self.HEADER, rows=rows)
+            AttentionTrace(header=self.HEADER, weights=rows)
         assert str(built.value) == str(loaded.value)
-
-    @pytest.mark.parametrize("shape", [(1, 2, 0, 3), (1, 2, 4, 3), (1, 1, 1, 3), (1, 2, 1, 4), (2, 3)])
-    def test_shape_must_match_header(self, shape):
-        with pytest.raises(TraceFormatError, match="shape"):
-            TraceWindow(header=self.HEADER, rows=np.zeros(shape))
 
 
 FIELD_VALUES = st.one_of(
@@ -672,9 +694,9 @@ class TestLoaderFuzz:
         if loaded[0] == "error":
             assert windowed[1] == loaded[1]
         else:
-            t = loaded[1].seq_len
+            t = loaded[1].header.seq_len
             assert windowed[1].header == loaded[1].header
-            assert windowed[1].rows.tobytes() == loaded[1].weights[:, :, t - min(ows, t) :].tobytes()
+            assert windowed[1].weights.tobytes() == loaded[1].weights[:, :, t - min(ows, t) :].tobytes()
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(fuzzed_trace_files(), st.integers(1, 5))
