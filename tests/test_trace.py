@@ -182,15 +182,9 @@ class TestLoadSave:
             save_trace(generate_trace(spec), "")
 
     def test_weights_shape_must_match_header(self):
-        # The last w rows of every matrix, 1 <= w <= seq_len, and nothing else.
-        cases = [(TraceHeader(layers=2, heads=1, seq_len=2), (1, 1, 2, 2))]
-        cases += [
-            (TraceHeader(layers=1, heads=2, seq_len=3), shape)
-            for shape in [(1, 2, 0, 3), (1, 2, 4, 3), (1, 1, 1, 3), (1, 2, 1, 4), (2, 3)]
-        ]
-        for header, shape in cases:
-            with pytest.raises(TraceFormatError, match="shape"):
-                AttentionTrace(header=header, weights=np.zeros(shape))
+        header = TraceHeader(layers=2, heads=1, seq_len=2)
+        with pytest.raises(TraceFormatError, match="shape"):
+            AttentionTrace(header=header, weights=np.zeros((1, 1, 2, 2)))
 
     def test_save_refuses_a_window(self, tmp_path):
         spec = SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=1)
@@ -585,7 +579,7 @@ class TestReadWindow:
             feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
 
 
-class TestWindowTrace:
+class TestTraceWindow:
     """An AttentionTrace of the last rows of each matrix."""
 
     HEADER = TraceHeader(layers=1, heads=2, seq_len=3)
@@ -617,6 +611,12 @@ class TestWindowTrace:
         with pytest.raises(TraceFormatError) as built:
             AttentionTrace(header=self.HEADER, weights=rows)
         assert str(built.value) == str(loaded.value)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 3), (1, 2, 4, 3), (1, 1, 1, 3), (1, 2, 1, 4), (2, 3)])
+    def test_shape_must_match_header(self, shape):
+        # The last w rows of every matrix, 1 <= w <= seq_len, and nothing else.
+        with pytest.raises(TraceFormatError, match="shape"):
+            AttentionTrace(header=self.HEADER, weights=np.zeros(shape))
 
 
 FIELD_VALUES = st.one_of(
