@@ -35,9 +35,7 @@ class AllocationList:
 
     def __post_init__(self) -> None:
         sizes = self.sizes
-        if not isinstance(sizes, (list, tuple, np.ndarray)) or not all(
-            isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0 for n in sizes
-        ):
+        if not isinstance(sizes, (list, tuple, np.ndarray)) or not all(map(metrics.is_cache_size, sizes)):
             raise ValueError(f"cache sizes must be a sequence of integers >= 0, got {sizes!r}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
 
@@ -69,7 +67,7 @@ class Constraint:
     def __post_init__(self) -> None:
         value = self.value
         if self.mode == "budget":
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+            if not metrics.is_cache_size(value):
                 raise ValueError(f"budget must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, "value", int(value))
         elif self.mode == "target":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +30,27 @@ class RetentionPoint:
     r: float
 
 
+class _RetentionTable(Sequence[RetentionPoint]):
+    """Read-only points, layer-major, built on read from one ``(layers, len(sizes))`` array of ratios."""
+
+    def __init__(self, layers: tuple[int, ...], sizes: list[int], ratios: np.ndarray) -> None:
+        self._layers, self._sizes, self._ratios = layers, sizes, ratios
+
+    def __len__(self) -> int:
+        return self._ratios.size
+
+    def __getitem__(self, index: int | slice) -> RetentionPoint | list[RetentionPoint]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row, col = divmod(range(len(self))[index], len(self._sizes))
+        return RetentionPoint(layer=self._layers[row], n=self._sizes[col], r=float(self._ratios[row, col]))
+
+
+def is_cache_size(n: object) -> bool:
+    """A cache size is an integer or numpy integer, never a bool, at least 0."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
 def _as_scores(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray:
     return w.scores if isinstance(w, ScoreVector) else checked_scores(w)
 
@@ -36,8 +58,9 @@ def _as_scores(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray:
 def topk_indices(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> np.ndarray:
     """Indices of the ``n`` largest scores, ties broken toward lower index."""
     scores = _as_scores(w)
-    if not 0 <= n <= scores.size:
-        raise ValueError(f"n must be in [0, {scores.size}], got {n}")
+    if not is_cache_size(n) or n > scores.size:
+        raise ValueError(f"n must be in [0, {scores.size}], got {n!r}")
+    # Eviction keeps the lower index of a tie, so this sorts indices, stably; a curve sorts values.
     return np.argsort(-scores, kind="stable")[:n]
 
 
@@ -45,16 +68,16 @@ def retention_curve(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray
     """Retention ratio for every cache size ``n = 0 .. len(w)``.
 
     Entry ``n`` is the mass of the n largest scores over the total mass,
-    accumulated left-to-right over the descending sort so repeated runs are
-    bit-identical. The final entry is exactly 1.0. An all-zero vector has
-    nothing to keep: its curve is all ones, so every size retains everything
-    and no slot gains anything.
+    summed left-to-right over the values sorted largest first: ties are equal
+    values, and -0.0 and 0.0 sort last, where they leave a positive sum as it
+    is, so the sums have the bits of a stable index sort and repeat exactly.
+    The final entry is exactly 1.0. An all-zero vector has nothing to keep:
+    its curve is all ones, every size retains everything, no slot gains.
     """
     scores = _as_scores(w)
     if scores.size == 0:
         raise ValueError("empty score vector")
-    ordered = scores[np.argsort(-scores, kind="stable")]
-    cum = np.cumsum(ordered)
+    cum = np.cumsum(np.sort(scores)[::-1])
     total = cum[-1]
     if total == 0:
         return np.ones(scores.size + 1)
@@ -67,8 +90,8 @@ def retention_curve(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray
 def retention(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> float:
     """Fraction of total score mass kept by the ``n`` largest scores."""
     curve = retention_curve(w)
-    if not 0 <= n < curve.size:
-        raise ValueError(f"n must be in [0, {curve.size - 1}], got {n}")
+    if not is_cache_size(n) or n >= curve.size:
+        raise ValueError(f"n must be in [0, {curve.size - 1}], got {n!r}")
     return float(curve[n])
 
 
@@ -87,8 +110,8 @@ def min_cache_size(w: ScoreVector | np.ndarray | Sequence[float], target_r: floa
 
 def _first_reaching(curve: np.ndarray, target_r: float) -> int:
     # The curve never decreases and ends at 1.0: the left insertion point is the answer.
-    if not 0 <= target_r <= 1:
-        raise ValueError(f"target retention must be in [0, 1], got {target_r}")
+    if not isinstance(target_r, numbers.Real) or isinstance(target_r, bool) or not 0 <= target_r <= 1:
+        raise ValueError(f"target retention must be in [0, 1], got {target_r!r}")
     return int(np.searchsorted(curve, target_r, side="left"))
 
 
@@ -99,25 +122,23 @@ def compression_ratio(sizes: Sequence[int], seq_len: int, ows: int) -> float:
     compressed footprint.
     """
     sizes = list(sizes)
-    if not sizes:
-        raise ValueError("empty allocation")
+    if not sizes or not all(map(is_cache_size, sizes)):
+        raise ValueError(f"cache sizes must be a nonempty list of integers >= 0, got {sizes!r}")
     retained = sum(int(n) + ows for n in sizes)
     return retained / (len(sizes) * seq_len)
 
 
-def retention_table(
-    score_vectors: list[ScoreVector], sizes: Iterable[int]
-) -> list[RetentionPoint]:
-    """Sample each layer's retention curve at the given cache sizes."""
+def retention_table(score_vectors: list[ScoreVector], sizes: Iterable[int]) -> Sequence[RetentionPoint]:
+    """Each layer's retention at each size: read-only points over one float64 array of ratios."""
     sizes = list(sizes)
-    points = []
-    for sv in score_vectors:
+    ratios = np.empty((len(score_vectors), len(sizes)))
+    for row, sv in zip(ratios, score_vectors):
         curve = retention_curve(sv)
         for n in sizes:
-            if not 0 <= n < curve.size:
-                raise ValueError(f"n must be in [0, {curve.size - 1}], got {n}")
-            points.append(RetentionPoint(layer=sv.layer, n=int(n), r=float(curve[n])))
-    return points
+            if not is_cache_size(n) or n >= curve.size:
+                raise ValueError(f"n must be in [0, {curve.size - 1}], got {n!r}")
+        row[:] = curve[sizes]
+    return _RetentionTable(tuple(sv.layer for sv in score_vectors), sizes, ratios)
 
 
 def min_size_table_csv(score_vectors: list[ScoreVector], targets: Iterable[float]) -> str:
@@ -125,9 +146,10 @@ def min_size_table_csv(score_vectors: list[ScoreVector], targets: Iterable[float
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["layer", "r_target", "n_min"])
-    targets = [float(t) for t in targets]
+    targets = list(targets)
     for sv in score_vectors:
         curve = retention_curve(sv)
         for target in targets:
-            writer.writerow([sv.layer, repr(target), _first_reaching(curve, target)])
+            n_min = _first_reaching(curve, target)
+            writer.writerow([sv.layer, repr(float(target)), n_min])
     return buf.getvalue()

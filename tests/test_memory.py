@@ -15,15 +15,23 @@ Prefill bounds are multiples of the float64 attention array the prefill
 returns. Each head's logits and softmax are computed in place in that
 array, so beyond it a prefill holds only per-layer activations, the K/V
 copies and a few row vectors, not a t x t temporary per step.
+
+A retention table keeps its ratios in one float64 array and builds each
+``RetentionPoint`` when it is read, so what it returns is bounded per point
+(8 bytes of ratio plus a share of the layer and size lists). One object per
+point costs about 90 bytes, and a caller that keeps tables, as the benchmark
+keeps every operation's outcome, would grow by that much per point.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from kvalloc.allocator import AllocationList
-from kvalloc.attnproc import ProcSettings, process_trace
+from kvalloc.attnproc import ProcSettings, ScoreVector, process_trace
 from kvalloc.eviction import simulate_task
+from kvalloc.metrics import retention_table
 from kvalloc.toymodel import ToyModelConfig, default_input, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace, load_trace, read_window, save_trace, write_synthetic
 
@@ -97,3 +105,18 @@ def test_prefill_holds_little_beyond_its_attention(prefill):
     # The input is the caller's; drawing it here also warms numpy's generator.
     x = default_input(TOY)
     assert peak_bytes(prefill, TOY, x) / ATTENTION <= 1.5
+
+
+def test_retention_table_holds_one_array():
+    rng = np.random.default_rng(5)
+    vectors = [ScoreVector(layer=i, scores=rng.lognormal(size=1024)) for i in range(64)]
+    sizes = [2**k for k in range(11)] + [3, 100, 500, 1000]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = retention_table(vectors, sizes)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 64 * 15
+    assert held / len(table) <= 16

@@ -1,7 +1,11 @@
 """Retention metrics: hand values, invariants, and dual-path checks."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kvalloc.metrics import (
     RetentionPoint,
@@ -15,6 +19,30 @@ from kvalloc.metrics import (
     topk_indices,
 )
 from kvalloc.attnproc import ScoreVector
+
+
+def argsort_curve(w) -> np.ndarray:
+    """The retention curve through the stable index sort: the reference for the value sort."""
+    scores = np.ascontiguousarray(w, dtype=np.float64)
+    ordered = scores[np.argsort(-scores, kind="stable")]
+    cum = np.cumsum(ordered)
+    if cum[-1] == 0:
+        return np.ones(scores.size + 1)
+    return np.concatenate([[0.0], cum / cum[-1]])
+
+
+def point_list(vectors, sizes) -> list[RetentionPoint]:
+    """``retention_table`` as it was once built: a list with one ``RetentionPoint`` object per point."""
+    points = []
+    for sv in vectors:
+        curve = retention_curve(sv)
+        points.extend(RetentionPoint(layer=sv.layer, n=int(n), r=float(curve[n])) for n in sizes)
+    return points
+
+
+# Scores that tie, vanish or underflow: zeros of both signs, subnormals and the smallest normal.
+EDGE_SCORES = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 0.5, 1.0])
+SCORES = st.one_of(EDGE_SCORES, st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True))
 
 
 class TestRetention:
@@ -69,6 +97,22 @@ class TestRetention:
             for n in range(w.size + 1):
                 assert retention(c * w, n) == pytest.approx(retention(w, n), abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(SCORES, min_size=1, max_size=64),
+            st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=8),
+        )
+    )
+    @example([0.0])
+    @example([-0.0])
+    @example([7.5])
+    @example([0.0, -0.0, 0.0])
+    @example([-0.0, 0.5, 0.0, 0.5, 5e-324])
+    @example([5e-324, 5e-324, 1e-310])
+    def test_value_sort_has_the_bits_of_the_stable_index_sort(self, values):
+        assert retention_curve(values).tobytes() == argsort_curve(values).tobytes()
+
 
 class TestTopK:
     def test_ties_break_toward_lower_index(self):
@@ -81,6 +125,47 @@ class TestTopK:
     def test_bounds(self):
         with pytest.raises(ValueError):
             topk_indices([0.1], 2)
+
+
+SCORES_4 = ScoreVector(layer=0, scores=np.array([0.4, 0.3, 0.2, 0.1]))
+# Cache sizes are AllocationList's: integers or numpy integers, never bools, at least 0.
+BAD_SIZES = [1.5, 2.0, True, False, -1, "2", None, np.float64(1.0), np.bool_(True)]
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize("n", BAD_SIZES, ids=repr)
+    def test_retention_rejects(self, n):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(n))}"):
+            retention(SCORES_4, n)
+
+    @pytest.mark.parametrize("n", BAD_SIZES, ids=repr)
+    def test_topk_indices_rejects(self, n):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(n))}"):
+            topk_indices(SCORES_4, n)
+
+    @pytest.mark.parametrize("n", BAD_SIZES, ids=repr)
+    def test_retention_table_rejects(self, n):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(n))}"):
+            retention_table([SCORES_4], [0, n])
+
+    @pytest.mark.parametrize("n", BAD_SIZES, ids=repr)
+    def test_compression_ratio_rejects(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got [2, {n!r}]")):
+            compression_ratio([2, n], seq_len=10, ows=2)
+
+    @pytest.mark.parametrize("target", [True, False, np.bool_(True), "0.5", None, float("nan"), -0.1, 1.5], ids=repr)
+    def test_min_size_targets_rejected(self, target):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(target))}"):
+            min_size_table_csv([SCORES_4], [0.5, target])
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(target))}"):
+            min_cache_size(SCORES_4, target)
+
+    def test_numpy_integers_are_sizes(self):
+        n = np.int64(2)
+        assert retention(SCORES_4, n) == retention(SCORES_4, 2)
+        assert topk_indices(SCORES_4, np.uint8(2)).tolist() == [0, 1]
+        assert list(retention_table([SCORES_4], [n])) == [RetentionPoint(layer=0, n=2, r=retention(SCORES_4, 2))]
+        assert compression_ratio(np.array([4, 6]), seq_len=10, ows=2) == compression_ratio([4, 6], seq_len=10, ows=2)
 
 
 class TestRAvg:
@@ -130,6 +215,31 @@ class TestCompressionRatio:
 
 
 class TestTables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), max_size=5),
+        st.lists(st.integers(0, 12), max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_table_is_the_point_list(self, lengths, sizes, seed):
+        rng = np.random.default_rng(seed)
+        vectors = [
+            ScoreVector(layer=3 * i + 1, scores=rng.integers(0, 3, size=max(length, max(sizes, default=0))) / 2.0)
+            for i, length in enumerate(lengths)
+        ]
+        table = retention_table(vectors, sizes)
+        expected = point_list(vectors, sizes)
+        assert len(table) == len(expected)
+        assert list(table) == expected
+        assert [table[i] for i in range(-len(expected), 0)] == expected
+        for cut in (slice(None), slice(1, None, 2), slice(None, None, -1), slice(-3, 99), slice(5, 2)):
+            assert table[cut] == expected[cut]
+        for bad in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                table[bad]
+        with pytest.raises(TypeError):
+            table[1.0]
+
     def test_retention_table_points(self):
         vectors = [
             ScoreVector(layer=0, scores=np.array([0.4, 0.3, 0.2, 0.1])),
