@@ -2,8 +2,9 @@
 
 Every command is deterministic given its flags and seed; machine-readable
 output (JSON or CSV) goes to stdout, diagnostics to stderr. Exit codes: 0 on
-success, 2 on validation or usage errors, 1 on internal errors (including a
-failed oracle cross-check).
+success, 2 on validation or usage errors (a closed stdout, for a command that
+writes its result there, included), 1 on internal errors (including a failed
+oracle cross-check).
 
 This module owns the stdout formats: the library returns score vectors,
 retention points, allocations and reports, and every command writes them
@@ -295,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command without an output path writes its result to stdout; ">&-" leaves it None.
+    if sys.stdout is None and getattr(args, "output", None) is None:
+        print("error: stdout is closed", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

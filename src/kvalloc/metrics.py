@@ -119,11 +119,19 @@ def compression_ratio(sizes: Sequence[int], seq_len: int, ows: int) -> float:
     """Retained share of cache capacity: ``sum(n_i + ows) / (layers * seq_len)``.
 
     Observation-window tokens are always retained, so they count toward the
-    compressed footprint.
+    compressed footprint. ``seq_len`` and ``ows`` are integers >= 1, by the
+    rule of ``is_cache_size``, and each ``n_i + ows`` fits in ``seq_len``.
     """
     sizes = list(sizes)
     if not sizes or not all(map(is_cache_size, sizes)):
         raise ValueError(f"cache sizes must be a nonempty list of integers >= 0, got {sizes!r}")
+    for name, value in (("seq_len", seq_len), ("ows", ows)):
+        if not is_cache_size(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    seq_len, ows = int(seq_len), int(ows)
+    for n in sizes:
+        if int(n) + ows > seq_len:
+            raise ValueError(f"cache size {n!r} plus ows {ows!r} exceeds seq_len {seq_len!r}")
     retained = sum(int(n) + ows for n in sizes)
     return retained / (len(sizes) * seq_len)
 

@@ -10,15 +10,23 @@ cheap pass apply to the real one.
 
 Weights are a pure function of the seed, drawn once per config and read-only:
 identical configs give bit-identical results. Attention is written in place,
-one head at a time: the logits go straight into the head's slot of the
-attention array, and the masked row softmax runs there in row blocks, with
-``exp`` only on causal columns. ``causal_softmax`` is that softmax on a copy;
-the eviction simulator recomputes window rows with it.
+head by head: the logits go straight into the head's slot of the attention
+array, and the masked row softmax runs there in row blocks, with ``exp`` only
+on causal columns. Within a layer the heads run on ``min(heads, CPUs)``
+threads (CPUs as ``os.sched_getaffinity`` counts them) once ``seq_len`` is
+256 or more, where a head's work outweighs the threads' overhead, and on the
+calling thread below that. Each head writes only its own slots and does the
+same arithmetic on any thread, so the bits do not depend on the thread
+count; the norms, output projection, MLP and K/V casts stay on the calling
+thread, and no thread outlives a call. ``causal_softmax`` is that softmax on
+a copy; the eviction simulator recomputes window rows with it.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,6 +157,54 @@ def _allocated(what: str, nbytes: int, make):
         raise ValueError(f"a {nbytes}-byte toy {what} cannot be allocated") from exc
 
 
+# Below this sequence length a head's numpy calls are too short to pay for
+# handing the GIL between threads. Full prefills at 8 layers, d=64, on 2 CPUs:
+# threads took 1.2-2.4x as long at t=64-128, broke even near t=192-256 and
+# took 0.6-0.8x as long at t=320-512.
+_THREADED_SEQ_LEN = 256
+
+
+def _head_workers(heads: int, seq_len: int) -> int:
+    """``min(heads, CPUs)`` from ``_THREADED_SEQ_LEN`` tokens on, else 1."""
+    if seq_len < _THREADED_SEQ_LEN:
+        return 1
+    # sched_getaffinity, which counts only the CPUs this process may run on, is Linux-only.
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return min(heads, len(cpus))
+
+
+def _each_head(body, heads: int, workers: int) -> None:
+    """Call ``body(head)`` for every head on ``workers`` threads, this one included.
+
+    Thread ``i`` runs heads ``i, i + workers, ...``; numpy releases the GIL in
+    the matmuls, ufuncs and reductions of a head, so the threads overlap. All
+    are joined before this returns, and the first exception any raised is
+    raised here.
+    """
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for head in range(first, heads, workers):
+                body(head)
+        except BaseException as exc:  # raised again below, in the calling thread
+            errors.append(exc)
+
+    started: list[threading.Thread] = []
+    try:
+        for i in range(1, workers):
+            started.append(threading.Thread(target=run, args=(i,)))
+            started[-1].start()
+        run(0)
+    finally:
+        # Also when a thread cannot be started: the ones that were still write to the arrays.
+        for thread in started:
+            if thread.is_alive():
+                thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> PrefillResult:
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
     # Attention first, before anything is drawn, so a shape too large fails at once.
@@ -157,6 +213,7 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> Pre
     weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 8, lambda: _Weights(config))
     kv_pairs: list[tuple[np.ndarray, np.ndarray]] = []
     kv_bytes = 0
+    workers = _head_workers(h, t)
 
     for layer_idx, lw in enumerate(weights.layers):
         stop = not full and layer_idx == l - 1
@@ -164,16 +221,20 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> Pre
         keys = np.empty((h, t, p))
         values = np.empty((h, t, p))
         contexts = np.empty((h, t, p))
-        for head in range(h):
+
+        def head_body(head: int) -> None:
+            # Writes only this head's slots, so the bits do not depend on which thread runs it.
             q = xn @ lw["wq"][head]
             k = xn @ lw["wk"][head]
             attn = np.matmul(q, k.T, out=attention[layer_idx, head])
             _causal_softmax_inplace(attn, np.sqrt(p))
             if stop:
-                continue
+                return
             v = xn @ lw["wv"][head]
             keys[head], values[head] = k, v
             np.matmul(attn, v, out=contexts[head])
+
+        _each_head(head_body, h, workers)
         if stop:
             # All attention statistics exist; the rest of the layer is dead
             # weight for scoring purposes.
@@ -197,7 +258,12 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> Pre
 
 
 def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> PrefillResult:
-    """Run every layer, keeping attention weights, K/V pairs, and logits."""
+    """Run every layer, keeping attention weights, K/V pairs, and logits.
+
+    Each layer's heads run on ``min(heads, len(os.sched_getaffinity(0)))``
+    threads when ``seq_len >= 256``, on one below that; the result has the
+    same bits for any thread count.
+    """
     return _forward(config, x, full=True)
 
 
@@ -205,6 +271,7 @@ def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> Prefill
     """Run the same layers cache-free, stopping after the last attention.
 
     The recorded attention weights equal ``full_prefill``'s elementwise; no
-    K/V is ever stored, so the live cache footprint is zero bytes.
+    K/V is ever stored, so the live cache footprint is zero bytes. Heads run
+    on threads as in ``full_prefill``.
     """
     return _forward(config, x, full=False)

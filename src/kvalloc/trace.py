@@ -15,10 +15,11 @@ every row once, so saving and scoring need not check again. ``_check_block``
 is the one check, over any run of rows of one (layer, head) matrix.
 
 The CLI streams traces through one reused ``(t, t)`` float32 buffer:
-``read_window`` reads and checks each (layer, head) block in turn and keeps
-its last ``ows`` rows, and ``write_synthetic`` generates, checks and writes
-one block at a time. Neither holds the payload, so traces larger than memory
-can be written and scored. ``load_trace`` and ``save_trace`` hold the whole
+``read_window`` reads each (layer, head) block in turn, checks its rows
+before the window and keeps its last ``ows`` rows, which building the result
+checks, and ``write_synthetic`` generates, checks and writes one block at a
+time. Neither holds the payload, so traces larger than memory can be written
+and scored. ``load_trace`` and ``save_trace`` hold the whole
 payload in one array, without a second copy.
 """
 
@@ -344,12 +345,16 @@ def load_trace(path: str | Path) -> AttentionTrace:
 def read_window(path: str | Path, ows: int) -> AttentionTrace:
     """Read a trace file block by block, keeping the last ``min(ows, seq_len)`` rows of each.
 
-    Each block is read into one reused ``(t, t)`` buffer and checked whole, so
-    this accepts and rejects what ``load_trace`` does, with its messages. A
-    pipe is read on past a failed block: a wrong payload length comes first.
-    Only a piped header promising more than memory, whose block and window
-    rows fit, reports its payload length where ``load_trace`` says it cannot
-    be allocated.
+    Each block is read into one reused ``(t, t)`` buffer. Its rows before the
+    window are checked there, and building the returned ``AttentionTrace``
+    checks the window rows, so every row is checked once and this accepts and
+    rejects what ``load_trace`` does. A file with one defect gets
+    ``load_trace``'s message. With several, the first by this order is
+    reported: the rows before the window, block by block, then the window
+    rows, block by block. A pipe is read on past a failed block: a wrong
+    payload length comes first. Only a piped header promising more than
+    memory, whose block and window rows fit, reports its payload length where
+    ``load_trace`` says it cannot be allocated.
     """
     with open(path, "rb") as fh:
         header, sized = _read_header(fh)
@@ -365,7 +370,8 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
                 break
             rows[layer, head] = block[t - w :]
             try:
-                _check_block(block, layer, head, 0)
+                if w < t:
+                    _check_block(block[: t - w], layer, head, 0)
             except TraceFormatError as exc:
                 if sized:
                     raise

@@ -1,7 +1,12 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import shlex
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from kvalloc.cli import main
 from kvalloc.trace import AttentionTrace, SyntheticSpec, TraceFormatError, generate_trace, load_trace, save_trace
 
 from conftest import TWO_LAYER_ROWS, make_trace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -577,3 +584,57 @@ class TestUsageErrorsBeforeInput:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+class TestClosedStdout:
+    """With stdout closed (``>&-``), Python sets ``sys.stdout`` to None."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scores", "TRACE"],
+            ["scores", "TRACE", "--format", "csv"],
+            ["curves", "TRACE", "--sizes", "0,1"],
+            ["curves", "TRACE", "--targets", "0.5"],
+            ["allocate", "TRACE", "--budget", "4"],
+            ["allocate", "TRACE", "--budget", "4", "--format", "csv"],
+            ["profile", "TRACE", "TRACE", "--task-type", "qa", "--budget", "4"],
+            ["simulate", "--toy", "--auto", "--budget", "4"],
+        ],
+        ids=" ".join,
+    )
+    def test_result_on_stdout_exits_2(self, fixture_trace_path, capsys, monkeypatch, argv):
+        if "TRACE" in argv:
+            argv = [fixture_trace_path if arg == "TRACE" else arg for arg in argv]
+            argv += ["--ows", "2", "--pool-size", "1"]
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(argv)
+        assert (code, capsys.readouterr().err) == (2, "error: stdout is closed\n")
+
+    @pytest.mark.parametrize("command", ["gen", "profile"])
+    def test_result_in_a_file_needs_no_stdout(self, fixture_trace_path, tmp_path, capsys, monkeypatch, command):
+        out = tmp_path / "out"
+        if command == "gen":
+            argv = ["gen", "--layers", "2", "--seq-len", "8", "-o", str(out)]
+        else:
+            argv = ["profile", fixture_trace_path, "--task-type", "qa", "--budget", "4"]
+            argv += ["--ows", "2", "--pool-size", "1", "-o", str(out)]
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == f"wrote {out}\n"
+        assert out.stat().st_size > 0
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+    def test_from_a_shell(self, fixture_trace_path, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        cli = f"{shlex.quote(sys.executable)} -m kvalloc.cli"
+        out = tmp_path / "t.bin"
+        for command, code, err in [
+            (f"scores {shlex.quote(fixture_trace_path)} --ows 2 --pool-size 1", 2, "error: stdout is closed\n"),
+            (f"gen --layers 2 --seq-len 8 -o {shlex.quote(str(out))}", 0, f"wrote {out}\n"),
+        ]:
+            result = subprocess.run(
+                ["sh", "-c", f"{cli} {command} >&-"], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert (result.returncode, result.stderr) == (code, err)

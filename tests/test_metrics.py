@@ -213,6 +213,34 @@ class TestCompressionRatio:
         with pytest.raises(ValueError):
             compression_ratio([], seq_len=10, ows=2)
 
+    @pytest.mark.parametrize(
+        "sizes,seq_len,ows,message",
+        [
+            ([4], 0, 2, "seq_len must be an integer >= 1, got 0"),
+            ([4], True, 2, "seq_len must be an integer >= 1, got True"),
+            ([4], 10.0, 2, "seq_len must be an integer >= 1, got 10.0"),
+            ([4], 10, -20, "ows must be an integer >= 1, got -20"),
+            ([4], 10, 0, "ows must be an integer >= 1, got 0"),
+            ([4], 10, np.True_, "ows must be an integer >= 1, got np.True_"),
+            ([40], 10, 2, "cache size 40 plus ows 2 exceeds seq_len 10"),
+            ([8, 9], 10, 2, "cache size 9 plus ows 2 exceeds seq_len 10"),
+        ],
+    )
+    def test_seq_len_and_ows_rejected_by_value(self, sizes, seq_len, ows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compression_ratio(sizes, seq_len=seq_len, ows=ows)
+
+    def test_sizes_are_checked_first(self):
+        with pytest.raises(ValueError, match=re.escape("got [-1]")):
+            compression_ratio([-1], seq_len=0, ows=0)
+
+    def test_numpy_integer_lengths_accepted(self):
+        assert compression_ratio([4, 6], seq_len=np.int64(10), ows=np.uint8(2)) == compression_ratio([4, 6], 10, 2)
+        # Sums in Python integers: a uint8 n_i + ows neither wraps nor overflows.
+        assert compression_ratio([np.uint8(250)], seq_len=300, ows=np.uint8(10)) == 260 / 300
+        with pytest.raises(ValueError, match="exceeds seq_len 300"):
+            compression_ratio([np.uint8(250)], seq_len=300, ows=np.uint8(60))
+
 
 class TestTables:
     @settings(max_examples=60, deadline=None)

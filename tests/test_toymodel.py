@@ -1,11 +1,18 @@
 """Toy transformer: determinism, causality, and mini/full prefill agreement."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvalloc.attnproc import ProcSettings, process_trace
+from kvalloc import toymodel
 from kvalloc.toymodel import (
     PrefillResult,
     ToyModelConfig,
@@ -231,3 +238,109 @@ class TestWeights:
         assert not any(a.flags.writeable for lw in weights.layers for a in lw.values())
         with pytest.raises(ValueError):
             weights.layers[0]["wq"][0, 0, 0] = 1.0
+
+
+def prefill_bytes(result: PrefillResult) -> list[bytes]:
+    """Attention, then each layer's K and V, then the logits, as raw bytes."""
+    out = [result.per_layer_attention.tobytes()]
+    for k, v in result.kv_pairs or ():
+        out += [k.tobytes(), v.tobytes()]
+    if result.first_token_logits is not None:
+        out.append(result.first_token_logits.tobytes())
+    return out
+
+
+class TestHeadsOnThreads:
+    """From 256 tokens on, heads run on min(heads, CPUs) threads; the bits do not depend on how many."""
+
+    @staticmethod
+    def cpus(monkeypatch, n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 5])
+    def test_bit_equal_for_any_worker_count(self, monkeypatch, prefill, heads):
+        config = ToyModelConfig(layers=3, heads=heads, model_dim=12, proj_dim=5, seq_len=260, seed=heads)
+        x = default_input(config)
+        results = {}
+        for n in (1, 2, 4):
+            self.cpus(monkeypatch, n)
+            results[n] = prefill_bytes(prefill(config, x))
+        assert results[2] == results[1] and results[4] == results[1]
+        reference = per_head_forward(config, x, full=prefill is full_prefill)
+        assert results[1] == prefill_bytes(reference)
+
+    @staticmethod
+    def threads_used(monkeypatch, heads: int, seq_len: int = toymodel._THREADED_SEQ_LEN) -> int:
+        """How many threads run the heads of a one-layer prefill."""
+        seen, inner = set(), toymodel._causal_softmax_inplace
+
+        def record(*args):
+            seen.add(threading.current_thread())  # the object: a finished thread's id is reused
+            inner(*args)
+
+        monkeypatch.setattr(toymodel, "_causal_softmax_inplace", record)
+        mini_prefill(ToyModelConfig(layers=1, heads=heads, model_dim=8, proj_dim=4, seq_len=seq_len, seed=1))
+        return len(seen)
+
+    @pytest.mark.parametrize("heads,cpus,threads", [(1, 2, 1), (2, 1, 1), (2, 2, 2), (5, 2, 2), (3, 4, 3)])
+    def test_heads_share_min_of_heads_and_cpus_threads(self, monkeypatch, heads, cpus, threads):
+        self.cpus(monkeypatch, cpus)
+        assert self.threads_used(monkeypatch, heads) == threads
+
+    def test_short_sequences_stay_on_the_calling_thread(self, monkeypatch):
+        self.cpus(monkeypatch, 4)
+        assert self.threads_used(monkeypatch, 4, toymodel._THREADED_SEQ_LEN - 1) == 1
+
+    def test_without_an_affinity_call_every_cpu_counts(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert self.threads_used(monkeypatch, 5) == 3
+
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_no_thread_outlives_the_call(self, monkeypatch, prefill):
+        self.cpus(monkeypatch, 4)
+        before = threading.active_count()
+        prefill(ToyModelConfig(layers=3, heads=5, model_dim=8, proj_dim=4, seq_len=256, seed=2))
+        assert threading.active_count() == before
+
+    def test_a_head_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        caller, inner = threading.current_thread(), toymodel._causal_softmax_inplace
+
+        def fail_off_the_calling_thread(*args):
+            if threading.current_thread() is not caller:
+                raise MemoryError("head")
+            inner(*args)
+
+        monkeypatch.setattr(toymodel, "_causal_softmax_inplace", fail_off_the_calling_thread)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="head"):
+            full_prefill(ToyModelConfig(layers=2, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=3))
+        assert threading.active_count() == before
+
+    def test_a_thread_that_cannot_start_leaves_none_running(self, monkeypatch):
+        self.cpus(monkeypatch, 4)
+        starts = []
+
+        class SecondStartFails(threading.Thread):
+            def start(self):
+                starts.append(self)
+                if len(starts) == 2:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", SecondStartFails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            mini_prefill(ToyModelConfig(layers=1, heads=4, model_dim=8, proj_dim=4, seq_len=256, seed=4))
+        assert threading.active_count() == before and not starts[0].is_alive()
+
+    def test_import_loads_no_executor(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, kvalloc; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

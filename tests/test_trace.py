@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import threading
 
@@ -568,6 +569,62 @@ class TestReadWindow:
         with pytest.raises(TraceFormatError, match=pattern):
             feed_pipe(tmp_path, data, lambda p: read_window(p, 8))
 
+    @pytest.mark.parametrize(
+        "defects,loader_says,window_says",
+        [
+            # A window row of block (0, 0), then row 0 of block (2, 1): rows
+            # before the window are read, and checked, before any window row.
+            (
+                [((0, 0), 39, 0, float("nan")), ((2, 1), 0, 0, -1.0)],
+                "non-finite weight at layer 0, head 0, row 39",
+                "negative weight at layer 2, head 1, row 0: -1 in column 0",
+            ),
+            # Both in block (1, 0): the loader checks causality over every row
+            # before the sign; the reader checks row 0 before the window.
+            (
+                [((1, 0), 0, 0, -1.0), ((1, 0), 35, 39, 0.5)],
+                "causality violation at layer 1, head 0, row 35: nonzero weight in column 39",
+                "negative weight at layer 1, head 0, row 0: -1 in column 0",
+            ),
+            # Two rows before the window: the same message as the loader.
+            (
+                [((1, 1), 3, 0, float("inf")), ((2, 0), 1, 0, -1.0)],
+                "non-finite weight at layer 1, head 1, row 3",
+                "non-finite weight at layer 1, head 1, row 3",
+            ),
+        ],
+        ids=["across-blocks", "one-block", "both-before-the-window"],
+    )
+    def test_two_defects_report_the_first_in_read_order(self, tmp_path, path, defects, loader_says, window_says):
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n") + 1
+        for (layer, head), row, col, value in defects:
+            offset = start + (((layer * 2 + head) * 40 + row) * 40 + col) * 4
+            data[offset : offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(loader_says)}$"):
+            load_trace(path)
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(window_says)}$"):
+            read_window(path, 8)
+        if hasattr(os, "mkfifo"):
+            with pytest.raises(TraceFormatError, match=f"^{re.escape(window_says)}$"):
+                feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
+
+    def test_each_row_is_checked_once(self, path, monkeypatch):
+        checked, inner = [], trace_module._check_block
+
+        def record(rows, layer, head, first_row):
+            checked.append((layer, head, first_row, len(rows)))
+            inner(rows, layer, head, first_row)
+
+        monkeypatch.setattr(trace_module, "_check_block", record)
+        read_window(path, 8)
+        blocks = [(layer, head) for layer in range(3) for head in range(2)]
+        assert checked == [(*b, 0, 32) for b in blocks] + [(*b, 32, 8) for b in blocks]
+        checked.clear()
+        read_window(path, 40)
+        assert checked == [(*b, 0, 40) for b in blocks]
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_reports_the_payload_length_before_a_bad_block(self, tmp_path, path):
         data = bytearray(path.read_bytes())
@@ -663,6 +720,13 @@ def fuzzed_trace_files(draw) -> bytes:
     return line + b"\n" + draw(st.one_of(st.just(payload), st.binary(max_size=300)))
 
 
+# A row-sum defect in the window row of head 0 and a negative weight before
+# the window in head 1: the loader and a one-row window report different ones.
+TWO_DEFECTS = b'{"version":1,"layers":1,"heads":2,"seq_len":3,"dtype":"f32le"}\n' + struct.pack(
+    "<18f", 1, 0, 0, 0.5, 0.5, 0, 0, 0, 2, -1, 0, 0, 0.5, 0.5, 0, 0.2, 0.3, 0.5
+)
+
+
 class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(fuzzed_trace_files())
@@ -689,10 +753,35 @@ class TestLoaderFuzz:
         except TraceFormatError as exc:
             return "error", str(exc)
 
-    def assert_window_agrees(self, loaded, windowed, ows):
+    @staticmethod
+    def read_order_message(data: bytes, loaded_message: str, ows: int) -> str:
+        """The message ``read_window`` gives for a file ``load_trace`` refuses.
+
+        Header and length errors come first in both. Row defects are taken in
+        read order: the rows before the window, block by block, then the
+        window rows, block by block; with one defect that is the loader's.
+        """
+        if not loaded_message.startswith(("causality", "non-finite", "negative", "row-sum")):
+            return loaded_message
+        line_end = data.index(b"\n")
+        header = TraceHeader.from_json_line(data[:line_end])
+        t = header.seq_len
+        w = min(ows, t)
+        weights = np.frombuffer(data, "<f4", offset=line_end + 1).reshape(header.layers, header.heads, t, t)
+        blocks = list(np.ndindex(header.layers, header.heads))
+        try:
+            for layer, head in blocks if w < t else []:
+                trace_module._check_block(weights[layer, head, : t - w], layer, head, 0)
+            for layer, head in blocks:
+                trace_module._check_block(weights[layer, head, t - w :], layer, head, t - w)
+        except TraceFormatError as exc:
+            return str(exc)
+        raise AssertionError(f"no defect found in read order for {loaded_message!r}")
+
+    def assert_window_agrees(self, data, loaded, windowed, ows):
         assert loaded[0] == windowed[0], (loaded, windowed)
         if loaded[0] == "error":
-            assert windowed[1] == loaded[1]
+            assert windowed[1] == self.read_order_message(data, loaded[1], ows)
         else:
             t = loaded[1].header.seq_len
             assert windowed[1].header == loaded[1].header
@@ -701,19 +790,21 @@ class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(fuzzed_trace_files(), st.integers(1, 5))
     @example(HEADER_2TOK + struct.pack("<4f", 1, 0, 0.5, 0.5), 1)
+    @example(TWO_DEFECTS, 1)
     @example(b"[" * 100_000 + b"\n", 1)
     @example(b"", 1)
     def test_window_reader_agrees_with_the_loader(self, tmp_path, data, ows):
         path = tmp_path / "fuzz.bin"
         path.write_bytes(data)
         loaded = self.outcome(lambda: load_trace(path))
-        self.assert_window_agrees(loaded, self.outcome(lambda: read_window(path, ows)), ows)
+        self.assert_window_agrees(data, loaded, self.outcome(lambda: read_window(path, ows)), ows)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(fuzzed_trace_files(), st.integers(1, 5))
     @example(HEADER_2TOK + struct.pack("<4f", 1, 0, 0.5, 0.5), 2)
+    @example(TWO_DEFECTS, 1)
     def test_window_reader_agrees_with_the_loader_on_a_pipe(self, tmp_path, data, ows):
         loaded = self.outcome(lambda: feed_pipe(tmp_path, data, load_trace))
         windowed = self.outcome(lambda: feed_pipe(tmp_path, data, lambda p: read_window(p, ows)))
-        self.assert_window_agrees(loaded, windowed, ows)
+        self.assert_window_agrees(data, loaded, windowed, ows)
