@@ -1,10 +1,10 @@
 """Command-line surface for the trace -> scores -> allocation -> eviction pipeline.
 
 Every command is deterministic given its flags and seed; machine-readable
-output (JSON or CSV) goes to stdout, diagnostics to stderr. Exit codes: 0 on
-success, 2 on validation or usage errors (a closed stdout, for a command that
-writes its result there, included), 1 on internal errors (including a failed
-oracle cross-check).
+output (JSON or CSV) goes to stdout, diagnostics to stderr, or nowhere if it
+is closed. Exit codes: 0 on success, 2 on validation or usage errors (a closed
+stdout, for a command that writes its result there, included), 1 on internal
+errors (including a failed oracle cross-check).
 
 This module owns the stdout formats: the library returns score vectors,
 retention points, allocations and reports, and every command writes them
@@ -16,6 +16,7 @@ to their readers, and ``curves --targets`` prints ``metrics.min_size_table_csv``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -58,6 +59,13 @@ def _write_json(obj: object) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
+def _note(line: str) -> None:
+    """Print a diagnostic line on stderr; a closed stderr drops it, and the command goes on."""
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:  # print would fall back to stdout
+            print(line, file=sys.stderr)
+
+
 def _constraint(args: argparse.Namespace) -> allocator.Constraint:
     if (args.budget is None) == (args.target_ravg is None):
         raise ValueError("exactly one of --budget or --target-ravg is required")
@@ -80,7 +88,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         layer_skew=args.layer_skew,
     )
     trace.write_synthetic(spec, args.output)
-    print(f"wrote {args.output}", file=sys.stderr)
+    _note(f"wrote {args.output}")
     return 0
 
 
@@ -127,17 +135,16 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
         else:
             mismatch = allocation.total != reference.total
         if mismatch:
-            print(
+            _note(
                 f"oracle mismatch: greedy sizes={list(allocation.sizes)} r_avg={achieved!r}, "
-                f"oracle sizes={list(reference.sizes)} r_avg={reference_r!r}",
-                file=sys.stderr,
+                f"oracle sizes={list(reference.sizes)} r_avg={reference_r!r}"
             )
             return 1
-        print("oracle check passed", file=sys.stderr)
+        _note("oracle check passed")
 
     if args.fmt == "csv":
         _write_csv(("layer", "n"), enumerate(allocation.sizes))
-        print(f"r_avg {achieved!r}", file=sys.stderr)
+        _note(f"r_avg {achieved!r}")
     else:
         _write_json({"sizes": allocation.sizes, "r_avg": achieved})
     return 0
@@ -178,14 +185,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         allocation = allocator.allocate(attnproc.process_trace(source, settings), constraint)
     report = eviction.simulate_task(source, allocation, settings, proj_dim=proj_dim)
-    print(f"personalized: {report.summary()}", file=sys.stderr)
+    _note(f"personalized: {report.summary()}")
 
     reports = {"personalized": report}
     if args.compare_uniform:
         capacity = seq_len - settings.ows
         uniform = allocator.uniform_allocation(allocation.total, len(allocation), capacity)
         reports["uniform"] = eviction.simulate_task(source, uniform, settings, proj_dim=proj_dim)
-        print(f"uniform: {reports['uniform'].summary()}", file=sys.stderr)
+        _note(f"uniform: {reports['uniform'].summary()}")
 
     if args.fmt == "csv":
         _write_csv(
@@ -215,12 +222,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if len(lists) >= 2:
         try:
             similarity = sampling.profile_similarity(lists)
-            print(f"sample similarity {similarity:.4f}", file=sys.stderr)
+            _note(f"sample similarity {similarity:.4f}")
         except ValueError as exc:
-            print(f"sample similarity unavailable: {exc}", file=sys.stderr)
+            _note(f"sample similarity unavailable: {exc}")
     if args.output:
         sampling.save_profile(profile, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
+        _note(f"wrote {args.output}")
     else:
         sys.stdout.write(profile.to_json() + "\n")
     return 0
@@ -298,15 +305,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # A command without an output path writes its result to stdout; ">&-" leaves it None.
     if sys.stdout is None and getattr(args, "output", None) is None:
-        print("error: stdout is closed", file=sys.stderr)
+        _note("error: stdout is closed")
         return 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        _note(f"internal error: {exc}")
         return 1
 
 

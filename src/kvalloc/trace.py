@@ -11,24 +11,24 @@ row-major order.
 
 An ``AttentionTrace`` holds the last rows of each (layer, head) matrix, all
 of them in a whole trace, and is valid by construction: building one checks
-every row once, so saving and scoring need not check again. ``_check_block``
-is the one check, over any run of rows of one (layer, head) matrix.
+every row once, so saving and scoring need not check again. ``_find_defect``
+is the one check, over any run of rows of one (layer, head) matrix, and
+``_check_block`` raises what it finds.
 
-The CLI streams traces through one reused ``(t, t)`` float32 buffer:
-``read_window`` reads each (layer, head) block in turn, checks its rows
-before the window and keeps its last ``ows`` rows, which building the result
-checks, and ``write_synthetic`` generates, checks and writes one block at a
-time. Neither holds the payload, so traces larger than memory can be written
-and scored. ``load_trace`` and ``save_trace`` hold the whole
-payload in one array, without a second copy.
+The CLI streams traces in row chunks, touching ``CHUNK_BYTES`` of one ``(t, t)``
+float32 buffer: ``read_window`` reads a chunk, checks its rows before the
+window and keeps its window rows, which building the result checks, and
+``write_synthetic`` fills, checks and writes one. Neither holds the payload,
+so traces larger than memory can be written and scored. ``load_trace`` is
+``read_window`` keeping every row; it and ``save_trace`` hold one payload array.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import stat
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +40,10 @@ HEADER_VERSION = 1
 # Row sums may be off by up to 1e-3, so traces exported from half-precision
 # sources still load.
 ROW_SUM_ATOL = 1e-3
+
+# The streaming reader and writer touch this many bytes of rows of their (t, t)
+# buffer at a time, and at least one row.
+CHUNK_BYTES = 2 << 20
 
 
 class TraceFormatError(ValueError):
@@ -131,45 +135,55 @@ class AttentionTrace:
             _check_block(self.weights[layer, head], layer, head, h.seq_len - w)
 
 
-@functools.lru_cache(maxsize=2)
-def _above_diagonal(rows: int, cols: int, first_row: int) -> np.ndarray:
-    mask = ~np.tri(rows, cols, k=first_row, dtype=bool)
-    mask.setflags(write=False)  # cached, so shared by every caller
-    return mask
+# The causality check and the fill go 128 rows at a time; each band's diagonal is one square.
+_BAND = 128
+_LOWER = np.tri(_BAND)
+_ABOVE = _LOWER == 0
+
+
+def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> tuple[tuple[int, float], str] | None:
+    """``_check_block``'s defect in ``rows`` as ``((rank, key), message)``, or None.
+
+    Ranks follow the checks; a row-sum defect names the row of largest
+    deviation, which negated is its key. Of two runs of rows of one matrix, the
+    smaller key, or the earlier run on a tie, is what one check of both reports.
+    """
+    where = f"layer {layer}, head {head}"
+    # Summed first, the rows are in cache for the causality check. A NaN or
+    # infinity anywhere in a row makes its sum non-finite.
+    sums = rows.sum(axis=1, dtype=np.float64)
+    # Above each band's diagonal: the rest of its square, and every later column.
+    for start in range(0, len(rows), _BAND):
+        band = rows[start : start + _BAND]
+        k, col = len(band), first_row + start
+        if band[:, col + k :].any() or np.logical_and(band[:, col : col + k], _ABOVE[:k, :k]).any():
+            row, col = np.argwhere((rows != 0) & ~np.tri(*rows.shape, k=first_row, dtype=bool))[0]
+            return (0, 0.0), f"causality violation at {where}, row {first_row + row}: nonzero weight in column {col}"
+    finite = np.isfinite(sums)
+    if not finite.all():
+        return (1, 0.0), f"non-finite weight at {where}, row {first_row + int(finite.argmin())}"
+    if rows.min() < 0:
+        row, col = np.argwhere(rows < 0)[0]
+        return (2, 0.0), f"negative weight at {where}, row {first_row + row}: {float(rows[row, col]):g} in column {col}"
+    off = np.abs(sums - 1.0)
+    row = int(off.argmax())
+    if off[row] > ROW_SUM_ATOL:
+        message = f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
+        return (3, -float(off[row])), f"row-sum violation at {where}, row {first_row + row}: {message}"
+    return None
 
 
 def _check_block(rows: np.ndarray, layer: int, head: int, first_row: int) -> None:
     """Check rows ``first_row`` onward of one (layer, head) matrix.
 
     ``rows`` is ``(r, t)``; its row ``i`` is row ``first_row + i`` of the
-    ``t x t`` matrix. Checks causality, then finiteness, sign and row sums
-    over all the rows; raises TraceFormatError at the first offender.
+    ``t x t`` matrix. Checks causality a 128-row band at a time, building no
+    ``t x t`` mask unless it fails, then finiteness, sign and row sums over all
+    the rows; raises TraceFormatError at the first offender.
     """
-    where = f"layer {layer}, head {head}"
-    bad = (rows != 0) & _above_diagonal(*rows.shape, first_row)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise TraceFormatError(
-            f"causality violation at {where}, row {first_row + row}: nonzero weight in column {col}"
-        )
-    # A NaN or infinity anywhere in a row makes its sum non-finite.
-    sums = rows.sum(axis=1, dtype=np.float64)
-    finite = np.isfinite(sums)
-    if not finite.all():
-        row = int(finite.argmin())
-        raise TraceFormatError(f"non-finite weight at {where}, row {first_row + row}")
-    if rows.min() < 0:
-        row, col = np.argwhere(rows < 0)[0]
-        raise TraceFormatError(
-            f"negative weight at {where}, row {first_row + row}: {float(rows[row, col]):g} in column {col}"
-        )
-    off = np.abs(sums - 1.0)
-    if off.max() > ROW_SUM_ATOL:
-        row = int(off.argmax())
-        raise TraceFormatError(
-            f"row-sum violation at {where}, row {first_row + row}: "
-            f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
-        )
+    defect = _find_defect(rows, layer, head, first_row)
+    if defect is not None:
+        raise TraceFormatError(defect[1])
 
 
 @dataclass(frozen=True)
@@ -233,19 +247,29 @@ def _head_profiles(spec: SyntheticSpec):
             yield layer, head, profile if spec.heads == 1 else profile ** (0.9 + 0.2 * head / (spec.heads - 1))
 
 
-def _fill_head(out: np.ndarray, profile: np.ndarray) -> None:
-    """Fill the float32 ``(t, t)`` ``out`` with ``profile``'s causal rows, normalised.
+def _fill_rows(out: np.ndarray, profile: np.ndarray, first: int) -> None:
+    """Fill the float32 ``out`` with rows ``first`` onward of ``profile``'s causal matrix, normalised.
 
-    Rows are built in float64 blocks and cast into ``out``; each row sum
-    reduces one contiguous row, so the bits equal a whole-matrix build.
+    Each 128-row band is built in float64: the profile, its diagonal square
+    times one lower triangle, then zeros. Each row is divided by its sum over
+    the whole row straight into ``out``, so the bits equal a whole-matrix build.
     """
-    t, step = profile.size, 256
-    block = np.empty((min(step, t), t))
-    for start in range(0, t, step):
-        mat = block[: min(step, t - start)]
-        np.multiply(np.tri(len(mat), t, k=start), profile, out=mat)
-        mat /= mat.sum(axis=1, keepdims=True)
-        out[start : start + len(mat)] = mat
+    mat = np.empty((min(_BAND, len(out)), profile.size))
+    for start in range(0, len(out), _BAND):
+        band, col = mat[: len(out) - start], first + start
+        k = len(band)
+        band[:, :col] = profile[:col]
+        np.multiply(_LOWER[:k, :k], profile[col : col + k], out=band[:, col : col + k])
+        band[:, col + k :] = 0.0
+        np.divide(band, band.sum(axis=1, keepdims=True), out=out[start : start + k], casting="unsafe")
+
+
+def _chunks(block: np.ndarray):
+    """Yield ``(first_row, rows)`` per chunk of a ``(t, t)`` matrix, ``rows`` a view of ``block``'s first rows."""
+    t = len(block)
+    n = max(1, min(t, CHUNK_BYTES // (4 * t)))
+    for first in range(0, t, n):
+        yield first, block[: min(n, t - first)]
 
 
 def _empty(shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -268,16 +292,16 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
     t = spec.seq_len
     weights = np.empty((spec.layers, spec.heads, t, t), dtype=np.float32)
     for layer, head, profile in _head_profiles(spec):
-        _fill_head(weights[layer, head], profile)
+        _fill_rows(weights[layer, head], profile, 0)
     header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
     return AttentionTrace(header=header, weights=weights)
 
 
 def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
-    """Write ``save_trace(generate_trace(spec), path)``'s bytes, one checked block at a time.
+    """Write ``save_trace(generate_trace(spec), path)``'s bytes, one checked chunk of rows at a time.
 
-    The one ``(t, t)`` buffer is allocated before ``path`` is opened, so a
-    shape too large for memory raises TraceFormatError and writes nothing.
+    The ``(t, t)`` buffer is allocated before ``path`` is opened, so a shape
+    too large for memory raises TraceFormatError and writes nothing.
     """
     t = spec.seq_len
     header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
@@ -285,9 +309,10 @@ def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.to_json_line())
         for layer, head, profile in _head_profiles(spec):
-            _fill_head(block, profile)
-            _check_block(block, layer, head, 0)
-            fh.write(block.data)
+            for first, rows in _chunks(block):
+                _fill_rows(rows, profile, first)
+                _check_block(rows, layer, head, first)
+                fh.write(rows.data)
 
 
 def save_trace(trace: AttentionTrace, path: str | Path) -> None:
@@ -308,10 +333,7 @@ def save_trace(trace: AttentionTrace, path: str | Path) -> None:
 
 def _check_payload_length(size: int, header: TraceHeader) -> None:
     if size != header.payload_bytes:
-        raise TraceFormatError(
-            f"payload length {size} bytes does not match header "
-            f"(expected {header.payload_bytes})"
-        )
+        raise TraceFormatError(f"payload length {size} bytes does not match header (expected {header.payload_bytes})")
 
 
 def _read_header(fh) -> tuple[TraceHeader, bool]:
@@ -328,55 +350,47 @@ def _read_header(fh) -> tuple[TraceHeader, bool]:
 
 
 def load_trace(path: str | Path) -> AttentionTrace:
-    """Read a trace file, validating format, payload length, and invariants.
-
-    The payload is read into one payload-sized array, which the returned
-    trace holds. Building the trace checks its rows.
-    """
-    with open(path, "rb") as fh:
-        header, _ = _read_header(fh)
-        promise = f"header promises a {header.payload_bytes}-byte payload"
-        weights = _empty((header.layers, header.heads, header.seq_len, header.seq_len), promise)
-        got = fh.readinto(weights.data)
-        _check_payload_length(got + len(fh.read()), header)
-    return AttentionTrace(header=header, weights=weights)
+    """Read a whole trace file, validating format, payload length, and invariants: ``read_window`` of every row."""
+    return read_window(path, sys.maxsize)
 
 
 def read_window(path: str | Path, ows: int) -> AttentionTrace:
-    """Read a trace file block by block, keeping the last ``min(ows, seq_len)`` rows of each.
+    """Read a trace file in row chunks, keeping the last ``min(ows, seq_len)`` rows of each matrix.
 
-    Each block is read into one reused ``(t, t)`` buffer. Its rows before the
-    window are checked there, and building the returned ``AttentionTrace``
-    checks the window rows, so every row is checked once and this accepts and
-    rejects what ``load_trace`` does. A file with one defect gets
-    ``load_trace``'s message. With several, the first by this order is
-    reported: the rows before the window, block by block, then the window
-    rows, block by block. A pipe is read on past a failed block: a wrong
-    payload length comes first. Only a piped header promising more than
-    memory, whose block and window rows fit, reports its payload length where
-    ``load_trace`` says it cannot be allocated.
+    Each chunk is read into the first rows of one ``(t, t)`` buffer, its rows
+    before the window checked there, as one check of all of them would report,
+    and its window rows kept, which building the result checks. So every row is
+    checked once and this accepts and rejects what ``load_trace`` does. Of
+    several defects, the first in this order is reported: the rows before the
+    window, matrix by matrix, then the window rows. A pipe is read on past a
+    failed matrix: a wrong payload length comes first. Only a piped header
+    promising more than memory, whose buffer and window rows fit, reports its
+    payload length where ``load_trace`` says it cannot be allocated.
     """
     with open(path, "rb") as fh:
         header, sized = _read_header(fh)
         # At least one row: an ows below 1 is refused by ProcSettings, after the file.
         t, w = header.seq_len, min(max(ows, 1), header.seq_len)
+        lo = t - w  # the first window row
         promise = f"header promises a {header.payload_bytes}-byte payload"
-        block, rows = _empty((t, t), promise), _empty((header.layers, header.heads, w, t), promise)
-        got, error = 0, None
-        for layer, head in np.ndindex(header.layers, header.heads):
-            n = fh.readinto(block.data)
-            got += n
-            if n < block.nbytes:
+        block, window = _empty((t, t), promise), _empty((header.layers, header.heads, w, t), promise)
+        got, error, defect = 0, None, None
+        chunks = ((*matrix, *c) for matrix in np.ndindex(header.layers, header.heads) for c in _chunks(block))
+        for layer, head, first, rows in chunks:
+            got += (n := fh.readinto(rows.data))
+            if n < rows.nbytes:
                 break
-            rows[layer, head] = block[t - w :]
-            try:
-                if w < t:
-                    _check_block(block[: t - w], layer, head, 0)
-            except TraceFormatError as exc:
+            end = first + len(rows)
+            if end > lo:
+                window[layer, head, max(first - lo, 0) : end - lo] = rows[max(lo - first, 0) :]
+            found = _find_defect(rows[: lo - first], layer, head, first) if first < lo else None
+            if found is not None and (defect is None or found[0] < defect[0]):
+                defect = found
+            if end == t and defect is not None:
                 if sized:
-                    raise
-                error = error or exc
+                    raise TraceFormatError(defect[1])
+                error, defect = error or TraceFormatError(defect[1]), None
         _check_payload_length(got + len(fh.read()), header)
     if error is not None:
         raise error
-    return AttentionTrace(header=header, weights=rows)
+    return AttentionTrace(header=header, weights=window)

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import errno
+import io
 import json
 import os
 import shlex
@@ -638,3 +640,66 @@ class TestClosedStdout:
                 ["sh", "-c", f"{cli} {command} >&-"], env=env, capture_output=True, text=True, timeout=60
             )
             assert (result.returncode, result.stderr) == (code, err)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+class TestClosedStderr:
+    """With stderr closed (``2>&-``), diagnostics are dropped and the command's result stands."""
+
+    @staticmethod
+    def shell(command: str, redirect: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        cli = f"{shlex.quote(sys.executable)} -m kvalloc.cli"
+        return subprocess.run(["sh", "-c", f"{cli} {command} {redirect}"], env=env, capture_output=True, timeout=60)
+
+    def test_gen_writes_its_file(self, tmp_path):
+        closed, open_ = tmp_path / "closed.bin", tmp_path / "open.bin"
+        result = self.shell(f"gen --layers 2 --seq-len 16 -o {shlex.quote(str(closed))}", "2>&-")
+        assert (result.returncode, result.stdout) == (0, b"")
+        reference = self.shell(f"gen --layers 2 --seq-len 16 -o {shlex.quote(str(open_))}", "")
+        assert reference.returncode == 0
+        assert closed.read_bytes() == open_.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "simulate --toy --auto --budget 4",
+            "simulate --toy --auto --budget 4 --compare-uniform --format csv",
+            "allocate TRACE --budget 4 --ows 2 --pool-size 1 --format csv",
+            "allocate TRACE --budget 4 --ows 2 --pool-size 1 --oracle",
+            "profile TRACE TRACE --task-type qa --budget 4 --ows 2 --pool-size 1",
+        ],
+    )
+    def test_stdout_is_unchanged(self, fixture_trace_path, command):
+        command = command.replace("TRACE", shlex.quote(fixture_trace_path))
+        reference = self.shell(command, "")
+        assert reference.returncode == 0 and reference.stderr
+        result = self.shell(command, "2>&-")
+        assert (result.returncode, result.stdout) == (0, reference.stdout)
+
+    def test_a_stderr_that_fails_every_write(self, tmp_path, capsys, monkeypatch):
+        # Python may also wrap a closed descriptor 2, whose writes fail with EBADF.
+        class Closed(io.TextIOBase):
+            def write(self, text):
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+        monkeypatch.setattr(sys, "stderr", Closed())
+        assert main(["gen", "--layers", "2", "--seq-len", "8", "-o", str(tmp_path / "t.bin")]) == 0
+        assert main(["scores", str(tmp_path / "t.bin"), "--ows", "2", "--pool-size", "1", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("layer,position,score\n")
+        assert main(["scores", str(tmp_path / "missing.bin")]) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "scores MISSING",
+            "allocate MISSING --budget 4",
+            "simulate --toy --auto --budget -1",
+            "gen --layers 0 --seq-len 8 -o OUT",
+        ],
+    )
+    def test_refused_input_exits_2(self, tmp_path, command):
+        command = command.replace("MISSING", shlex.quote(str(tmp_path / "missing.bin")))
+        result = self.shell(command.replace("OUT", shlex.quote(str(tmp_path / "t.bin"))), "2>&-")
+        assert (result.returncode, result.stdout) == (2, b"")

@@ -3,13 +3,19 @@
 tracemalloc sees numpy's buffers, so a peak here counts every array a call
 allocates. Trace bounds are multiples of the trace payload. Scoring and
 eviction read only the observation-window rows, so they stay far below one
-payload; loading holds exactly one payload-sized array; saving writes the
-trace's own buffer. Generation holds the payload plus one float64 block of
-rows, and building the trace checks it one block at a time without a second
-payload. The streaming paths hold no payload at all: ``read_window`` holds
-one (t, t) float32 buffer and the window rows, and ``write_synthetic`` that
-buffer and one float64 block of rows. They are measured at 16 x 2 blocks, so
-a whole-payload copy would read as 1.0.
+payload; loading holds one payload-sized array and one (t, t) float32 buffer;
+saving writes the trace's own buffer. Generation holds the payload plus one
+float64 band of rows, and building the trace checks it one block at a time
+without a second payload. The streaming paths hold no payload at all:
+``read_window`` holds one (t, t) float32 buffer and the window rows, and
+``write_synthetic`` that buffer and one float64 band of rows. They are
+measured at 16 x 2 blocks, so a whole-payload copy would read as 1.0.
+
+tracemalloc counts the (t, t) buffer at its full size, but the streaming
+paths touch only ``CHUNK_BYTES`` of its rows, and untouched pages are never
+resident. So the CLI's peak resident size is measured too: ``gen`` and
+``allocate`` of a 1 x 1 x 4096 trace, a 64 MiB matrix, must stay within
+16 MiB of a process that only imports ``kvalloc.cli``.
 
 Prefill bounds are multiples of the float64 attention array the prefill
 returns. Each head's logits and softmax are computed in place in that
@@ -23,7 +29,11 @@ point costs about 90 bytes, and a caller that keeps tables, as the benchmark
 keeps every operation's outcome, would grow by that much per point.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +73,28 @@ def peak_bytes(fn, *args):
     return peak
 
 
+# A child's ru_maxrss starts at the peak resident size of the process that
+# spawned it, so each command runs under this small launcher, which reports
+# the command's exit code and peak resident KiB (Linux units).
+LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def peak_rss_kib(*argv: str) -> int:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    code, kib = map(int, result.stdout.splitlines()[-1].split())
+    assert code == 0, result.stdout
+    return kib
+
+
 def peak_over_payload(fn, *args):
     return peak_bytes(fn, *args) / PAYLOAD
 
@@ -89,6 +121,15 @@ def test_window_reader_holds_one_block(tmp_path):
 
 def test_synthetic_writer_holds_one_block(tmp_path):
     assert peak_bytes(write_synthetic, STREAM, tmp_path / "t.bin") / STREAM_PAYLOAD < 0.3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_cli_touches_one_chunk_of_a_large_matrix(tmp_path):
+    path = str(tmp_path / "t.bin")
+    baseline = peak_rss_kib("-c", "import kvalloc.cli")
+    gen = peak_rss_kib("-m", "kvalloc.cli", "gen", "--layers", "1", "--seq-len", "4096", "-o", path)
+    allocate = peak_rss_kib("-m", "kvalloc.cli", "allocate", path, "--budget", "100")
+    assert max(gen, allocate) < baseline + 16 * 1024, (baseline, gen, allocate)
 
 
 def test_scoring_reads_only_window_rows(trace):

@@ -299,24 +299,32 @@ class TestGenerate:
         small = SyntheticSpec(layers=2, heads=1, seq_len=8, layer_skew=float(int(1e300) % span + 10 * span))
         assert generate_trace(spec).weights.tobytes() == generate_trace(small).weights.tobytes()
 
-    # Row blocks of 256 must give the whole-matrix bits, so seq_len runs past
-    # one block and off its multiples; writing block by block gives the bytes
-    # of saving the generated trace.
+    # Bands of 128 rows must give the whole-matrix bits, so seq_len runs past
+    # one band and off its multiples; writing chunk by chunk gives the bytes of
+    # saving the generated trace, so chunks of `chunk_rows` rows (None: the
+    # module's own, one chunk up to seq_len 724) split matrices off both.
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.builds(
             SyntheticSpec,
             layers=st.integers(1, 3),
             heads=st.integers(1, 3),
-            seq_len=st.one_of(st.integers(2, 40), st.integers(257, 700)),
+            seq_len=st.one_of(st.integers(2, 40), st.integers(257, 700), st.integers(725, 800)),
             sparsity=st.floats(0.001, 1.0),
             seed=st.integers(0, 2**32 - 1),
             layer_skew=st.floats(0.0, 8.0),
-        )
+        ),
+        st.one_of(st.none(), st.integers(1, 300)),
     )
-    @example(SyntheticSpec(layers=1, heads=2, seq_len=513, sparsity=0.02, seed=1, layer_skew=2.5))
-    @example(SyntheticSpec(layers=2, heads=1, seq_len=768, sparsity=1.0, seed=2))
-    def test_row_blocks_match_the_whole_matrix_build(self, tmp_path, spec):
+    @example(SyntheticSpec(layers=1, heads=2, seq_len=513, sparsity=0.02, seed=1, layer_skew=2.5), None)
+    @example(SyntheticSpec(layers=2, heads=1, seq_len=768, sparsity=1.0, seed=2), None)
+    @example(SyntheticSpec(layers=2, heads=3, seq_len=725, sparsity=0.1, seed=3, layer_skew=1.0), None)
+    @example(SyntheticSpec(layers=1, heads=1, seq_len=1000, sparsity=0.02, seed=4), None)
+    @example(SyntheticSpec(layers=2, heads=2, seq_len=300, sparsity=0.05, seed=5, layer_skew=0.5), 129)
+    @example(SyntheticSpec(layers=3, heads=1, seq_len=2, sparsity=0.5, seed=6), 1)
+    def test_row_blocks_match_the_whole_matrix_build(self, tmp_path, monkeypatch, spec, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(trace_module, "CHUNK_BYTES", chunk_rows * 4 * spec.seq_len)
         trace = generate_trace(spec)
         assert trace.weights.tobytes() == whole_matrix_generate(spec).tobytes()
         save_trace(trace, tmp_path / "saved.bin")
@@ -332,6 +340,12 @@ class TestGenerate:
         with pytest.raises(TraceFormatError, match="negative weight at layer 0, head 0, row 1: -1 in column 1"):
             write_synthetic(spec, path)
         assert path.read_bytes() == TraceHeader(layers=2, heads=1, seq_len=8).to_json_line()
+        # In chunks of one row, row 0 ([1, 0, ...]) is written and row 1 is not.
+        monkeypatch.setattr(trace_module, "CHUNK_BYTES", 8 * 4)
+        with pytest.raises(TraceFormatError, match="negative weight at layer 0, head 0, row 1: -1 in column 1"):
+            write_synthetic(spec, path)
+        row0 = np.eye(1, 8, dtype="<f4").tobytes()
+        assert path.read_bytes() == TraceHeader(layers=2, heads=1, seq_len=8).to_json_line() + row0
 
     def test_header_matches_synthetic_spec(self):
         spec = SyntheticSpec(layers=2, heads=3, seq_len=12, sparsity=0.5, seed=1)
@@ -611,19 +625,79 @@ class TestReadWindow:
                 feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
 
     def test_each_row_is_checked_once(self, path, monkeypatch):
-        checked, inner = [], trace_module._check_block
+        # The reader checks a chunk's rows before the window with _find_defect,
+        # which _check_block, and so construction, also runs.
+        checked, inner = [], trace_module._find_defect
 
         def record(rows, layer, head, first_row):
             checked.append((layer, head, first_row, len(rows)))
-            inner(rows, layer, head, first_row)
+            return inner(rows, layer, head, first_row)
 
-        monkeypatch.setattr(trace_module, "_check_block", record)
+        monkeypatch.setattr(trace_module, "_find_defect", record)
         read_window(path, 8)
         blocks = [(layer, head) for layer in range(3) for head in range(2)]
         assert checked == [(*b, 0, 32) for b in blocks] + [(*b, 32, 8) for b in blocks]
         checked.clear()
         read_window(path, 40)
         assert checked == [(*b, 0, 40) for b in blocks]
+        # Chunks of 3 rows: the rows before the window in read order, then the window rows.
+        monkeypatch.setattr(trace_module, "CHUNK_BYTES", 3 * 40 * 4)
+        checked.clear()
+        read_window(path, 8)
+        chunks = [(first, min(3, 32 - first)) for first in range(0, 32, 3)]
+        assert checked == [(*b, *c) for b in blocks for c in chunks] + [(*b, 32, 8) for b in blocks]
+
+    @pytest.mark.parametrize(
+        "defects,message",
+        [
+            # A NaN in chunk 1 and a causality defect in chunk 3: causality wins.
+            (
+                [(2, 0, float("nan")), (18, 30, 0.5)],
+                "causality violation at layer 1, head 0, row 18: nonzero weight in column 30",
+            ),
+            # A negative weight in chunk 1 and an infinity in chunk 2: non-finite wins.
+            ([(3, 0, -1.0), (10, 1, float("inf"))], "non-finite weight at layer 1, head 0, row 10"),
+            # Two negative weights: the earlier chunk wins.
+            ([(4, 1, -2.0), (20, 0, -1.0)], "negative weight at layer 1, head 0, row 4: -2 in column 1"),
+            # Two row sums off, the later one further: the later row wins.
+            (
+                [(5, None, 1.5), (25, None, 1.75)],
+                "row-sum violation at layer 1, head 0, row 25: sum 1.750000 deviates beyond 0.001",
+            ),
+            # Two row sums off by the same amount: the earlier row wins.
+            (
+                [(6, None, 1.5), (29, None, 1.5)],
+                "row-sum violation at layer 1, head 0, row 6: sum 1.500000 deviates beyond 0.001",
+            ),
+        ],
+        ids=["causality-wins", "non-finite-wins", "earlier-negative", "larger-row-sum", "row-sum-tie"],
+    )
+    def test_chunks_report_what_one_check_of_the_block_does(self, tmp_path, path, monkeypatch, defects, message):
+        # Chunks of 8 rows: with ows 8, rows 0-31 come before the window in chunks 1-4.
+        monkeypatch.setattr(trace_module, "CHUNK_BYTES", 8 * 40 * 4)
+        data = bytearray(path.read_bytes())
+        start = data.index(b"\n") + 1 + 2 * 40 * 40 * 4  # layer 1, head 0
+        for row, col, value in defects:
+            # A column of None makes the row `value` in column 0 and zeros after it.
+            values = [value] if col is not None else [value] + [0.0] * 39
+            offset = start + (row * 40 + (col or 0)) * 4
+            data[offset : offset + 4 * len(values)] = struct.pack(f"<{len(values)}f", *values)
+        path.write_bytes(bytes(data))
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(TraceFormatError, match=exact):
+            load_trace(path)
+        with pytest.raises(TraceFormatError, match=exact):
+            read_window(path, 8)
+        if hasattr(os, "mkfifo"):
+            with pytest.raises(TraceFormatError, match=exact):
+                feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
+
+    @pytest.mark.parametrize("t,rows", [(2, 2), (724, 724), (725, 723), (2048, 256), (4099, 127)])
+    def test_chunk_rows(self, t, rows):
+        # The (t, t) buffer is never touched, so large shapes cost nothing here.
+        chunks = list(trace_module._chunks(np.empty((t, t), dtype="<f4")))
+        assert [len(c) for _, c in chunks[:-1]] == [rows] * (len(chunks) - 1) and 1 <= len(chunks[-1][1]) <= rows
+        assert [first for first, _ in chunks] == list(range(0, t, rows))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_reports_the_payload_length_before_a_bad_block(self, tmp_path, path):
@@ -675,6 +749,31 @@ class TestTraceWindow:
         with pytest.raises(TraceFormatError, match="shape"):
             AttentionTrace(header=self.HEADER, weights=np.zeros(shape))
 
+
+class TestCausalityBands:
+    """``_check_block`` checks causality 128 rows at a time; it must flag exactly the nonzeros above the diagonal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(2, 400))
+    def test_one_nonzero_is_flagged_where_it_is(self, data, t):
+        first_row = data.draw(st.integers(0, t - 1))
+        r = data.draw(st.integers(1, t - first_row))
+        rows = np.tri(r, t, k=first_row, dtype="<f4")
+        rows /= rows.sum(axis=1, keepdims=True)
+        row = data.draw(st.integers(0, r - 1))
+        col = data.draw(st.integers(0, t - 1))
+        rows[row, col] += data.draw(st.sampled_from([0.5, float("nan"), -1.0]))
+        try:
+            trace_module._check_block(rows, 0, 0, first_row)
+        except TraceFormatError as exc:
+            message = str(exc)
+        else:
+            message = ""
+        if col > first_row + row:
+            where = f"layer 0, head 0, row {first_row + row}"
+            assert message == f"causality violation at {where}: nonzero weight in column {col}"
+        else:
+            assert message and not message.startswith("causality")
 
 FIELD_VALUES = st.one_of(
     st.integers(-2, 4),
