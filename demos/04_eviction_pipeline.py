@@ -31,7 +31,7 @@ print(f"mini vs full attention: max |diff| = {gap:.2e}")
 print(f"live K/V bytes during mini prefill: {mini.kv_bytes}")
 print(f"live K/V bytes during full prefill: {full.kv_bytes}\n")
 
-scores = process_trace(mini.attention_trace(), settings)
+scores = process_trace(mini, settings)
 budget = int(0.3 * config.layers * (config.seq_len - settings.ows))
 allocation = allocate(scores, Constraint.budget(budget))
 print(f"budget {budget} tokens -> per-layer sizes {list(allocation.sizes)}")

@@ -19,13 +19,11 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 from collections.abc import Iterable
 
 from . import allocator, attnproc, eviction, metrics, sampling, toymodel, trace
-
-DEFAULT_OWS = 8
-DEFAULT_POOL_SIZE = 7
 
 ORACLE_CHECK_ATOL = 1e-9
 
@@ -35,8 +33,9 @@ REPORT_KEYS = ("sizes", "ows", "retained_indices", "compression_ratio", "memory_
 
 
 def _add_proc_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ows", type=int, default=DEFAULT_OWS, help="observation window size")
-    parser.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE, help="smoothing kernel width (odd)")
+    defaults = attnproc.ProcSettings()
+    parser.add_argument("--ows", type=int, default=defaults.ows, help="observation window size")
+    parser.add_argument("--pool-size", type=int, default=defaults.pool_size, help="smoothing kernel width (odd)")
 
 
 def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,8 +61,7 @@ def _write_json(obj: object) -> None:
 def _note(line: str) -> None:
     """Print a diagnostic line on stderr; a closed stderr drops it, and the command goes on."""
     with contextlib.suppress(OSError):
-        if sys.stderr is not None:  # print would fall back to stdout
-            print(line, file=sys.stderr)
+        print(line, file=sys.stderr)
 
 
 def _constraint(args: argparse.Namespace) -> allocator.Constraint:
@@ -274,12 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate eviction for one task and report")
     sim.add_argument("trace", nargs="?", default=None)
     sim.add_argument("--toy", action="store_true", help="drive a seeded toy-model run instead of a trace")
-    sim.add_argument("--layers", type=int, default=2)
-    sim.add_argument("--heads", type=int, default=1)
-    sim.add_argument("--model-dim", type=int, default=16)
-    sim.add_argument("--proj-dim", type=int, default=8)
-    sim.add_argument("--seq-len", type=int, default=16)
-    sim.add_argument("--seed", type=int, default=0)
+    for name in ("layers", "heads", "model_dim", "proj_dim", "seq_len", "seed"):
+        sim.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(toymodel.ToyModelConfig(), name))
     sim.add_argument("--allocation", default=None, help="allocation JSON file")
     sim.add_argument("--auto", action="store_true", help="run the allocator inline")
     sim.add_argument("--profile", default=None, help="reuse the averaged allocation of a profile")
@@ -301,6 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # With descriptor 2 closed ("2>&-") sys.stderr is None, and argparse would print its usage on stdout.
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     parser = build_parser()
     args = parser.parse_args(argv)
     # A command without an output path writes its result to stdout; ">&-" leaves it None.

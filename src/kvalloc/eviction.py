@@ -12,8 +12,9 @@ every report says so explicitly.
 Scoring reads only the observation-window rows of each layer:
 ``simulate_task`` scores through ``attnproc.process_trace``, which casts just
 those rows to float64, and ``evict_layer`` computes logits for just the last
-``ows`` queries and scores them with ``attnproc.score_window``. Reports are
-data; the CLI decides how they are printed.
+``ows`` queries, softmaxes them in place and scores them with
+``attnproc.score_window``. Reports are data; the CLI decides how they are
+printed.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .attnproc import ProcSettings, process_trace, score_window
+from .attnproc import ProcSettings, ScoreVector, process_trace, score_window
 from .allocator import AllocationList
-from .toymodel import PrefillResult, causal_softmax
+from .toymodel import PrefillResult, _causal_softmax_inplace
 from .trace import AttentionTrace
 
 ELEMENT_BYTES = 4
@@ -61,8 +62,8 @@ class EvictionReport:
         )
 
 
-def _retained_for_layer(scores: np.ndarray, n: int, seq_len: int, ows: int) -> np.ndarray:
-    top = metrics.topk_indices(scores, n)
+def _retained_for_layer(sv: ScoreVector, n: int, seq_len: int, ows: int) -> np.ndarray:
+    top = metrics.topk_indices(sv, n)
     window = np.arange(seq_len - ows, seq_len)
     return np.sort(np.concatenate([top, window])).astype(int)
 
@@ -95,9 +96,9 @@ def evict_layer(
     settings.check_seq_len(t)
     if not 0 <= n_i <= t - settings.ows:
         raise ValueError(f"n_i must be in [0, {t - settings.ows}], got {n_i}")
-    logits = q[t - settings.ows :] @ np.asarray(k_arr, dtype=np.float64).T / np.sqrt(p)
-    scores = score_window(causal_softmax(logits), settings).scores
-    retained = _retained_for_layer(scores, n_i, t, settings.ows)
+    window = q[t - settings.ows :] @ np.asarray(k_arr, dtype=np.float64).T
+    _causal_softmax_inplace(window, np.sqrt(p))
+    retained = _retained_for_layer(score_window(window, settings), n_i, t, settings.ows)
     return k_arr[retained], v_arr[retained], retained
 
 
@@ -117,8 +118,8 @@ def simulate_task(
     vectors = process_trace(source, settings)
     if isinstance(source, PrefillResult):
         l, h, t, _ = source.per_layer_attention.shape
-        if source.kv_pairs:
-            proj_dim = source.kv_pairs[0][0].shape[-1]
+        if source.kv_pairs is not None:
+            proj_dim = source.kv_pairs.shape[-1]
     else:
         l, h, t = source.header.layers, source.header.heads, source.header.seq_len
     if len(allocation) != l:
@@ -129,7 +130,7 @@ def simulate_task(
     for sv, n in zip(vectors, allocation.sizes):
         if n > cap:
             raise ValueError(f"layer {sv.layer}: n_i {n} exceeds capacity {cap}")
-        retained_indices.append(tuple(int(i) for i in _retained_for_layer(sv.scores, n, t, settings.ows)))
+        retained_indices.append(tuple(int(i) for i in _retained_for_layer(sv, n, t, settings.ows)))
         per_layer_r.append(metrics.retention(sv, n))
 
     ratio = metrics.compression_ratio(allocation.sizes, t, settings.ows)

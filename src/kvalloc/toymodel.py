@@ -2,11 +2,11 @@
 
 Two forward passes share one arithmetic path: ``full_prefill`` runs every
 layer end to end, records each layer's attention weights, and keeps the
-per-layer key/value projections (the cache a real inference run would hold);
-``mini_prefill`` runs the same layers but caches nothing and terminates the
-moment the last layer's attention weights exist. Their attention traces are
-elementwise equal, which is what lets allocation decisions computed on the
-cheap pass apply to the real one.
+key/value projections in one K/V cache array (the cache a real inference run
+would hold); ``mini_prefill`` runs the same layers but caches nothing and
+terminates the moment the last layer's attention weights exist. Their
+attention traces are elementwise equal, which is what lets allocation
+decisions computed on the cheap pass apply to the real one.
 
 Weights are a pure function of the seed, drawn once per config and read-only:
 identical configs give bit-identical results. Attention is written in place,
@@ -17,9 +17,10 @@ threads (CPUs as ``os.sched_getaffinity`` counts them) once ``seq_len`` is
 256 or more, where a head's work outweighs the threads' overhead, and on the
 calling thread below that. Each head writes only its own slots and does the
 same arithmetic on any thread, so the bits do not depend on the thread
-count; the norms, output projection, MLP and K/V casts stay on the calling
+count; its K, V and context go straight into its slots of the cache and of
+one context array. The norms, output projection and MLP stay on the calling
 thread, and no thread outlives a call. ``causal_softmax`` is that softmax on
-a copy; the eviction simulator recomputes window rows with it.
+a copy; the eviction simulator softmaxes its recomputed window rows in place.
 """
 
 from __future__ import annotations
@@ -56,16 +57,21 @@ class PrefillResult:
     """Output of a prefill pass.
 
     ``per_layer_attention`` has shape ``(layers, heads, seq_len, seq_len)``.
-    A full prefill also carries the per-layer K/V projections (float32, the
-    4-byte elements a cache would store) and the logits for the first output
-    token; a mini prefill carries the attention and nothing else, with a live
-    K/V footprint of exactly zero bytes.
+    A full prefill also carries the logits for the first output token and
+    the K/V cache, one C-contiguous float32 array (the 4-byte elements a cache
+    would store) of shape ``(layers, 2, heads, seq_len, proj_dim)``, whose
+    ``kv_pairs[layer]`` unpacks into keys and values. A mini prefill carries
+    the attention and nothing else: ``kv_pairs`` is None, ``kv_bytes`` 0.
     """
 
     per_layer_attention: np.ndarray = field(repr=False)
-    kv_pairs: list[tuple[np.ndarray, np.ndarray]] | None = None
+    kv_pairs: np.ndarray | None = None
     first_token_logits: np.ndarray | None = None
-    kv_bytes: int = 0
+
+    @property
+    def kv_bytes(self) -> int:
+        """Bytes the K/V cache holds: 0 for a mini prefill."""
+        return 0 if self.kv_pairs is None else self.kv_pairs.nbytes
 
     def attention_trace(self) -> AttentionTrace:
         """Repackage the recorded attention as a standard trace."""
@@ -206,21 +212,24 @@ def _each_head(body, heads: int, workers: int) -> None:
 
 
 def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> PrefillResult:
+    """Run the layers; a full pass writes each head's K and V into one cache array, a mini one stops early.
+
+    Attention comes first, before anything is drawn, so a shape too large
+    fails at once; the K/V cache (full pass only) comes after the weight set.
+    """
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
-    # Attention first, before anything is drawn, so a shape too large fails at once.
     attention = _allocated("attention array", l * h * t * t * 8, lambda: np.empty((l, h, t, t)))
     x = _allocated("input", t * d * 8, lambda: default_input(config)) if x is None else _check_input(config, x)
     weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 8, lambda: _Weights(config))
-    kv_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    kv_bytes = 0
+    kv_nbytes = l * 2 * h * t * p * 4
+    kv = _allocated("K/V cache", kv_nbytes, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
+    # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
+    contexts = np.empty((t, h * p))
     workers = _head_workers(h, t)
 
     for layer_idx, lw in enumerate(weights.layers):
         stop = not full and layer_idx == l - 1
         xn = _rms_normalize(x)
-        keys = np.empty((h, t, p))
-        values = np.empty((h, t, p))
-        contexts = np.empty((h, t, p))
 
         def head_body(head: int) -> None:
             # Writes only this head's slots, so the bits do not depend on which thread runs it.
@@ -231,34 +240,25 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> Pre
             if stop:
                 return
             v = xn @ lw["wv"][head]
-            keys[head], values[head] = k, v
-            np.matmul(attn, v, out=contexts[head])
+            if full:
+                kv[layer_idx, 0, head], kv[layer_idx, 1, head] = k, v
+            contexts[:, head * p : (head + 1) * p] = attn @ v
 
         _each_head(head_body, h, workers)
         if stop:
             # All attention statistics exist; the rest of the layer is dead
             # weight for scoring purposes.
-            return PrefillResult(per_layer_attention=attention, kv_bytes=0)
-        if full:
-            k32 = keys.astype(np.float32)
-            v32 = values.astype(np.float32)
-            kv_pairs.append((k32, v32))
-            kv_bytes += k32.nbytes + v32.nbytes
-        x = x + contexts.transpose(1, 0, 2).reshape(t, h * p) @ lw["wo"]
+            return PrefillResult(per_layer_attention=attention)
+        x = x + contexts @ lw["wo"]
         hn = _rms_normalize(x)
         x = x + np.tanh(hn @ lw["w1"]) @ lw["w2"]
 
     logits = _rms_normalize(x)[-1] @ weights.unembed
-    return PrefillResult(
-        per_layer_attention=attention,
-        kv_pairs=kv_pairs,
-        first_token_logits=logits,
-        kv_bytes=kv_bytes,
-    )
+    return PrefillResult(per_layer_attention=attention, kv_pairs=kv, first_token_logits=logits)
 
 
 def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> PrefillResult:
-    """Run every layer, keeping attention weights, K/V pairs, and logits.
+    """Run every layer, keeping attention weights, the K/V cache, and logits.
 
     Each layer's heads run on ``min(heads, len(os.sched_getaffinity(0)))``
     threads when ``seq_len >= 256``, on one below that; the result has the

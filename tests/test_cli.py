@@ -697,6 +697,9 @@ class TestClosedStderr:
             "allocate MISSING --budget 4",
             "simulate --toy --auto --budget -1",
             "gen --layers 0 --seq-len 8 -o OUT",
+            # Usage errors: argparse prints its usage on stdout when sys.stderr is None.
+            "-c 0",
+            "simulate --toy --no-such-flag",
         ],
     )
     def test_refused_input_exits_2(self, tmp_path, command):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc import toymodel
+from kvalloc.eviction import evict_layer
 from kvalloc.toymodel import (
     PrefillResult,
     ToyModelConfig,
@@ -47,7 +48,7 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
     weights = _Weights(config)
     t, p, h = config.seq_len, config.proj_dim, config.heads
     attention = np.empty((config.layers, h, t, t), dtype=np.float64)
-    kv_pairs, kv_bytes = [], 0
+    kv_pairs = []
     for layer_idx, lw in enumerate(weights.layers):
         stop = not full and layer_idx == config.layers - 1
         xn = rms(x)
@@ -64,13 +65,11 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
             contexts[head] = attn @ v
         if stop:
             return PrefillResult(per_layer_attention=attention)
-        k32, v32 = keys.astype(np.float32), values.astype(np.float32)
-        kv_pairs.append((k32, v32))
-        kv_bytes += k32.nbytes + v32.nbytes
+        kv_pairs.append((keys.astype(np.float32), values.astype(np.float32)))
         x = x + contexts.transpose(1, 0, 2).reshape(t, h * p) @ lw["wo"]
         x = x + np.tanh(rms(x) @ lw["w1"]) @ lw["w2"]
     logits = rms(x)[-1] @ weights.unembed
-    return PrefillResult(attention, kv_pairs, logits, kv_bytes)
+    return PrefillResult(per_layer_attention=attention, kv_pairs=np.array(kv_pairs), first_token_logits=logits)
 
 
 class TestConfig:
@@ -109,16 +108,31 @@ class TestFullPrefill:
     def test_kv_byte_counter(self):
         config = ToyModelConfig(layers=4, heads=1, model_dim=8, proj_dim=6, seq_len=10, seed=2)
         result = full_prefill(config)
-        assert result.kv_bytes == 2 * 4 * 10 * 6 * 4
+        assert result.kv_bytes == 2 * 4 * 10 * 6 * 4 == result.kv_pairs.nbytes
         assert result.kv_bytes == sum(k.nbytes + v.nbytes for k, v in result.kv_pairs)
 
     def test_kv_shapes_and_dtype(self):
         config = ToyModelConfig(layers=2, heads=3, model_dim=8, proj_dim=4, seq_len=9, seed=5)
         result = full_prefill(config)
+        # One cache array, (layers, 2, heads, seq_len, proj_dim), that unpacks per layer into keys and values.
+        assert result.kv_pairs.shape == (2, 2, 3, 9, 4)
+        assert result.kv_pairs.dtype == np.float32 and result.kv_pairs.flags.c_contiguous
         assert len(result.kv_pairs) == 2
         for k, v in result.kv_pairs:
             assert k.shape == (3, 9, 4) and v.shape == (3, 9, 4)
             assert k.dtype == np.float32 and v.dtype == np.float32
+
+    def test_cache_rows_feed_evict_layer(self):
+        # The benchmark's own unpacking: a layer's keys and values, then one head's rows.
+        config = ToyModelConfig(layers=3, heads=2, model_dim=8, proj_dim=5, seq_len=24, seed=6)
+        settings = ProcSettings(ows=4, pool_size=3)
+        queries = np.random.default_rng(0).standard_normal((3, 2, 24, 5))
+        for layer, (keys, values) in enumerate(full_prefill(config).kv_pairs):
+            for head in range(2):
+                kept_k, kept_v, idx = evict_layer(queries[layer, head], keys[head], values[head], 6, settings)
+                assert idx.shape == (6 + 4,)
+                assert kept_k.tobytes() == keys[head][idx].tobytes()
+                assert kept_v.tobytes() == values[head][idx].tobytes()
 
     def test_shape_mismatch_rejected(self):
         config = ToyModelConfig(layers=1, heads=1, model_dim=8, proj_dim=4, seq_len=6, seed=0)
@@ -243,7 +257,7 @@ class TestWeights:
 def prefill_bytes(result: PrefillResult) -> list[bytes]:
     """Attention, then each layer's K and V, then the logits, as raw bytes."""
     out = [result.per_layer_attention.tobytes()]
-    for k, v in result.kv_pairs or ():
+    for k, v in () if result.kv_pairs is None else result.kv_pairs:
         out += [k.tobytes(), v.tobytes()]
     if result.first_token_logits is not None:
         out.append(result.first_token_logits.tobytes())
@@ -260,15 +274,18 @@ class TestHeadsOnThreads:
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
     @pytest.mark.parametrize("heads", [1, 2, 3, 5])
     def test_bit_equal_for_any_worker_count(self, monkeypatch, prefill, heads):
-        config = ToyModelConfig(layers=3, heads=heads, model_dim=12, proj_dim=5, seq_len=260, seed=heads)
-        x = default_input(config)
-        results = {}
-        for n in (1, 2, 4):
-            self.cpus(monkeypatch, n)
-            results[n] = prefill_bytes(prefill(config, x))
-        assert results[2] == results[1] and results[4] == results[1]
-        reference = per_head_forward(config, x, full=prefill is full_prefill)
-        assert results[1] == prefill_bytes(reference)
+        # Threads share one K/V cache and one context array; at proj_dim 1 the
+        # heads' context columns interleave element by element.
+        for proj_dim in (5, 1):
+            config = ToyModelConfig(layers=3, heads=heads, model_dim=12, proj_dim=proj_dim, seq_len=260, seed=heads)
+            x = default_input(config)
+            results = {}
+            for n in (1, 2, 4):
+                self.cpus(monkeypatch, n)
+                results[n] = prefill_bytes(prefill(config, x))
+            assert results[2] == results[1] and results[4] == results[1]
+            reference = per_head_forward(config, x, full=prefill is full_prefill)
+            assert results[1] == prefill_bytes(reference)
 
     @staticmethod
     def threads_used(monkeypatch, heads: int, seq_len: int = toymodel._THREADED_SEQ_LEN) -> int:
