@@ -20,7 +20,6 @@ from .attnproc import ProcSettings, ScoreVector, process_trace
 from .eviction import EvictionReport, evict_layer, simulate_task
 from .metrics import (
     RetentionPoint,
-    compression_ratio,
     min_cache_size,
     r_avg,
     retention,
@@ -66,7 +65,6 @@ __all__ = [
     "average_allocations",
     "build_profile",
     "causal_softmax",
-    "compression_ratio",
     "evict_layer",
     "full_prefill",
     "generate_trace",

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toymodel import PrefillResult
-from .trace import AttentionTrace
+from .trace import AttentionTrace, is_integer, set_integers
 
 
 @dataclass(frozen=True)
 class ProcSettings:
-    """Observation-window size and smoothing-kernel width.
+    """Observation-window size and smoothing-kernel width: integers >= 1, kept as Python ints.
 
     ``pool_size`` must be odd so the smoothing window is symmetric; the
     window size is validated against a concrete sequence length at apply
@@ -36,10 +36,7 @@ class ProcSettings:
     pool_size: int = 7
 
     def __post_init__(self) -> None:
-        if self.ows < 1:
-            raise ValueError(f"ows must be >= 1, got {self.ows}")
-        if self.pool_size < 1:
-            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
+        set_integers(self, ows=1, pool_size=1)
         if self.pool_size % 2 == 0:
             raise ValueError(f"pool_size must be odd, got {self.pool_size}")
 
@@ -50,6 +47,11 @@ class ProcSettings:
             raise ValueError(
                 f"pool_size {self.pool_size} exceeds non-window length {seq_len - self.ows}"
             )
+
+
+def is_cache_size(n: object) -> bool:
+    """A cache size is an integer or numpy integer, never a bool, at least 0."""
+    return is_integer(n) and n >= 0
 
 
 def checked_scores(values) -> np.ndarray:

@@ -27,7 +27,7 @@ from . import allocator, attnproc, eviction, metrics, sampling, toymodel, trace
 
 ORACLE_CHECK_ATOL = 1e-9
 
-# The keys of the simulate JSON object, in order: the report's fields and its memory reduction.
+# The keys of the simulate JSON object, in order: the report's fields and the values it derives from them.
 REPORT_KEYS = ("sizes", "ows", "retained_indices", "compression_ratio", "memory_reduction",
                "bytes_before", "bytes_after", "per_layer_r", "r_avg", "window_policy")
 

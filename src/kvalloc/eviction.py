@@ -20,6 +20,7 @@ printed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from . import metrics
 from .attnproc import ProcSettings, ScoreVector, process_trace, score_window
 from .allocator import AllocationList
 from .toymodel import PrefillResult, _causal_softmax_inplace
-from .trace import AttentionTrace
+from .trace import AttentionTrace, is_integer
 
 ELEMENT_BYTES = 4
 
@@ -36,17 +37,27 @@ WINDOW_POLICY = "observation window retained in addition to per-layer budget"
 
 @dataclass(frozen=True)
 class EvictionReport:
-    """Outcome of one simulated task: what survived and what it costs."""
+    """Outcome of one simulated task: what it counted, and the ratios and mean derived from that.
+
+    The byte counts are Python ints, so ``compression_ratio`` is their correctly rounded quotient.
+    """
+
+    window_policy: ClassVar[str] = WINDOW_POLICY
 
     sizes: tuple[int, ...]
     ows: int
     retained_indices: tuple[tuple[int, ...], ...]
-    compression_ratio: float
     bytes_before: int
     bytes_after: int
     per_layer_r: tuple[float, ...]
-    r_avg: float
-    window_policy: str = WINDOW_POLICY
+
+    @property
+    def compression_ratio(self) -> float:
+        return self.bytes_after / self.bytes_before
+
+    @property
+    def r_avg(self) -> float:
+        return metrics.r_avg(self.per_layer_r)
 
     @property
     def memory_reduction(self) -> float:
@@ -113,15 +124,18 @@ def simulate_task(
     ``source`` supplies the attention weights: a trace (whole or its last
     rows) or a prefill result, scored by ``process_trace``. ``proj_dim`` sets
     the per-token projection width used for byte accounting when the source
-    carries no K/V (a full-prefill result overrides it with the real width).
+    carries no K/V (a full-prefill result overrides it with the real width);
+    it must be an integer >= 1 either way.
     """
+    if not is_integer(proj_dim) or proj_dim < 1:
+        raise ValueError(f"proj_dim must be an integer >= 1, got {proj_dim!r}")
     vectors = process_trace(source, settings)
     if isinstance(source, PrefillResult):
         l, h, t, _ = source.per_layer_attention.shape
         if source.kv_pairs is not None:
             proj_dim = source.kv_pairs.shape[-1]
     else:
-        l, h, t = source.header.layers, source.header.heads, source.header.seq_len
+        l, h, _, t = source.weights.shape
     if len(allocation) != l:
         raise ValueError(f"allocation has {len(allocation)} layers, source has {l}")
     cap = t - settings.ows
@@ -133,17 +147,12 @@ def simulate_task(
         retained_indices.append(tuple(int(i) for i in _retained_for_layer(sv, n, t, settings.ows)))
         per_layer_r.append(metrics.retention(sv, n))
 
-    ratio = metrics.compression_ratio(allocation.sizes, t, settings.ows)
-    per_token = 2 * h * proj_dim * ELEMENT_BYTES
-    bytes_before = l * t * per_token
-    bytes_after = sum((n + settings.ows) * per_token for n in allocation.sizes)
+    per_token = 2 * h * int(proj_dim) * ELEMENT_BYTES
     return EvictionReport(
         sizes=allocation.sizes,
         ows=settings.ows,
         retained_indices=tuple(retained_indices),
-        compression_ratio=ratio,
-        bytes_before=bytes_before,
-        bytes_after=bytes_after,
+        bytes_before=l * t * per_token,
+        bytes_after=sum((n + settings.ows) * per_token for n in allocation.sizes),
         per_layer_r=tuple(per_layer_r),
-        r_avg=metrics.r_avg(per_layer_r),
     )

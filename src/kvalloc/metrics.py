@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attnproc import ScoreVector, checked_scores
+from .attnproc import ScoreVector, checked_scores, is_cache_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,11 +44,6 @@ class _RetentionTable(Sequence[RetentionPoint]):
             return [self[i] for i in range(*index.indices(len(self)))]
         row, col = divmod(range(len(self))[index], len(self._sizes))
         return RetentionPoint(layer=self._layers[row], n=self._sizes[col], r=float(self._ratios[row, col]))
-
-
-def is_cache_size(n: object) -> bool:
-    """A cache size is an integer or numpy integer, never a bool, at least 0."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
 
 
 def _as_scores(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray:
@@ -113,27 +108,6 @@ def _first_reaching(curve: np.ndarray, target_r: float) -> int:
     if not isinstance(target_r, numbers.Real) or isinstance(target_r, bool) or not 0 <= target_r <= 1:
         raise ValueError(f"target retention must be in [0, 1], got {target_r!r}")
     return int(np.searchsorted(curve, target_r, side="left"))
-
-
-def compression_ratio(sizes: Sequence[int], seq_len: int, ows: int) -> float:
-    """Retained share of cache capacity: ``sum(n_i + ows) / (layers * seq_len)``.
-
-    Observation-window tokens are always retained, so they count toward the
-    compressed footprint. ``seq_len`` and ``ows`` are integers >= 1, by the
-    rule of ``is_cache_size``, and each ``n_i + ows`` fits in ``seq_len``.
-    """
-    sizes = list(sizes)
-    if not sizes or not all(map(is_cache_size, sizes)):
-        raise ValueError(f"cache sizes must be a nonempty list of integers >= 0, got {sizes!r}")
-    for name, value in (("seq_len", seq_len), ("ows", ows)):
-        if not is_cache_size(value) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    seq_len, ows = int(seq_len), int(ows)
-    for n in sizes:
-        if int(n) + ows > seq_len:
-            raise ValueError(f"cache size {n!r} plus ows {ows!r} exceeds seq_len {seq_len!r}")
-    retained = sum(int(n) + ows for n in sizes)
-    return retained / (len(sizes) * seq_len)
 
 
 def retention_table(score_vectors: list[ScoreVector], sizes: Iterable[int]) -> Sequence[RetentionPoint]:

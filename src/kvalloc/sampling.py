@@ -13,7 +13,7 @@ mean of the sample totals. All arithmetic is integer-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -76,20 +76,18 @@ def profile_similarity(samples: Sequence[AllocationList]) -> float:
 
 @dataclass(frozen=True)
 class AllocationProfile:
-    """Recorded allocations for one task type plus their reusable average."""
+    """Recorded allocations for one task type; ``averaged``, their reusable average, is computed from them."""
 
     task_type: str
     samples: tuple[AllocationList, ...]
-    averaged: AllocationList
+    averaged: AllocationList = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.task_type, str):
             raise ValueError(f"task_type must be a string, got {self.task_type!r}")
         if not self.samples:
             raise ValueError("profile needs at least one sample")
-        lengths = {len(s) for s in self.samples} | {len(self.averaged)}
-        if len(lengths) != 1:
-            raise ValueError("samples and average must share one layer count")
+        object.__setattr__(self, "averaged", average_allocations(self.samples))
 
     def to_json(self) -> str:
         payload = {
@@ -102,11 +100,7 @@ class AllocationProfile:
 
 def build_profile(task_type: str, samples: Sequence[AllocationList]) -> AllocationProfile:
     """Assemble a profile, computing the averaged list from the samples."""
-    return AllocationProfile(
-        task_type=task_type,
-        samples=tuple(samples),
-        averaged=average_allocations(samples),
-    )
+    return AllocationProfile(task_type=task_type, samples=tuple(samples))
 
 
 def save_profile(profile: AllocationProfile, path: str | Path) -> None:
@@ -114,15 +108,18 @@ def save_profile(profile: AllocationProfile, path: str | Path) -> None:
 
 
 def load_profile(path: str | Path) -> AllocationProfile:
-    """Read a profile file; keys other than the three a profile holds are ignored."""
+    """Read a profile file, whose ``averaged`` must be its samples' average; other keys are ignored."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     missing = {"task_type", "samples", "averaged"} - (obj.keys() if isinstance(obj, dict) else set())
     if missing:
         raise ValueError(f"profile file missing keys: {sorted(missing)}")
     if not isinstance(obj["samples"], list):
         raise ValueError("profile samples must be a list of allocations")
-    return AllocationProfile(
-        task_type=obj["task_type"],
-        samples=tuple(AllocationList(sizes=s) for s in obj["samples"]),
-        averaged=AllocationList(sizes=obj["averaged"]),
-    )
+    samples = tuple(AllocationList(sizes=s) for s in obj["samples"])
+    averaged = AllocationList(sizes=obj["averaged"])
+    profile = AllocationProfile(task_type=obj["task_type"], samples=samples)
+    if averaged != profile.averaged:
+        raise ValueError(
+            f"profile averaged {list(averaged.sizes)} is not its samples' average {list(profile.averaged.sizes)}"
+        )
+    return profile

@@ -32,12 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import AttentionTrace, TraceHeader
+from .trace import AttentionTrace, TraceHeader, set_integers
 
 
 @dataclass(frozen=True)
 class ToyModelConfig:
-    """Dimensions and seed of the toy transformer."""
+    """Dimensions (integers >= 1) and seed (an integer >= 0) of the toy transformer, kept as Python ints."""
 
     layers: int = 2
     heads: int = 1
@@ -47,9 +47,7 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("layers", "heads", "model_dim", "proj_dim", "seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        set_integers(self, layers=1, heads=1, model_dim=1, proj_dim=1, seq_len=1, seed=0)
 
 
 @dataclass(frozen=True)
@@ -153,6 +151,8 @@ def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
             f"input shape {x.shape} does not match config "
             f"({config.seq_len}, {config.model_dim})"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("toy input x must be finite")
     return x
 
 

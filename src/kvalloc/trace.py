@@ -50,6 +50,25 @@ class TraceFormatError(ValueError):
     """Raised when a trace file or trace payload violates the format contract."""
 
 
+def is_integer(value: object) -> bool:
+    """An int or a numpy integer, never a bool (a float equal to an integer is not one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def set_integers(obj: object, **least: int) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as an int.
+
+    Raises ValueError naming the first that is not an integer (``is_integer``) of at least its given least.
+    """
+    for name, low in least.items():
+        value = getattr(obj, name)
+        if not is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class TraceHeader:
     """Shape of one attention trace; the file's version and dtype have one value each."""
@@ -91,9 +110,8 @@ class TraceHeader:
         if missing:
             raise TraceFormatError(f"trace header missing keys: {sorted(missing)}")
         for key in ("version", "layers", "heads", "seq_len"):
-            value = obj[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TraceFormatError(f"trace header field {key!r} must be an integer, got {value!r}")
+            if not is_integer(obj[key]):
+                raise TraceFormatError(f"trace header field {key!r} must be an integer, got {obj[key]!r}")
         if obj["version"] != HEADER_VERSION:
             raise TraceFormatError(f"unsupported trace version {obj['version']!r}")
         if obj["dtype"] != HEADER_DTYPE:
@@ -204,10 +222,7 @@ class SyntheticSpec:
     layer_skew: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.layers < 1 or self.heads < 1:
-            raise ValueError(f"layers and heads must be >= 1, got {self.layers}x{self.heads}")
-        if self.seq_len < 2:
-            raise ValueError(f"seq_len must be >= 2, got {self.seq_len}")
+        set_integers(self, layers=1, heads=1, seq_len=2, seed=0)
         if not (0.0 < self.sparsity <= 1.0):
             raise ValueError(f"sparsity must be in (0, 1], got {self.sparsity}")
         # NaN fails >= 0; the last layer shifts by (layers - 1) * layer_skew.
@@ -390,7 +405,10 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
                 if sized:
                     raise TraceFormatError(defect[1])
                 error, defect = error or TraceFormatError(defect[1]), None
-        _check_payload_length(got + len(fh.read()), header)
+        # Bytes past the promised payload are counted through the chunk buffer, never held.
+        while n := fh.readinto(rows.data):
+            got += n
+        _check_payload_length(got, header)
     if error is not None:
         raise error
     return AttentionTrace(header=header, weights=window)

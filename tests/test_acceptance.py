@@ -117,8 +117,8 @@ class TestAccountingIdentities:
             sizes = tuple(int(rng.integers(0, capacity + 1)) for _ in range(layers))
             report = simulate_task(trace, AllocationList(sizes=sizes), settings)
             expected = sum(n + 8 for n in sizes) / (layers * seq_len)
-            assert abs(report.compression_ratio - expected) <= 1e-12
-            assert abs(report.bytes_after / report.bytes_before - report.compression_ratio) <= 1e-12
+            assert report.compression_ratio == expected
+            assert report.bytes_after / report.bytes_before == report.compression_ratio
         report_pass("accounting identities (8 varied simulate runs)", started)
 
     def test_reference_operating_point(self):
@@ -129,8 +129,8 @@ class TestAccountingIdentities:
         # uniform n_i with sum(n_i + ows) = 0.384 * layers * seq_len
         sizes = AllocationList(sizes=(376,) * 32)
         report = simulate_task(trace, sizes, settings)
-        assert abs(report.compression_ratio - 0.384) <= 1e-12
-        assert abs(report.bytes_after / report.bytes_before - 0.384) <= 1e-12
+        assert report.compression_ratio == 0.384
+        assert report.bytes_after / report.bytes_before == 0.384
         summary = report.summary()
         assert "38.4%" in summary and "61.6%" in summary
         report_pass("reference operating point (38.4% ratio / 61.6% reduction)", started)

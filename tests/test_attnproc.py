@@ -1,5 +1,7 @@
 """Attention-processing pipeline: select, merge, pool."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,17 @@ class TestSettings:
             ProcSettings(ows=0, pool_size=1)
         with pytest.raises(ValueError):
             ProcSettings(ows=1, pool_size=-1)
+
+    # The same values as ows are refused in test_metrics.TestSizeArguments::test_compression_ratio_rejects.
+    @pytest.mark.parametrize("value", [True, np.True_, 3.0, np.float64(3.0), "3", None], ids=repr)
+    def test_non_integer_pool_size_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^pool_size must be an integer, got {re.escape(repr(value))}$"):
+            ProcSettings(pool_size=value)
+
+    def test_numpy_integers_kept_as_python_ints(self):
+        settings = ProcSettings(ows=np.uint8(10), pool_size=np.int64(3))
+        assert settings == ProcSettings(ows=10, pool_size=3)
+        assert type(settings.ows) is type(settings.pool_size) is int
 
     def test_window_must_fit_sequence(self):
         with pytest.raises(ValueError, match="ows"):

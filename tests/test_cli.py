@@ -88,6 +88,14 @@ class TestGen:
         assert code == 2
         assert "layer_skew" in err
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "t.bin"
+        code, out, err = run(capsys, "gen", "--layers", "1", "--seq-len", "8", "--seed", "-1", "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not path.exists()
+
     # Each shape's one (t, t) float32 block is 1 TiB or more, so it cannot be
     # allocated, and the command stops before the output is opened.
     @pytest.mark.parametrize(
@@ -228,6 +236,23 @@ class TestSimulate:
         assert out == ""
         assert err == f"error: a {nbytes}-byte toy {what} cannot be allocated\n"
 
+    def test_toy_negative_seed_exits_2_by_name(self, capsys):
+        code, out, err = run(capsys, "simulate", "--toy", "--auto", "--budget", "1", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    # The trace is scored for --auto before simulate_task sees the width.
+    @pytest.mark.parametrize("proj_dim", ["-5", "0"])
+    def test_proj_dim_below_one_exits_2(self, fixture_trace_path, capsys, proj_dim):
+        code, out, err = run(
+            capsys, "simulate", fixture_trace_path, "--auto", "--budget", "2",
+            "--ows", "2", "--pool-size", "1", "--proj-dim", proj_dim,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: proj_dim must be an integer >= 1, got {proj_dim}\n"
+
     def test_allocation_file_source(self, fixture_trace_path, tmp_path, capsys):
         alloc_path = tmp_path / "alloc.json"
         alloc_path.write_text('{"sizes":[1,2]}', encoding="utf-8")
@@ -355,6 +380,17 @@ class TestSimulate:
             + policy
             + "}}\n"
         )
+
+    def test_profile_whose_average_is_not_its_samples_exits_2(self, fixture_trace_path, tmp_path, capsys):
+        profile_path = tmp_path / "profile.json"
+        profile_path.write_text('{"task_type":"qa","samples":[[1,1],[1,3]],"averaged":[0,3]}', encoding="utf-8")
+        code, out, err = run(
+            capsys, "simulate", fixture_trace_path,
+            "--profile", str(profile_path), "--ows", "2", "--pool-size", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: profile averaged [0, 3] is not its samples' average [1, 2]\n"
 
     def test_profile_with_non_string_task_type_exits_2(self, fixture_trace_path, tmp_path, capsys):
         profile_path = tmp_path / "profile.json"

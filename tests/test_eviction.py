@@ -1,11 +1,16 @@
 """Eviction: index selection, retained-row fidelity, memory accounting."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvalloc.allocator import AllocationList, Constraint, allocate, uniform_allocation
 from kvalloc.attnproc import ProcSettings, process_trace, score_window
-from kvalloc.eviction import WINDOW_POLICY, evict_layer, simulate_task
+from kvalloc.eviction import WINDOW_POLICY, EvictionReport, evict_layer, simulate_task
 from kvalloc.metrics import r_avg as mean_retention
 from kvalloc.metrics import retention
 from kvalloc.toymodel import ToyModelConfig, causal_softmax, full_prefill, mini_prefill
@@ -152,8 +157,8 @@ class TestSimulateTask:
         sizes = (5, 0, 17, 24)
         report = simulate_task(trace, AllocationList(sizes=sizes), settings)
         expected_ratio = sum(n + 8 for n in sizes) / (4 * 32)
-        assert abs(report.compression_ratio - expected_ratio) <= 1e-12
-        assert abs(report.bytes_after / report.bytes_before - report.compression_ratio) <= 1e-12
+        assert report.compression_ratio == expected_ratio
+        assert report.bytes_after / report.bytes_before == report.compression_ratio
         assert report.r_avg == mean_retention(report.per_layer_r)
 
     def test_bytes_formula_single_head(self):
@@ -168,7 +173,7 @@ class TestSimulateTask:
         trace = generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=250, sparsity=0.1, seed=1))
         settings = ProcSettings(ows=8, pool_size=7)
         report = simulate_task(trace, AllocationList(sizes=(88, 88)), settings)
-        assert abs(report.compression_ratio - 0.384) <= 1e-12
+        assert report.compression_ratio == 0.384
         assert "38.4%" in report.summary()
         assert "61.6%" in report.summary()
         assert WINDOW_POLICY in report.summary()
@@ -237,7 +242,54 @@ class TestSimulateTask:
         with pytest.raises(ValueError, match="layers"):
             simulate_task(trace, AllocationList(sizes=(1,)), ProcSettings(ows=2, pool_size=1))
 
+    @pytest.mark.parametrize("proj_dim", [-5, 0, 2.5, True, np.float64(8.0), "8"], ids=repr)
+    def test_proj_dim_refused_by_name_before_scoring(self, proj_dim):
+        trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=8, sparsity=0.5, seed=0))
+        # Scoring would refuse this window; the width is refused first.
+        with pytest.raises(ValueError, match=f"^proj_dim must be an integer >= 1, got {re.escape(repr(proj_dim))}$"):
+            simulate_task(trace, AllocationList(sizes=(1,)), ProcSettings(ows=8, pool_size=1), proj_dim=proj_dim)
+
+    def test_numpy_proj_dim_counts_python_int_bytes(self):
+        trace = generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=16, sparsity=0.5, seed=7))
+        settings = ProcSettings(ows=np.uint8(4), pool_size=np.int32(1))
+        allocation = AllocationList(sizes=(3, 6))
+        report = simulate_task(trace, allocation, settings, proj_dim=np.uint8(200))
+        assert type(report.bytes_before) is type(report.bytes_after) is type(report.ows) is int
+        assert report == simulate_task(trace, allocation, ProcSettings(ows=4, pool_size=1), proj_dim=200)
+        assert report.bytes_after == sum(2 * (n + 4) * 200 * 4 for n in (3, 6))
+
     def test_oversized_layer_budget_rejected(self):
         trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=8, sparsity=0.5, seed=0))
         with pytest.raises(ValueError, match="capacity"):
             simulate_task(trace, AllocationList(sizes=(7,)), ProcSettings(ows=2, pool_size=1))
+
+
+class TestReportKeepsCounts:
+    def test_fields_are_what_was_counted_or_given(self):
+        names = [f.name for f in dataclasses.fields(EvictionReport)]
+        assert names == ["sizes", "ows", "retained_indices", "bytes_before", "bytes_after", "per_layer_r"]
+        assert EvictionReport.window_policy == WINDOW_POLICY
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(["trace", "mini", "full"]),
+        layers=st.integers(1, 3),
+        heads=st.integers(1, 3),
+        seq_len=st.integers(2, 40),
+        proj_dim=st.integers(1, 2**70),
+        data=st.data(),
+    )
+    def test_ratio_is_the_size_formula_exactly(self, source, layers, heads, seq_len, proj_dim, data):
+        ows = data.draw(st.integers(1, seq_len - 1))
+        sizes = tuple(data.draw(st.lists(st.integers(0, seq_len - ows), min_size=layers, max_size=layers)))
+        seed, width = data.draw(st.integers(0, 9)), data.draw(st.integers(1, 6))
+        if source == "trace":
+            src = generate_trace(SyntheticSpec(layers=layers, heads=heads, seq_len=seq_len, seed=seed))
+        else:
+            config = ToyModelConfig(layers=layers, heads=heads, model_dim=8, proj_dim=width, seq_len=seq_len, seed=seed)
+            src = (full_prefill if source == "full" else mini_prefill)(config)
+        settings = ProcSettings(ows=ows, pool_size=1)
+        report = simulate_task(src, AllocationList(sizes=sizes), settings, proj_dim=proj_dim)
+        assert report.compression_ratio == sum(n + ows for n in sizes) / (layers * seq_len)
+        assert report.memory_reduction == 1.0 - report.compression_ratio
+        assert report.r_avg == mean_retention(report.per_layer_r)

@@ -15,7 +15,9 @@ tracemalloc counts the (t, t) buffer at its full size, but the streaming
 paths touch only ``CHUNK_BYTES`` of its rows, and untouched pages are never
 resident. So the CLI's peak resident size is measured too: ``gen`` and
 ``allocate`` of a 1 x 1 x 4096 trace, a 64 MiB matrix, must stay within
-16 MiB of a process that only imports ``kvalloc.cli``.
+16 MiB of a process that only imports ``kvalloc.cli``, and so must ``scores``
+of a piped trace followed by 64 MiB it does not promise, whose tail is counted
+through the chunk buffer.
 
 Prefill bounds are multiples of the float64 attention array the prefill
 returns. Each head's logits and softmax are computed in place in that
@@ -85,13 +87,20 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def peak_rss_kib(*argv: str) -> int:
+def launch(*argv: str, stdin=None) -> tuple[int, int, str]:
+    """The command's exit code, peak resident KiB and stderr; ``stdin`` is passed to it."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, *argv], env=env, capture_output=True, text=True, timeout=120, check=True
+        [sys.executable, "-c", LAUNCHER, *argv],
+        env=env, stdin=stdin, capture_output=True, text=True, timeout=120, check=True,
     )
     code, kib = map(int, result.stdout.splitlines()[-1].split())
-    assert code == 0, result.stdout
+    return code, kib, result.stderr
+
+
+def peak_rss_kib(*argv: str) -> int:
+    code, kib, stderr = launch(*argv)
+    assert code == 0, stderr
     return kib
 
 
@@ -130,6 +139,24 @@ def test_cli_touches_one_chunk_of_a_large_matrix(tmp_path):
     gen = peak_rss_kib("-m", "kvalloc.cli", "gen", "--layers", "1", "--seq-len", "4096", "-o", path)
     allocate = peak_rss_kib("-m", "kvalloc.cli", "allocate", path, "--budget", "100")
     assert max(gen, allocate) < baseline + 16 * 1024, (baseline, gen, allocate)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_an_over_long_pipe_is_counted_not_held(tmp_path):
+    # A valid trace followed by 64 MiB it does not promise, piped: the tail is
+    # counted through the reader's chunk buffer, not read into one bytes object.
+    path, payload = tmp_path / "t.bin", 64 * 64 * 4
+    write_synthetic(SyntheticSpec(layers=1, heads=1, seq_len=64), path)
+    with open(path, "ab") as fh:
+        fh.truncate(path.stat().st_size + (64 << 20))
+    baseline = peak_rss_kib("-c", "import kvalloc.cli")
+    with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+        code, kib, stderr = launch("-m", "kvalloc.cli", "scores", "/dev/stdin", stdin=cat.stdout)
+        cat.stdout.close()
+    assert code == 2
+    expected = f"payload length {payload + (64 << 20)} bytes does not match header (expected {payload})"
+    assert stderr == f"error: {expected}\n"
+    assert kib < baseline + 16 * 1024, (baseline, kib)
 
 
 def test_scoring_reads_only_window_rows(trace):

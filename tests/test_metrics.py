@@ -1,4 +1,8 @@
-"""Retention metrics: hand values, invariants, and dual-path checks."""
+"""Retention metrics: hand values, invariants, and dual-path checks.
+
+The compression ratio is derived by each eviction report from the bytes it
+counts; its cases here build reports.
+"""
 
 import re
 
@@ -9,7 +13,6 @@ from hypothesis import strategies as st
 
 from kvalloc.metrics import (
     RetentionPoint,
-    compression_ratio,
     min_cache_size,
     min_size_table_csv,
     r_avg,
@@ -18,7 +21,10 @@ from kvalloc.metrics import (
     retention_table,
     topk_indices,
 )
-from kvalloc.attnproc import ScoreVector
+from kvalloc.allocator import AllocationList
+from kvalloc.attnproc import ProcSettings, ScoreVector
+from kvalloc.eviction import simulate_task
+from kvalloc.trace import SyntheticSpec, generate_trace
 
 
 def argsort_curve(w) -> np.ndarray:
@@ -148,10 +154,13 @@ class TestSizeArguments:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(n))}"):
             retention_table([SCORES_4], [0, n])
 
+    # A report's compression ratio is derived from its sizes and window size, which are refused where they are built.
     @pytest.mark.parametrize("n", BAD_SIZES, ids=repr)
     def test_compression_ratio_rejects(self, n):
         with pytest.raises(ValueError, match=re.escape(f"got [2, {n!r}]")):
-            compression_ratio([2, n], seq_len=10, ows=2)
+            AllocationList(sizes=[2, n])
+        with pytest.raises(ValueError, match=f"^ows must be .*, got {re.escape(repr(n))}$"):
+            ProcSettings(ows=n)
 
     @pytest.mark.parametrize("target", [True, False, np.bool_(True), "0.5", None, float("nan"), -0.1, 1.5], ids=repr)
     def test_min_size_targets_rejected(self, target):
@@ -165,7 +174,6 @@ class TestSizeArguments:
         assert retention(SCORES_4, n) == retention(SCORES_4, 2)
         assert topk_indices(SCORES_4, np.uint8(2)).tolist() == [0, 1]
         assert list(retention_table([SCORES_4], [n])) == [RetentionPoint(layer=0, n=2, r=retention(SCORES_4, 2))]
-        assert compression_ratio(np.array([4, 6]), seq_len=10, ows=2) == compression_ratio([4, 6], seq_len=10, ows=2)
 
 
 class TestRAvg:
@@ -202,44 +210,47 @@ class TestMinCacheSize:
             min_cache_size([0.5], 1.5)
 
 
+def report(sizes, seq_len: int, ows=2):
+    trace = generate_trace(SyntheticSpec(layers=len(sizes), heads=1, seq_len=seq_len, seed=4))
+    return simulate_task(trace, AllocationList(sizes=sizes), ProcSettings(ows=ows, pool_size=1))
+
+
 class TestCompressionRatio:
     def test_formula(self):
-        assert compression_ratio([4, 6], seq_len=10, ows=2) == pytest.approx(14 / 20)
+        assert report((4, 6), seq_len=10).compression_ratio == 14 / 20
 
     def test_full_capacity_is_one(self):
-        assert compression_ratio([8, 8], seq_len=10, ows=2) == 1.0
+        assert report((8, 8), seq_len=10).compression_ratio == 1.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compression_ratio([], seq_len=10, ows=2)
+        trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=10))
+        with pytest.raises(ValueError, match="allocation has 0 layers, source has 1"):
+            simulate_task(trace, AllocationList(sizes=()), ProcSettings(ows=2, pool_size=1))
 
+    def test_numpy_integer_lengths_accepted(self):
+        # Bytes are counted in Python ints: a uint8 n_i + ows neither wraps nor overflows.
+        uint8 = report((np.uint8(250),), seq_len=300, ows=np.uint8(10))
+        assert uint8.bytes_after == 260 * 2 * 64 * 4
+        assert uint8.compression_ratio == 260 / 300
+        assert report((np.int64(4), 6), seq_len=10, ows=np.int64(2)) == report((4, 6), seq_len=10)
+
+    # What the ratio is derived from is refused where it is built: the trace, the window, the allocation's fit.
     @pytest.mark.parametrize(
         "sizes,seq_len,ows,message",
         [
-            ([4], 0, 2, "seq_len must be an integer >= 1, got 0"),
-            ([4], True, 2, "seq_len must be an integer >= 1, got True"),
-            ([4], 10.0, 2, "seq_len must be an integer >= 1, got 10.0"),
-            ([4], 10, -20, "ows must be an integer >= 1, got -20"),
-            ([4], 10, 0, "ows must be an integer >= 1, got 0"),
-            ([4], 10, np.True_, "ows must be an integer >= 1, got np.True_"),
-            ([40], 10, 2, "cache size 40 plus ows 2 exceeds seq_len 10"),
-            ([8, 9], 10, 2, "cache size 9 plus ows 2 exceeds seq_len 10"),
+            ([4], 0, 2, "seq_len must be >= 2, got 0"),
+            ([4], True, 2, "seq_len must be an integer, got True"),
+            ([4], 10.0, 2, "seq_len must be an integer, got 10.0"),
+            ([4], 10, -20, "ows must be >= 1, got -20"),
+            ([4], 10, 0, "ows must be >= 1, got 0"),
+            ([4], 10, np.True_, "ows must be an integer, got np.True_"),
+            ([40], 10, 2, "layer 0: n_i 40 exceeds capacity 8"),
+            ([8, 9], 10, 2, "layer 1: n_i 9 exceeds capacity 8"),
         ],
     )
     def test_seq_len_and_ows_rejected_by_value(self, sizes, seq_len, ows, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            compression_ratio(sizes, seq_len=seq_len, ows=ows)
-
-    def test_sizes_are_checked_first(self):
-        with pytest.raises(ValueError, match=re.escape("got [-1]")):
-            compression_ratio([-1], seq_len=0, ows=0)
-
-    def test_numpy_integer_lengths_accepted(self):
-        assert compression_ratio([4, 6], seq_len=np.int64(10), ows=np.uint8(2)) == compression_ratio([4, 6], 10, 2)
-        # Sums in Python integers: a uint8 n_i + ows neither wraps nor overflows.
-        assert compression_ratio([np.uint8(250)], seq_len=300, ows=np.uint8(10)) == 260 / 300
-        with pytest.raises(ValueError, match="exceeds seq_len 300"):
-            compression_ratio([np.uint8(250)], seq_len=300, ows=np.uint8(60))
+            report(sizes, seq_len=seq_len, ows=ows)
 
 
 class TestTables:

@@ -1,6 +1,7 @@
 """Allocation averaging, similarity, and profile persistence."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -174,13 +175,28 @@ class TestProfilePersistence:
             load_profile(path)
 
     def test_profile_validates_layer_counts(self):
-        with pytest.raises(ValueError):
-            AllocationProfile(
-                task_type="qa",
-                samples=(alloc(1, 2),),
-                averaged=alloc(1, 2, 3),
-            )
+        with pytest.raises(ValueError, match=r"^samples disagree on layer count: \[2, 3\]$"):
+            AllocationProfile(task_type="qa", samples=(alloc(1, 2), alloc(1, 2, 3)))
 
     def test_profile_needs_samples(self):
-        with pytest.raises(ValueError):
-            AllocationProfile(task_type="qa", samples=(), averaged=alloc(1))
+        with pytest.raises(ValueError, match="^profile needs at least one sample$"):
+            AllocationProfile(task_type="qa", samples=())
+
+    def test_averaged_is_computed_not_given(self):
+        profile = AllocationProfile(task_type="qa", samples=(alloc(4, 2), alloc(2, 4)))
+        assert profile.averaged == average_allocations(profile.samples) == alloc(3, 3)
+        with pytest.raises(TypeError):
+            AllocationProfile(task_type="qa", samples=(alloc(1),), averaged=alloc(1))
+
+    @pytest.mark.parametrize(
+        "averaged, message",
+        [
+            ("[1,2]", "profile averaged [1, 2] is not its samples' average [3, 3]"),
+            ("[3,3,0]", "profile averaged [3, 3, 0] is not its samples' average [3, 3]"),
+        ],
+    )
+    def test_averaged_that_is_not_the_samples_average_rejected(self, tmp_path, averaged, message):
+        path = tmp_path / "profile.json"
+        path.write_text('{"task_type":"qa","samples":[[4,2],[2,4]],"averaged":%s}' % averaged, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_profile(path)

@@ -79,6 +79,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="proj_dim"):
             ToyModelConfig(proj_dim=0)
 
+    @pytest.mark.parametrize("field", ["layers", "heads", "model_dim", "proj_dim", "seq_len", "seed"])
+    @pytest.mark.parametrize("value", [True, 2.0, np.float64(2.0), "2"], ids=repr)
+    def test_non_integer_fields_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ToyModelConfig(**{field: value})
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            ToyModelConfig(seed=-1)
+        assert ToyModelConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_non_finite_input_rejected(self, prefill, bad):
+        config = ToyModelConfig(layers=1, seq_len=8)
+        x = default_input(config)
+        x[3, 5] = bad
+        with pytest.raises(ValueError, match="^toy input x must be finite$"):
+            prefill(config, x)
+
 
 class TestFullPrefill:
     def test_bit_identical_across_runs(self):

@@ -263,6 +263,20 @@ class TestGenerate:
             SyntheticSpec(**kwargs)
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"layers": 2.5}, "layers must be an integer, got 2.5"),
+            ({"heads": True}, "heads must be an integer, got True"),
+            ({"seq_len": np.float64(8.0)}, "seq_len must be an integer, got np.float64(8.0)"),
+        ],
+    )
+    def test_non_integer_or_negative_fields_rejected_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(**{"layers": 1, "heads": 1, "seq_len": 8, **kwargs})
+
+    @pytest.mark.parametrize(
         "layers, skew", [(1, float("nan")), (2, float("nan")), (1, float("inf")), (3, 1e308)]
     )
     def test_non_finite_layer_skew_rejected_by_name(self, layers, skew):
