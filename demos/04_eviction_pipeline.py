@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end pipeline on the toy transformer.
 
-A cache-free mini prefill collects per-layer attention, the allocator turns
-it into per-layer cache sizes, and the eviction simulator applies them. The
-full prefill exists to show two things: its attention equals the mini pass
-(so the plan transfers), and its K/V footprint is what eviction then shrinks.
+A cache-free mini prefill collects per-layer attention, keeping the
+observation-window rows that scoring reads, the allocator turns it into
+per-layer cache sizes, and the eviction simulator applies them. The full
+prefill exists to show two things: its window rows equal the mini pass's (so
+the plan transfers), and its K/V footprint is what eviction then shrinks.
 """
 
 import numpy as np
@@ -24,10 +25,10 @@ from kvalloc import (
 config = ToyModelConfig(layers=4, heads=2, model_dim=24, proj_dim=8, seq_len=96, seed=11)
 settings = ProcSettings(ows=8, pool_size=7)
 
-mini = mini_prefill(config)
-full = full_prefill(config)
+mini = mini_prefill(config, rows=settings.ows)
+full = full_prefill(config, rows=settings.ows)
 gap = np.abs(mini.per_layer_attention - full.per_layer_attention).max()
-print(f"mini vs full attention: max |diff| = {gap:.2e}")
+print(f"mini vs full window attention rows: max |diff| = {gap:.2e}")
 print(f"live K/V bytes during mini prefill: {mini.kv_bytes}")
 print(f"live K/V bytes during full prefill: {full.kv_bytes}\n")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .toymodel import PrefillResult
-from .trace import AttentionTrace, is_integer, set_integers
+from .trace import DEFAULT_OWS, AttentionTrace, is_integer, set_integers
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class ProcSettings:
     time.
     """
 
-    ows: int = 8
+    ows: int = DEFAULT_OWS
     pool_size: int = 7
 
     def __post_init__(self) -> None:
@@ -117,8 +117,8 @@ def score_window(rows: np.ndarray, settings: ProcSettings, layer: int = 0) -> Sc
 def process_trace(source: AttentionTrace | PrefillResult, settings: ProcSettings) -> list[ScoreVector]:
     """Score every layer of a trace or a prefill from the mean of its heads' window rows.
 
-    A trace is read from its float32 weights, which must hold at least
-    ``ows`` rows per matrix, a prefill from its own float64 attention. A
+    A trace is read from its float32 weights, a prefill from its own
+    float64 rows; either must hold at least ``ows`` rows per matrix. A
     layer's window rows are averaged over heads, then scored by
     ``score_window``. Only those rows are cast to float64, which gives the
     same scores, bit for bit, as averaging the whole matrices.

@@ -161,7 +161,7 @@ def _simulate_source(args: argparse.Namespace):
             seq_len=args.seq_len,
             seed=args.seed,
         )
-        return toymodel.mini_prefill(config), config.proj_dim, config.seq_len
+        return toymodel.mini_prefill(config, rows=args.ows), config.proj_dim, config.seq_len
     if args.trace is None:
         raise ValueError("either a trace path or --toy is required")
     loaded = trace.read_window(args.trace, args.ows)

@@ -121,8 +121,8 @@ def simulate_task(
 ) -> EvictionReport:
     """Apply per-layer eviction across a whole task and account for memory.
 
-    ``source`` supplies the attention weights: a trace (whole or its last
-    rows) or a prefill result, scored by ``process_trace``. ``proj_dim`` sets
+    ``source`` supplies the attention weights: a trace or a prefill result,
+    whole or its last rows, scored by ``process_trace``. ``proj_dim`` sets
     the per-token projection width used for byte accounting when the source
     carries no K/V (a full-prefill result overrides it with the real width);
     it must be an integer >= 1 either way.
@@ -130,12 +130,10 @@ def simulate_task(
     if not is_integer(proj_dim) or proj_dim < 1:
         raise ValueError(f"proj_dim must be an integer >= 1, got {proj_dim!r}")
     vectors = process_trace(source, settings)
-    if isinstance(source, PrefillResult):
-        l, h, t, _ = source.per_layer_attention.shape
-        if source.kv_pairs is not None:
-            proj_dim = source.kv_pairs.shape[-1]
-    else:
-        l, h, _, t = source.weights.shape
+    attn = source.per_layer_attention if isinstance(source, PrefillResult) else source.weights
+    l, h, _, t = attn.shape
+    if getattr(source, "kv_pairs", None) is not None:
+        proj_dim = source.kv_pairs.shape[-1]
     if len(allocation) != l:
         raise ValueError(f"allocation has {len(allocation)} layers, source has {l}")
     cap = t - settings.ows

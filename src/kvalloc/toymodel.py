@@ -1,23 +1,27 @@
 """A deterministic toy transformer for desk-scale prefill experiments.
 
 Two forward passes share one arithmetic path: ``full_prefill`` runs every
-layer end to end, records each layer's attention weights, and keeps the
+layer end to end, records the last ``rows`` rows of each head's attention
+weights (by default the ``DEFAULT_OWS`` rows scoring reads), and keeps the
 key/value projections in one K/V cache array (the cache a real inference run
 would hold); ``mini_prefill`` runs the same layers but caches nothing and
-terminates the moment the last layer's attention weights exist. Their
-attention traces are elementwise equal, which is what lets allocation
-decisions computed on the cheap pass apply to the real one.
+terminates the moment the last layer's attention weights exist. Their rows
+are elementwise equal, which is what lets allocation decisions computed on
+the cheap pass apply to the real one.
 
 Weights are a pure function of the seed, drawn once per config and read-only:
-identical configs give bit-identical results. Attention is written in place,
-head by head: the logits go straight into the head's slot of the attention
-array, and the masked row softmax runs there in row blocks, with ``exp`` only
-on causal columns. Within a layer the heads run on ``min(heads, CPUs)``
-threads (CPUs as ``os.sched_getaffinity`` counts them) once ``seq_len`` is
-256 or more, where a head's work outweighs the threads' overhead, and on the
-calling thread below that. Each head writes only its own slots and does the
-same arithmetic on any thread, so the bits do not depend on the thread
-count; its K, V and context go straight into its slots of the cache and of
+identical configs give bit-identical results. Each head computes its whole
+attention matrix in place in a ``(seq_len, seq_len)`` float64 scratch of the
+thread running it: the logits go straight into it, the masked row softmax
+runs there in row blocks, with ``exp`` only on causal columns, then the kept
+rows are copied out and the context ``attn @ v`` is read from it. So a
+prefill holds one square per thread, not one per (layer, head). Within a
+layer the heads run on ``min(heads, CPUs)`` threads (CPUs as
+``os.sched_getaffinity`` counts them) once ``seq_len`` is 256 or more, where
+a head's work outweighs the threads' overhead, and on the calling thread
+below that. Each head writes only its own slots and does the same arithmetic
+on any thread, so the bits do not depend on the thread count; its kept rows,
+K, V and context go straight into its slots of the attention, the cache and
 one context array. The norms, output projection and MLP stay on the calling
 thread, and no thread outlives a call. ``causal_softmax`` is that softmax on
 a copy; the eviction simulator softmaxes its recomputed window rows in place.
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import AttentionTrace, TraceHeader, set_integers
+from .trace import DEFAULT_OWS, AttentionTrace, TraceHeader, is_integer, set_integers
 
 
 @dataclass(frozen=True)
@@ -54,12 +58,14 @@ class ToyModelConfig:
 class PrefillResult:
     """Output of a prefill pass.
 
-    ``per_layer_attention`` has shape ``(layers, heads, seq_len, seq_len)``.
-    A full prefill also carries the logits for the first output token and
-    the K/V cache, one C-contiguous float32 array (the 4-byte elements a cache
-    would store) of shape ``(layers, 2, heads, seq_len, proj_dim)``, whose
-    ``kv_pairs[layer]`` unpacks into keys and values. A mini prefill carries
-    the attention and nothing else: ``kv_pairs`` is None, ``kv_bytes`` 0.
+    ``per_layer_attention`` holds the last ``rows`` rows of every head's
+    float64 attention matrix, shape ``(layers, heads, min(rows, seq_len),
+    seq_len)``, the layout of ``AttentionTrace.weights``. A full prefill also
+    carries the logits for the first output token and the K/V cache, one
+    C-contiguous float32 array (the 4-byte elements a cache would store) of
+    shape ``(layers, 2, heads, seq_len, proj_dim)``, whose ``kv_pairs[layer]``
+    unpacks into keys and values. A mini prefill carries the attention and
+    nothing else: ``kv_pairs`` is None, ``kv_bytes`` 0.
     """
 
     per_layer_attention: np.ndarray = field(repr=False)
@@ -72,8 +78,8 @@ class PrefillResult:
         return 0 if self.kv_pairs is None else self.kv_pairs.nbytes
 
     def attention_trace(self) -> AttentionTrace:
-        """Repackage the recorded attention as a standard trace."""
-        l, h, t, _ = self.per_layer_attention.shape
+        """Repackage the recorded rows as a float32 trace, windowed unless every row was kept."""
+        l, h, _, t = self.per_layer_attention.shape
         header = TraceHeader(layers=l, heads=h, seq_len=t)
         return AttentionTrace(header=header, weights=self.per_layer_attention.astype(np.float32))
 
@@ -180,19 +186,19 @@ def _head_workers(heads: int, seq_len: int) -> int:
 
 
 def _each_head(body, heads: int, workers: int) -> None:
-    """Call ``body(head)`` for every head on ``workers`` threads, this one included.
+    """Call ``body(head, worker)`` for every head on ``workers`` threads, this one included.
 
-    Thread ``i`` runs heads ``i, i + workers, ...``; numpy releases the GIL in
-    the matmuls, ufuncs and reductions of a head, so the threads overlap. All
-    are joined before this returns, and the first exception any raised is
-    raised here.
+    Thread ``worker`` runs heads ``worker, worker + workers, ...``; numpy
+    releases the GIL in the matmuls, ufuncs and reductions of a head, so the
+    threads overlap. All are joined before this returns, and the first
+    exception any raised is raised here.
     """
     errors: list[BaseException] = []
 
-    def run(first: int) -> None:
+    def run(worker: int) -> None:
         try:
-            for head in range(first, heads, workers):
-                body(head)
+            for head in range(worker, heads, workers):
+                body(head, worker)
         except BaseException as exc:  # raised again below, in the calling thread
             errors.append(exc)
 
@@ -211,32 +217,37 @@ def _each_head(body, heads: int, workers: int) -> None:
         raise errors[0]
 
 
-def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> PrefillResult:
+def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: int) -> PrefillResult:
     """Run the layers; a full pass writes each head's K and V into one cache array, a mini one stops early.
 
-    Attention comes first, before anything is drawn, so a shape too large
-    fails at once; the K/V cache (full pass only) comes after the weight set.
+    The scratch, one ``(t, t)`` float64 square per worker thread, comes first,
+    before anything is drawn, so a shape too large fails at once; the K/V
+    cache (full pass only) comes after the weight set.
     """
+    if not is_integer(rows) or rows < 1:
+        raise ValueError(f"rows must be an integer >= 1, got {rows!r}")
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
-    attention = _allocated("attention array", l * h * t * t * 8, lambda: np.empty((l, h, t, t)))
+    r, workers = min(int(rows), t), _head_workers(h, t)
+    scratch = _allocated("attention scratch", workers * t * t * 8, lambda: np.empty((workers, t, t)))
+    attention = _allocated("attention array", l * h * r * t * 8, lambda: np.empty((l, h, r, t)))
     x = _allocated("input", t * d * 8, lambda: default_input(config)) if x is None else _check_input(config, x)
     weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 8, lambda: _Weights(config))
     kv_nbytes = l * 2 * h * t * p * 4
     kv = _allocated("K/V cache", kv_nbytes, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
     # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
     contexts = np.empty((t, h * p))
-    workers = _head_workers(h, t)
 
     for layer_idx, lw in enumerate(weights.layers):
         stop = not full and layer_idx == l - 1
         xn = _rms_normalize(x)
 
-        def head_body(head: int) -> None:
+        def head_body(head: int, worker: int) -> None:
             # Writes only this head's slots, so the bits do not depend on which thread runs it.
             q = xn @ lw["wq"][head]
             k = xn @ lw["wk"][head]
-            attn = np.matmul(q, k.T, out=attention[layer_idx, head])
+            attn = np.matmul(q, k.T, out=scratch[worker])
             _causal_softmax_inplace(attn, np.sqrt(p))
+            attention[layer_idx, head] = attn[t - r :]
             if stop:
                 return
             v = xn @ lw["wv"][head]
@@ -257,21 +268,23 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool) -> Pre
     return PrefillResult(per_layer_attention=attention, kv_pairs=kv, first_token_logits=logits)
 
 
-def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> PrefillResult:
-    """Run every layer, keeping attention weights, the K/V cache, and logits.
+def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: int = DEFAULT_OWS) -> PrefillResult:
+    """Run every layer, keeping the last ``rows`` attention rows per head, the K/V cache, and logits.
 
-    Each layer's heads run on ``min(heads, len(os.sched_getaffinity(0)))``
-    threads when ``seq_len >= 256``, on one below that; the result has the
-    same bits for any thread count.
+    ``rows`` is an integer >= 1; from ``seq_len`` on every row is kept. The
+    cache and logits do not depend on it. Each layer's heads run on
+    ``min(heads, len(os.sched_getaffinity(0)))`` threads when
+    ``seq_len >= 256``, on one below that; the result has the same bits for
+    any thread count.
     """
-    return _forward(config, x, full=True)
+    return _forward(config, x, full=True, rows=rows)
 
 
-def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None) -> PrefillResult:
+def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: int = DEFAULT_OWS) -> PrefillResult:
     """Run the same layers cache-free, stopping after the last attention.
 
-    The recorded attention weights equal ``full_prefill``'s elementwise; no
-    K/V is ever stored, so the live cache footprint is zero bytes. Heads run
-    on threads as in ``full_prefill``.
+    The recorded rows equal ``full_prefill``'s at the same ``rows``
+    elementwise; no K/V is ever stored, so the live cache footprint is zero
+    bytes. Heads run on threads as in ``full_prefill``.
     """
-    return _forward(config, x, full=False)
+    return _forward(config, x, full=False, rows=rows)

@@ -45,6 +45,9 @@ ROW_SUM_ATOL = 1e-3
 # buffer at a time, and at least one row.
 CHUNK_BYTES = 2 << 20
 
+# The observation window: the last rows of each matrix that scoring reads by default and a toy prefill keeps.
+DEFAULT_OWS = 8
+
 
 class TraceFormatError(ValueError):
     """Raised when a trace file or trace payload violates the format contract."""
@@ -69,15 +72,24 @@ def set_integers(obj: object, **least: int) -> None:
         object.__setattr__(obj, name, int(value))
 
 
+def _header_integer(key: str, value: object) -> int:
+    """``value`` as an int; TraceFormatError naming ``key`` unless it is an integer (``is_integer``)."""
+    if not is_integer(value):
+        raise TraceFormatError(f"trace header field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TraceHeader:
-    """Shape of one attention trace; the file's version and dtype have one value each."""
+    """Shape of one attention trace, kept as Python ints; the file's version and dtype have one value each."""
 
     layers: int
     heads: int
     seq_len: int
 
     def __post_init__(self) -> None:
+        for key in ("layers", "heads", "seq_len"):
+            object.__setattr__(self, key, _header_integer(key, getattr(self, key)))
         if self.layers < 1 or self.heads < 1:
             raise TraceFormatError(f"layers and heads must be >= 1, got {self.layers}x{self.heads}")
         if self.seq_len < 2:
@@ -110,8 +122,7 @@ class TraceHeader:
         if missing:
             raise TraceFormatError(f"trace header missing keys: {sorted(missing)}")
         for key in ("version", "layers", "heads", "seq_len"):
-            if not is_integer(obj[key]):
-                raise TraceFormatError(f"trace header field {key!r} must be an integer, got {obj[key]!r}")
+            _header_integer(key, obj[key])
         if obj["version"] != HEADER_VERSION:
             raise TraceFormatError(f"unsupported trace version {obj['version']!r}")
         if obj["dtype"] != HEADER_DTYPE:

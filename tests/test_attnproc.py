@@ -157,7 +157,7 @@ class TestProcessTrace:
 
     @pytest.mark.parametrize("prefill", [mini_prefill, full_prefill])
     def test_prefill_scored_from_its_float64_attention(self, prefill):
-        result = prefill(ToyModelConfig(layers=3, heads=2, model_dim=12, proj_dim=4, seq_len=20, seed=6))
+        result = prefill(ToyModelConfig(layers=3, heads=2, model_dim=12, proj_dim=4, seq_len=20, seed=6), rows=20)
         settings = ProcSettings(ows=4, pool_size=3)
         got = process_trace(result, settings)
         assert [sv.layer for sv in got] == [0, 1, 2]

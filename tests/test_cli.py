@@ -210,6 +210,27 @@ class TestSimulate:
         assert payload["compression_ratio"] == pytest.approx((8 + 2 * 4) / (2 * 16), abs=1e-15)
         assert "compression ratio" in err
 
+    def test_toy_window_above_the_default_kept_rows(self, capsys):
+        # The prefill must keep --ows rows, more than its default: these are the
+        # bytes of a prefill that kept every row.
+        code, out, err = run(
+            capsys, "simulate", "--toy", "--layers", "2", "--heads", "2", "--seq-len", "32", "--ows", "16",
+            "--pool-size", "3", "--auto", "--budget", "10", "--compare-uniform", "--format", "csv",
+        )
+        assert code == 0
+        assert out == (
+            "method,layer,n,retained,r\n"
+            "personalized,0,5,21,0.3464019491200094\n"
+            "personalized,1,5,21,0.3382444061745621\n"
+            "uniform,0,5,21,0.3464019491200094\n"
+            "uniform,1,5,21,0.3382444061745621\n"
+        )
+        summary = (
+            "compression ratio 65.6% (memory reduction 34.4%), r_avg 0.3423, 5376 of 8192 bytes retained; "
+            "observation window retained in addition to per-layer budget\n"
+        )
+        assert err == f"personalized: {summary}uniform: {summary}"
+
     # A 1x1xT toy prefill needs a T x T float64 attention array: 8 and 72 TB here.
     @pytest.mark.parametrize("seq_len, nbytes", [("1000000", 8 * 10**12), ("3000000", 72 * 10**12)])
     def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, seq_len, nbytes):

@@ -287,7 +287,7 @@ class TestReportKeepsCounts:
             src = generate_trace(SyntheticSpec(layers=layers, heads=heads, seq_len=seq_len, seed=seed))
         else:
             config = ToyModelConfig(layers=layers, heads=heads, model_dim=8, proj_dim=width, seq_len=seq_len, seed=seed)
-            src = (full_prefill if source == "full" else mini_prefill)(config)
+            src = (full_prefill if source == "full" else mini_prefill)(config, rows=seq_len)
         settings = ProcSettings(ows=ows, pool_size=1)
         report = simulate_task(src, AllocationList(sizes=sizes), settings, proj_dim=proj_dim)
         assert report.compression_ratio == sum(n + ows for n in sizes) / (layers * seq_len)

@@ -19,10 +19,14 @@ resident. So the CLI's peak resident size is measured too: ``gen`` and
 of a piped trace followed by 64 MiB it does not promise, whose tail is counted
 through the chunk buffer.
 
-Prefill bounds are multiples of the float64 attention array the prefill
-returns. Each head's logits and softmax are computed in place in that
-array, so beyond it a prefill holds only per-layer activations, the K/V
-copies and a few row vectors, not a t x t temporary per step.
+A prefill keeps only the last rows of each head's attention. Each head
+computes its logits and softmax in place in a (t, t) float64 scratch owned
+by its worker thread, so beyond its kept rows a prefill holds one square per
+thread, per-layer activations, the K/V cache and a few row vectors: not a
+t x t temporary per step, nor a square per (layer, head). One bound is a
+multiple of the whole (layers, heads, t, t) float64 array a prefill would
+hold; the other doubles the layers of a default prefill, which may add only
+their K/V and kept rows, where a square per (layer, head) would add 2 MiB.
 
 A retention table keeps its ratios in one float64 array and builds each
 ``RetentionPoint`` when it is read, so what it returns is bounded per point
@@ -45,7 +49,9 @@ from kvalloc.attnproc import ProcSettings, ScoreVector, process_trace
 from kvalloc.eviction import simulate_task
 from kvalloc.metrics import retention_table
 from kvalloc.toymodel import ToyModelConfig, default_input, full_prefill, mini_prefill
-from kvalloc.trace import SyntheticSpec, generate_trace, load_trace, read_window, save_trace, write_synthetic
+from kvalloc.trace import (
+    DEFAULT_OWS, SyntheticSpec, generate_trace, load_trace, read_window, save_trace, write_synthetic,
+)
 
 SPEC = SyntheticSpec(layers=4, heads=2, seq_len=256, sparsity=0.1, seed=3, layer_skew=1.0)
 SETTINGS = ProcSettings(ows=8, pool_size=7)
@@ -173,6 +179,23 @@ def test_prefill_holds_little_beyond_its_attention(prefill):
     # The input is the caller's; drawing it here also warms numpy's generator.
     x = default_input(TOY)
     assert peak_bytes(prefill, TOY, x) / ATTENTION <= 1.5
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+def test_prefill_peak_does_not_grow_with_its_squares(monkeypatch, prefill, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    deep = ToyModelConfig(**{**vars(TOY), "layers": 2 * TOY.layers})
+    x = default_input(TOY)
+    peaks = []
+    for config in (TOY, deep):
+        prefill(config, x)  # draws and caches the weight set, which also grows with the layers
+        # On one thread the peak repeats to the byte. With two, how the heads'
+        # temporaries overlap moves it by up to ~20 KiB, and some runs by ~200 KiB.
+        peaks.append(min(peak_bytes(prefill, config, x) for _ in range(5)))
+    kv_per_token = 2 * TOY.proj_dim * 4 if prefill is full_prefill else 0
+    added = TOY.layers * TOY.heads * TOY.seq_len * (DEFAULT_OWS * 8 + kv_per_token)
+    assert peaks[1] - peaks[0] <= added + 64 * 1024, (peaks, added)
 
 
 def test_retention_table_holds_one_array():

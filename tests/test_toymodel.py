@@ -1,6 +1,7 @@
 """Toy transformer: determinism, causality, and mini/full prefill agreement."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -193,10 +194,56 @@ class TestMiniPrefill:
         assert np.array_equal(implicit.per_layer_attention, explicit.per_layer_attention)
 
 
+THREADED = toymodel._THREADED_SEQ_LEN
+
+
+class TestKeptRows:
+    """A prefill keeps the last ``rows`` rows of each head's attention, with the whole matrix's bits."""
+
+    def test_default_keeps_the_observation_window(self):
+        config = ToyModelConfig(layers=2, heads=3, model_dim=8, proj_dim=4, seq_len=20, seed=8)
+        for prefill in (full_prefill, mini_prefill):
+            result = prefill(config)
+            assert result.per_layer_attention.shape == (2, 3, ProcSettings().ows, 20)
+            assert result.attention_trace().weights.shape == (2, 3, ProcSettings().ows, 20)
+
+    @pytest.mark.parametrize("rows", [0, -1, True, 8.0, np.float64(8.0), "8", None], ids=repr)
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_rows_must_be_an_integer_of_at_least_one(self, prefill, rows):
+        with pytest.raises(ValueError, match=f"^rows must be an integer >= 1, got {re.escape(repr(rows))}$"):
+            prefill(ToyModelConfig(), rows=rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # Both sides of the length where heads move onto threads.
+        seq_len=st.one_of(st.integers(2, 40), st.integers(THREADED - 3, THREADED + 5)),
+        layers=st.integers(1, 3),
+        heads=st.integers(1, 4),
+        proj_dim=st.integers(1, 6),
+        workers=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 99),
+    )
+    @example(seq_len=THREADED, layers=2, heads=3, proj_dim=4, workers=3, seed=0)
+    def test_kept_rows_are_the_last_rows_of_the_whole_matrices(self, seq_len, layers, heads, proj_dim, workers, seed):
+        config = ToyModelConfig(layers=layers, heads=heads, model_dim=8, proj_dim=proj_dim, seq_len=seq_len, seed=seed)
+        x = default_input(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+            whole = full_prefill(config, x, rows=seq_len)
+            for rows in (1, ProcSettings().ows, seq_len, seq_len + 1):
+                full, mini = full_prefill(config, x, rows=rows), mini_prefill(config, x, rows=rows)
+                kept = whole.per_layer_attention[:, :, seq_len - min(rows, seq_len) :]
+                assert full.per_layer_attention.shape == kept.shape
+                assert full.per_layer_attention.tobytes() == kept.tobytes()
+                assert mini.per_layer_attention.tobytes() == kept.tobytes()
+                assert full.kv_pairs.tobytes() == whole.kv_pairs.tobytes()
+                assert full.first_token_logits.tobytes() == whole.first_token_logits.tobytes()
+
+
 class TestTraceExport:
     def test_dump_load_process_interop(self, tmp_path):
         config = ToyModelConfig(layers=3, heads=2, model_dim=10, proj_dim=5, seq_len=16, seed=13)
-        result = mini_prefill(config)
+        result = mini_prefill(config, rows=config.seq_len)
         trace = result.attention_trace()
         trace.validate()
         path = tmp_path / "toy.bin"
@@ -254,7 +301,7 @@ class TestMatchesWhereExpReference:
             x = rng.uniform(-1.0, 1.0, size=(seq_len, config.model_dim))
             ref_full = per_head_forward(config, x, full=True)
             ref_mini = per_head_forward(config, x, full=False)
-            full, mini = full_prefill(config, x), mini_prefill(config, x)
+            full, mini = full_prefill(config, x, rows=seq_len), mini_prefill(config, x, rows=seq_len)
             assert full.per_layer_attention.tobytes() == ref_full.per_layer_attention.tobytes()
             assert mini.per_layer_attention.tobytes() == ref_mini.per_layer_attention.tobytes()
             assert full.first_token_logits.tobytes() == ref_full.first_token_logits.tobytes()
@@ -302,7 +349,7 @@ class TestHeadsOnThreads:
             results = {}
             for n in (1, 2, 4):
                 self.cpus(monkeypatch, n)
-                results[n] = prefill_bytes(prefill(config, x))
+                results[n] = prefill_bytes(prefill(config, x, rows=config.seq_len))
             assert results[2] == results[1] and results[4] == results[1]
             reference = per_head_forward(config, x, full=prefill is full_prefill)
             assert results[1] == prefill_bytes(reference)

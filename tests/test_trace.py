@@ -16,6 +16,7 @@ from kvalloc.allocator import AllocationList
 from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc.eviction import simulate_task
 from kvalloc.metrics import retention_curve
+from kvalloc.toymodel import ToyModelConfig, mini_prefill
 from kvalloc.trace import (
     AttentionTrace,
     SyntheticSpec,
@@ -407,6 +408,27 @@ class TestHeaderFieldTypes:
         with pytest.raises(TraceFormatError, match=field):
             load_trace(path)
 
+    @pytest.mark.parametrize("field", ["layers", "heads", "seq_len"])
+    @pytest.mark.parametrize("value", [True, False, 2.0, np.float64(4.0), "2", None], ids=repr)
+    def test_built_header_refuses_a_non_integer_by_name(self, field, value):
+        # The message from_json_line gives for the same field in a file.
+        shape = {"layers": 1, "heads": 1, "seq_len": 4, field: value}
+        message = f"^trace header field '{field}' must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(TraceFormatError, match=message):
+            TraceHeader(**shape)
+
+    @pytest.mark.parametrize("integer", [int, np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+    def test_a_built_header_saves_what_loads_back(self, tmp_path, integer):
+        header = TraceHeader(layers=integer(1), heads=integer(2), seq_len=integer(3))
+        assert type(header.layers) is type(header.heads) is type(header.seq_len) is int
+        rows = np.tri(3) / np.arange(1, 4)[:, None]
+        trace = AttentionTrace(header=header, weights=np.broadcast_to(rows, (1, 2, 3, 3)))
+        path = tmp_path / "t.bin"
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        assert loaded.header == header
+        assert loaded.weights.tobytes() == trace.weights.tobytes()
+
 
 def two_head_payload(rows_head1: list[list[float]]) -> bytes:
     """A 1x2x3 trace file whose head 0 is valid and head 1 is given."""
@@ -571,6 +593,10 @@ class TestReadWindow:
             process_trace(window, settings_)
         with pytest.raises(ValueError, match="ows 8 needs 8 window rows; the source holds 5"):
             simulate_task(window, AllocationList(sizes=(1, 1, 1)), settings_)
+        # A toy prefill keeps its last rows the same way.
+        prefill = mini_prefill(ToyModelConfig(layers=3, heads=2, seq_len=40), rows=5)
+        with pytest.raises(ValueError, match="ows 8 needs 8 window rows; the source holds 5"):
+            process_trace(prefill, settings_)
 
     def test_a_defect_outside_the_window_is_still_rejected(self, path):
         data = bytearray(path.read_bytes())
