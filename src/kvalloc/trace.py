@@ -121,8 +121,7 @@ class TraceHeader:
         missing = {"version", "layers", "heads", "seq_len", "dtype"} - obj.keys()
         if missing:
             raise TraceFormatError(f"trace header missing keys: {sorted(missing)}")
-        for key in ("version", "layers", "heads", "seq_len"):
-            _header_integer(key, obj[key])
+        _header_integer("version", obj["version"])  # the shape fields are checked by the constructor
         if obj["version"] != HEADER_VERSION:
             raise TraceFormatError(f"unsupported trace version {obj['version']!r}")
         if obj["dtype"] != HEADER_DTYPE:

@@ -67,8 +67,10 @@ class TestMiniPrefillFidelity:
                 seq_len=int(rng.integers(2, 129)),
                 seed=1000 + case,
             )
-            full = full_prefill(config)
-            mini = mini_prefill(config)
+            # Whole matrices: the default keeps only the observation window's rows.
+            full = full_prefill(config, rows=config.seq_len)
+            mini = mini_prefill(config, rows=config.seq_len)
+            assert full.per_layer_attention.shape[2] == config.seq_len
             diff = np.abs(full.per_layer_attention - mini.per_layer_attention).max()
             assert diff <= 1e-6, f"config {config}: attention diverges by {diff}"
             assert mini.kv_bytes == 0

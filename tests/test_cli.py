@@ -231,7 +231,7 @@ class TestSimulate:
         )
         assert err == f"personalized: {summary}uniform: {summary}"
 
-    # A 1x1xT toy prefill needs a T x T float64 attention array: 8 and 72 TB here.
+    # A 1x1xT toy prefill's one worker thread needs a T x T float64 attention scratch: 8 and 72 TB here.
     @pytest.mark.parametrize("seq_len, nbytes", [("1000000", 8 * 10**12), ("3000000", 72 * 10**12)])
     def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, seq_len, nbytes):
         code, out, err = run(

@@ -104,8 +104,9 @@ class TestConfig:
 class TestFullPrefill:
     def test_bit_identical_across_runs(self):
         config = ToyModelConfig(layers=3, heads=2, model_dim=10, proj_dim=5, seq_len=12, seed=7)
-        a = full_prefill(config)
-        b = full_prefill(config)
+        a = full_prefill(config, rows=config.seq_len)
+        b = full_prefill(config, rows=config.seq_len)
+        assert a.per_layer_attention.shape == (3, 2, 12, 12)
         assert a.per_layer_attention.tobytes() == b.per_layer_attention.tobytes()
         assert a.first_token_logits.tobytes() == b.first_token_logits.tobytes()
         for (ka, va), (kb, vb) in zip(a.kv_pairs, b.kv_pairs):
@@ -171,8 +172,9 @@ class TestMiniPrefill:
             config = ToyModelConfig(
                 layers=4, heads=2, model_dim=12, proj_dim=6, seq_len=20, seed=seed
             )
-            full = full_prefill(config)
-            mini = mini_prefill(config)
+            full = full_prefill(config, rows=config.seq_len)
+            mini = mini_prefill(config, rows=config.seq_len)
+            assert full.per_layer_attention.shape == (4, 2, 20, 20)
             diff = np.abs(full.per_layer_attention - mini.per_layer_attention).max()
             assert diff <= 1e-6
 
