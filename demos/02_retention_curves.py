@@ -12,10 +12,10 @@ from kvalloc import (
     ProcSettings,
     SyntheticSpec,
     generate_trace,
-    min_cache_size,
     process_trace,
     retention,
 )
+from kvalloc.metrics import min_size_table_csv
 
 spec = SyntheticSpec(layers=6, heads=1, seq_len=128, sparsity=0.08, seed=7, layer_skew=2.5)
 settings = ProcSettings(ows=8, pool_size=7)
@@ -29,12 +29,8 @@ for sv in scores:
     row = "".join(f"{retention(sv, n):8.3f}" for n in sizes)
     print(f"  L{sv.layer}: {row}")
 
-targets = [0.5, 0.7, 0.9, 0.99]
-print("\nminimal cache size reaching a retention target")
-print("  target:" + "".join(f"{t:>8}" for t in targets))
-for sv in scores:
-    row = "".join(f"{min_cache_size(sv, t):8d}" for t in targets)
-    print(f"  L{sv.layer}:   {row}")
+print("\nminimal cache size reaching a retention target (the CSV `kvalloc curves --targets` writes)")
+print(min_size_table_csv(scores, [0.5, 0.7, 0.9, 0.99]), end="")
 
 print("\nSame budget, very different payoffs per layer: that spread is the")
 print("whole case for sizing each layer's cache individually.")

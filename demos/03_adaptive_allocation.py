@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""The greedy allocator, step by step, checked against brute force.
+"""The greedy allocator, step by step, checked against the exact oracle.
 
 On a tiny instance we can watch the mechanism: two lists, one holding the
 current per-layer sizes, the other each layer's next-best marginal gain
 (the next step of its retention curve). Every iteration grants one cache
 slot to the layer with the largest gain. ``allocate`` reaches the same sizes
-without the loop, as one water level over all layers' steps. An exhaustive
-search over all compositions confirms the result is optimal.
+without the loop, as one water level over all layers' steps. The exact
+oracle, a dynamic program that holds the best retention sum for every total
+after each layer, confirms the result is optimal.
 """
 
 import numpy as np

@@ -20,7 +20,6 @@ from .attnproc import ProcSettings, ScoreVector, process_trace
 from .eviction import EvictionReport, evict_layer, simulate_task
 from .metrics import (
     RetentionPoint,
-    min_cache_size,
     r_avg,
     retention,
     retention_curve,
@@ -33,7 +32,7 @@ from .sampling import (
     profile_similarity,
     save_profile,
 )
-from .toymodel import PrefillResult, ToyModelConfig, causal_softmax, full_prefill, mini_prefill
+from .toymodel import PrefillResult, ToyModelConfig, full_prefill, mini_prefill
 from .trace import (
     AttentionTrace,
     SyntheticSpec,
@@ -64,14 +63,12 @@ __all__ = [
     "allocation_r_avg",
     "average_allocations",
     "build_profile",
-    "causal_softmax",
     "evict_layer",
     "full_prefill",
     "generate_trace",
     "load_profile",
     "load_trace",
     "mini_prefill",
-    "min_cache_size",
     "oracle_allocate",
     "process_trace",
     "profile_similarity",

@@ -1,4 +1,4 @@
-"""Greedy per-layer cache-size allocation with an exhaustive verification oracle.
+"""Greedy per-layer cache-size allocation with an exact verification oracle.
 
 Given one score vector per layer, the greedy gives each cache slot to the
 layer whose best unselected token has the largest normalized score. Each
@@ -7,13 +7,14 @@ token above it is kept. Two constraint modes exist: spend exactly a total
 budget of ``N`` slots (maximizing the average retention), or reach a target
 average retention with as few slots as possible.
 
-``oracle_allocate`` solves the same problems by enumerating every integer
-composition; the test suite holds the greedy to it.
+``oracle_allocate`` solves the same problems exactly, by dynamic programming
+over layers: after each layer it holds the best retention sum for every
+total, so it reaches real trace shapes without enumerating compositions. The
+test suite and ``kvalloc allocate --oracle`` hold the greedy to it.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import numbers
 from dataclasses import dataclass
@@ -22,9 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import metrics
-from .attnproc import ScoreVector
-
-ORACLE_MAX_COMBINATIONS = 10**6
+from .attnproc import ScoreVector, is_cache_size
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class AllocationList:
 
     def __post_init__(self) -> None:
         sizes = self.sizes
-        if not isinstance(sizes, (list, tuple, np.ndarray)) or not all(map(metrics.is_cache_size, sizes)):
+        if not isinstance(sizes, (list, tuple, np.ndarray)) or not all(map(is_cache_size, sizes)):
             raise ValueError(f"cache sizes must be a sequence of integers >= 0, got {sizes!r}")
         object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
 
@@ -67,7 +66,7 @@ class Constraint:
     def __post_init__(self) -> None:
         value = self.value
         if self.mode == "budget":
-            if not metrics.is_cache_size(value):
+            if not is_cache_size(value):
                 raise ValueError(f"budget must be a nonnegative integer, got {value!r}")
             object.__setattr__(self, "value", int(value))
         elif self.mode == "target":
@@ -154,7 +153,10 @@ def allocation_r_avg(
     curves = [metrics.retention_curve(w) for w in scores]
     if len(allocation) != len(curves):
         raise ValueError(f"allocation has {len(allocation)} layers, scores have {len(curves)}")
-    return metrics.r_avg(float(curves[i][n]) for i, n in enumerate(allocation.sizes))
+    for i, (curve, n) in enumerate(zip(curves, allocation.sizes)):
+        if n >= curve.size:
+            raise ValueError(f"layer {i}: n_i {n} exceeds capacity {curve.size - 1}")
+    return metrics.r_avg(float(curve[n]) for curve, n in zip(curves, allocation.sizes))
 
 
 def allocate(
@@ -202,50 +204,50 @@ def allocate(
 def oracle_allocate(
     scores: Sequence[ScoreVector | np.ndarray], constraint: Constraint
 ) -> AllocationList:
-    """Brute-force reference: enumerate every composition, pick the optimum.
+    """Exact reference by dynamic programming over layers, for any number of layers and tokens.
 
-    Budget mode maximizes the average retention among compositions summing
-    exactly to ``N``; target mode minimizes the total among compositions
-    reaching the target. Ties resolve to the lexicographically smallest
-    composition. Guarded against search spaces above ``10**6`` combinations.
+    ``best[b]`` is the largest retention sum over the compositions of ``b``
+    slots among the layers seen so far, added left to right as
+    ``metrics.r_avg`` adds. Rounding ``x + c`` never reverses the order of
+    two ``x``, so each layer's max-plus step keeps exactly the maximum of
+    those sums. Budget mode maximizes the average retention at a total of
+    exactly ``N``; target mode takes the smallest total whose best average
+    reaches the target, and the best composition at that total. On a tie,
+    each layer, from the last, takes the most slots. It costs
+    ``O(layers * total * tokens)``.
     """
     curves = [metrics.retention_curve(w) for w in scores]
-    caps = [c.size - 1 for c in curves]
-    space = 1
-    for cap in caps:
-        space *= cap + 1
-        if space > ORACLE_MAX_COMBINATIONS:
-            raise ValueError(
-                f"search space exceeds {ORACLE_MAX_COMBINATIONS} combinations; "
-                "use the greedy allocator"
-            )
-    ranges = [range(cap + 1) for cap in caps]
+    if not curves:
+        raise ValueError("need at least one layer of scores")
+    capacity = sum(c.size - 1 for c in curves)
+    if constraint.mode == "budget" and constraint.value > capacity:
+        raise ValueError(f"budget {constraint.value} exceeds capacity {capacity}")
+    # Budget mode never reads a total above N.
+    width = int(constraint.value) + 1 if constraint.mode == "budget" else capacity + 1
+
+    best, picks = curves[0][:width], []
+    for curve in curves[1:]:
+        grown = np.full(min(best.size + curve.size - 1, width), -np.inf)
+        pick = np.zeros(grown.size, dtype=np.intp)
+        for n, v in enumerate(curve[: grown.size]):
+            sums = best[: grown.size - n] + v
+            # >= on ties: the largest n reaching the maximum is kept.
+            better = sums >= grown[n : n + sums.size]
+            np.copyto(grown[n : n + sums.size], sums, where=better)
+            np.copyto(pick[n : n + sums.size], n, where=better)
+        best = grown
+        picks.append(pick)
 
     if constraint.mode == "budget":
-        total_size = int(constraint.value)
-        if total_size > sum(caps):
-            raise ValueError(f"budget {total_size} exceeds capacity {sum(caps)}")
-        best_sizes, best_r = None, -1.0
-        for combo in itertools.product(*ranges):
-            if sum(combo) != total_size:
-                continue
-            r = metrics.r_avg(float(curves[i][n]) for i, n in enumerate(combo))
-            if r > best_r:
-                best_sizes, best_r = combo, r
-        assert best_sizes is not None
-        return AllocationList(sizes=best_sizes)
-
-    target = float(constraint.value)
-    best_sizes, best_total = None, sum(caps) + 1
-    for combo in itertools.product(*ranges):
-        total = sum(combo)
-        if total >= best_total:
-            continue
-        r = metrics.r_avg(float(curves[i][n]) for i, n in enumerate(combo))
-        if r >= target:
-            best_sizes, best_total = combo, total
-    assert best_sizes is not None
-    return AllocationList(sizes=best_sizes)
+        b = width - 1
+    else:
+        b = int(np.argmax(best / len(curves) >= float(constraint.value)))
+    sizes = []
+    for pick in reversed(picks):
+        sizes.append(int(pick[b]))
+        b -= sizes[-1]
+    sizes.append(b)
+    return AllocationList(sizes=tuple(reversed(sizes)))
 
 
 def uniform_allocation(
@@ -253,12 +255,19 @@ def uniform_allocation(
 ) -> AllocationList:
     """Spread a total budget as evenly as possible; the remainder goes to the earliest layers.
 
-    With ``total_size <= num_layers * capacity_per_layer`` no layer gets
-    more than its capacity.
+    Each argument is an integer (``is_cache_size``), never a bool, and
+    ``num_layers`` is at least 1; anything else is refused by name. With
+    ``total_size <= num_layers * capacity_per_layer`` no layer gets more
+    than its capacity.
     """
-    if num_layers < 1:
-        raise ValueError("need at least one layer")
-    if not 0 <= total_size <= num_layers * capacity_per_layer:
+    for name, value, least in (
+        ("total_size", total_size, 0),
+        ("num_layers", num_layers, 1),
+        ("capacity_per_layer", capacity_per_layer, 0),
+    ):
+        if not is_cache_size(value) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if total_size > num_layers * capacity_per_layer:
         raise ValueError(
             f"total {total_size} outside [0, {num_layers * capacity_per_layer}]"
         )

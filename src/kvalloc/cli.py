@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     alloc = sub.add_parser("allocate", help="compute a per-layer cache-size allocation")
     alloc.add_argument("trace")
-    alloc.add_argument("--oracle", action="store_true", help="cross-check against exhaustive search")
+    alloc.add_argument("--oracle", action="store_true", help="cross-check against the exact dynamic-programming oracle")
     _add_constraint_flags(alloc)
     _add_proc_flags(alloc)
     _add_format_flag(alloc)

@@ -98,11 +98,6 @@ def r_avg(values: Iterable[float]) -> float:
     return sum(float(v) for v in vals) / len(vals)
 
 
-def min_cache_size(w: ScoreVector | np.ndarray | Sequence[float], target_r: float) -> int:
-    """Smallest ``n`` whose retention reaches ``target_r``."""
-    return _first_reaching(retention_curve(w), target_r)
-
-
 def _first_reaching(curve: np.ndarray, target_r: float) -> int:
     # The curve never decreases and ends at 1.0: the left insertion point is the answer.
     if not isinstance(target_r, numbers.Real) or isinstance(target_r, bool) or not 0 <= target_r <= 1:

@@ -23,8 +23,8 @@ below that. Each head writes only its own slots and does the same arithmetic
 on any thread, so the bits do not depend on the thread count; its kept rows,
 K, V and context go straight into its slots of the attention, the cache and
 one context array. The norms, output projection and MLP stay on the calling
-thread, and no thread outlives a call. ``causal_softmax`` is that softmax on
-a copy; the eviction simulator softmaxes its recomputed window rows in place.
+thread, and no thread outlives a call. The eviction simulator softmaxes its
+recomputed window rows in place with the same softmax.
 """
 
 from __future__ import annotations
@@ -82,22 +82,6 @@ class PrefillResult:
         l, h, _, t = self.per_layer_attention.shape
         header = TraceHeader(layers=l, heads=h, seq_len=t)
         return AttentionTrace(header=header, weights=self.per_layer_attention.astype(np.float32))
-
-
-def causal_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax over the causal part of the last rows of a square matrix.
-
-    An ``(r, t)`` input with ``1 <= r <= t`` is read as the last ``r`` rows
-    of a ``t x t`` causal matrix, so row ``i`` attends to columns up to
-    ``t - r + i``; a square input is the whole matrix. Masked entries come
-    out exactly zero; rows sum to 1. Uses max-subtraction for numerical
-    stability.
-    """
-    logits = np.array(logits, dtype=np.float64, order="C")
-    if logits.ndim != 2 or not 1 <= logits.shape[0] <= logits.shape[1]:
-        raise ValueError(f"expected an (r, t) matrix with 1 <= r <= t, got shape {logits.shape}")
-    _causal_softmax_inplace(logits)
-    return logits
 
 
 _BLOCK = 128

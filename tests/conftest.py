@@ -5,6 +5,20 @@ from kvalloc.attnproc import ProcSettings
 from kvalloc.trace import AttentionTrace, TraceHeader
 
 
+def where_exp_softmax(logits: np.ndarray) -> np.ndarray:
+    """Reference causal softmax of the last ``r`` rows of a ``t x t`` matrix.
+
+    Row ``i`` sees columns up to ``t - r + i``: mask the rest with np.where,
+    then exp and divide, one new array per step."""
+    logits = np.asarray(logits, dtype=np.float64)
+    r, t = logits.shape
+    masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
+    shifted = masked - masked.max(axis=1, keepdims=True)
+    weights = np.exp(shifted)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights
+
+
 def make_trace(per_layer_rows: list[list[list[float]]], heads: int = 1) -> AttentionTrace:
     """Build a single-head trace from explicit per-layer row lists."""
     weights = np.asarray(per_layer_rows, dtype=np.float32)[:, None, :, :]

@@ -1,6 +1,8 @@
-"""Greedy allocation against hand enumeration and the exhaustive oracle."""
+"""Greedy allocation against hand enumeration and the exact oracle."""
 
+import itertools
 import json
+import re
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -296,6 +298,56 @@ class TestOracleProperty:
         assert allocate(scores, c).total == oracle_allocate(scores, c).total
 
 
+def every_composition(scores, constraint) -> float | int:
+    """By ``itertools.product``: the best ``r_avg`` at a total of N, or the least total reaching the target."""
+    curves = [retention_curve(w) for w in scores]
+    found = [
+        (sum(sizes), r_avg(float(c[n]) for c, n in zip(curves, sizes)))
+        for sizes in itertools.product(*(range(c.size) for c in curves))
+    ]
+    if constraint.mode == "budget":
+        return max(r for total, r in found if total == constraint.value)
+    return min(total for total, r in found if r >= constraint.value)
+
+
+class TestOracleAgainstEveryComposition:
+    """The dynamic program is exact: its sums are the enumeration's own, to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_layer, min_size=1, max_size=3), st.floats(min_value=0.01, max_value=1.0))
+    def test_budget_r_avg_and_target_total(self, layers, target):
+        # integer scores make ties across layers and compositions
+        scores = [np.asarray(w, dtype=np.float64) for w in layers]
+        for n in range(sum(len(w) for w in layers) + 1):
+            c = Constraint.budget(n)
+            alloc = oracle_allocate(scores, c)
+            assert alloc.total == n
+            assert allocation_r_avg(scores, alloc) == every_composition(scores, c)
+        c = Constraint.target(target)
+        alloc = oracle_allocate(scores, c)
+        assert alloc.total == every_composition(scores, c)
+        assert allocation_r_avg(scores, alloc) == every_composition(scores, Constraint.budget(alloc.total))
+
+
+class TestOracleAtLargerShapes:
+    """Past the sizes an enumeration reaches, greedy and oracle still agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 50), min_size=20, max_size=80), min_size=5, max_size=8),
+        st.data(),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_greedy_matches_oracle(self, layers, data, target):
+        scores = [np.asarray(w, dtype=np.float64) for w in layers]
+        c = Constraint.budget(data.draw(st.integers(0, sum(len(w) for w in layers))))
+        assert allocation_r_avg(scores, allocate(scores, c)) == pytest.approx(
+            allocation_r_avg(scores, oracle_allocate(scores, c)), abs=1e-9
+        )
+        c = Constraint.target(target)
+        assert allocate(scores, c).total == oracle_allocate(scores, c).total
+
+
 class TestOracle:
     def test_two_layer_hand_example(self):
         assert oracle_allocate([W1, W2], Constraint.budget(2)).sizes == (1, 1)
@@ -312,10 +364,15 @@ class TestOracle:
             allocation_r_avg(scores, allocate(scores, Constraint.budget(2))), abs=1e-15
         )
 
-    def test_search_space_guard(self):
+    def test_reaches_past_enumeration_size(self):
+        # 201**4 compositions: more than an enumeration of them could visit
         scores = [np.full(200, 1.0)] * 4
-        with pytest.raises(ValueError, match="search space"):
-            oracle_allocate(scores, Constraint.budget(10))
+        c = Constraint.budget(10)
+        assert allocation_r_avg(scores, oracle_allocate(scores, c)) == allocation_r_avg(scores, allocate(scores, c))
+
+    def test_empty_scores_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one layer of scores$"):
+            oracle_allocate([], Constraint.budget(0))
 
     def test_matches_greedy_on_small_grid(self):
         rng = np.random.default_rng(59)
@@ -383,6 +440,27 @@ class TestUniformAllocation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             uniform_allocation(13, 4, 3)
+
+    @pytest.mark.parametrize(
+        "args, name, bad",
+        [
+            ((True, 1, 5), "total_size", True),
+            ((2.0, 1, 5), "total_size", 2.0),
+            ((-1, 1, 5), "total_size", -1),
+            ((2, 2.0, 5), "num_layers", 2.0),
+            ((2, np.True_, 5), "num_layers", np.True_),
+            ((0, 0, 5), "num_layers", 0),
+            ((2, 1, 2.5), "capacity_per_layer", 2.5),
+            ((2, 1, False), "capacity_per_layer", False),
+            ((2, 1, "5"), "capacity_per_layer", "5"),
+        ],
+    )
+    def test_non_integer_arguments_refused_by_name(self, args, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got {re.escape(repr(bad))}$"):
+            uniform_allocation(*args)
+
+    def test_numpy_integer_arguments_accepted(self):
+        assert uniform_allocation(np.int64(10), np.uint8(3), np.int32(4)).sizes == (4, 3, 3)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 14), st.data())
@@ -477,3 +555,10 @@ class TestValidation:
     def test_allocation_r_avg_length_mismatch(self):
         with pytest.raises(ValueError):
             allocation_r_avg([W1], AllocationList(sizes=(1, 1)))
+
+    def test_allocation_r_avg_size_above_capacity(self):
+        with pytest.raises(ValueError, match=r"^layer 0: n_i 5 exceeds capacity 2$"):
+            allocation_r_avg([[1.0, 2.0]], AllocationList((5,)))
+        with pytest.raises(ValueError, match=r"^layer 1: n_i 4 exceeds capacity 3$"):
+            allocation_r_avg([W2, W1], AllocationList((3, 4)))
+        assert allocation_r_avg([W2, W1], AllocationList((3, 3))) == 1.0

@@ -172,6 +172,16 @@ class TestAllocate:
         assert code == 0
         assert "oracle check passed" in err
 
+    @pytest.mark.parametrize("constraint", [["--budget", "100"], ["--target-ravg", "0.9"]], ids=["budget", "target"])
+    def test_oracle_check_passes_on_a_generated_trace(self, tmp_path, capsys, constraint):
+        # 57**6 compositions of six 56-token layers: the oracle does not enumerate them
+        path = tmp_path / "t.bin"
+        save_trace(generate_trace(SyntheticSpec(layers=6, heads=1, seq_len=64, seed=11, layer_skew=1.5)), path)
+        code, out, err = run(capsys, "allocate", str(path), *constraint, "--oracle")
+        assert code == 0, err
+        assert "oracle check passed" in err
+        assert out == run(capsys, "allocate", str(path), *constraint)[1]
+
     def test_target_mode(self, fixture_trace_path, capsys):
         # 0.699 rather than 0.7: float32 storage leaves the two-token average
         # a hair under the ideal 0.7

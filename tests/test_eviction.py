@@ -13,10 +13,10 @@ from kvalloc.attnproc import ProcSettings, process_trace, score_window
 from kvalloc.eviction import WINDOW_POLICY, EvictionReport, evict_layer, simulate_task
 from kvalloc.metrics import r_avg as mean_retention
 from kvalloc.metrics import retention
-from kvalloc.toymodel import ToyModelConfig, causal_softmax, full_prefill, mini_prefill
+from kvalloc.toymodel import ToyModelConfig, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace
 
-from conftest import TWO_LAYER_ROWS, make_trace
+from conftest import TWO_LAYER_ROWS, make_trace, where_exp_softmax
 
 
 def reference_selection(q, k, n, ows, pool_size):
@@ -40,7 +40,7 @@ def reference_selection(q, k, n, ows, pool_size):
 def full_matrix_selection(q, k, n, settings):
     """The whole-matrix path: softmax over all t x t logits, then score."""
     t, p = q.shape
-    weights = causal_softmax(q @ np.asarray(k, dtype=np.float64).T / np.sqrt(p))
+    weights = where_exp_softmax(q @ np.asarray(k, dtype=np.float64).T / np.sqrt(p))
     scores = score_window(weights[t - settings.ows :], settings).scores
     top = np.argsort(-scores, kind="stable")[:n]
     return np.sort(np.concatenate([top, np.arange(t - settings.ows, t)]))

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from kvalloc.metrics import (
     RetentionPoint,
-    min_cache_size,
     min_size_table_csv,
     r_avg,
     retention,
@@ -25,6 +24,12 @@ from kvalloc.allocator import AllocationList
 from kvalloc.attnproc import ProcSettings, ScoreVector
 from kvalloc.eviction import simulate_task
 from kvalloc.trace import SyntheticSpec, generate_trace
+
+
+def min_size(w, target) -> int:
+    """``n_min`` of one score list at one target, read from ``min_size_table_csv``."""
+    table = min_size_table_csv([ScoreVector(layer=0, scores=np.asarray(w, dtype=np.float64))], [target])
+    return int(table.splitlines()[1].rsplit(",", 1)[1])
 
 
 def argsort_curve(w) -> np.ndarray:
@@ -72,7 +77,7 @@ class TestRetention:
         # Nothing to keep: retention is 1 from n = 0 on, and no slot gains anything.
         assert retention_curve([0.0, 0.0, 0.0]).tolist() == [1.0, 1.0, 1.0, 1.0]
         assert retention([0.0, 0.0], 0) == 1.0
-        assert min_cache_size([0.0, 0.0], 1.0) == 0
+        assert min_size([0.0, 0.0], 1.0) == 0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -167,7 +172,7 @@ class TestSizeArguments:
         with pytest.raises(ValueError, match=f"got {re.escape(repr(target))}"):
             min_size_table_csv([SCORES_4], [0.5, target])
         with pytest.raises(ValueError, match=f"got {re.escape(repr(target))}"):
-            min_cache_size(SCORES_4, target)
+            min_size_table_csv([SCORES_4], [target])
 
     def test_numpy_integers_are_sizes(self):
         n = np.int64(2)
@@ -196,18 +201,18 @@ class TestMinCacheSize:
             curve = retention_curve(w)
             for target in np.linspace(0.1, 1.0, 10):
                 linear = next(n for n in range(curve.size) if curve[n] >= target)
-                assert min_cache_size(w, float(target)) == linear
+                assert min_size(w, float(target)) == linear
 
     def test_target_zero_needs_nothing(self):
-        assert min_cache_size([0.5, 0.5], 0.0) == 0
+        assert min_size([0.5, 0.5], 0.0) == 0
 
     def test_target_one_needs_all_positive_scores(self):
-        assert min_cache_size([0.5, 0.3, 0.2], 1.0) == 3
-        assert min_cache_size([0.5, 0.5, 0.0], 1.0) == 2
+        assert min_size([0.5, 0.3, 0.2], 1.0) == 3
+        assert min_size([0.5, 0.5, 0.0], 1.0) == 2
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
-            min_cache_size([0.5], 1.5)
+            min_size([0.5], 1.5)
 
 
 def report(sizes, seq_len: int, ows=2):

@@ -19,24 +19,13 @@ from kvalloc.toymodel import (
     PrefillResult,
     ToyModelConfig,
     _Weights,
-    causal_softmax,
     default_input,
     full_prefill,
     mini_prefill,
 )
 from kvalloc.trace import load_trace, save_trace
 
-
-def where_exp_softmax(logits: np.ndarray) -> np.ndarray:
-    """Reference softmax: mask the whole square with np.where, then exp and
-    divide it, one new array per step."""
-    logits = np.asarray(logits, dtype=np.float64)
-    r, t = logits.shape
-    masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return weights
+from conftest import where_exp_softmax
 
 
 def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillResult:
@@ -280,13 +269,9 @@ class TestMatchesWhereExpReference:
     def test_causal_softmax_bit_equal(self, t, r_share, magnitude, seed):
         r = max(1, round(r_share * t))
         logits = np.random.default_rng(seed).normal(size=(r, t)) * magnitude
-        assert causal_softmax(logits).tobytes() == where_exp_softmax(logits).tobytes()
-
-    def test_causal_softmax_leaves_its_input_alone(self):
-        logits = np.random.default_rng(5).normal(size=(130, 140))
-        before = logits.copy()
-        causal_softmax(logits)
-        assert logits.tobytes() == before.tobytes()
+        weights = logits.copy()
+        toymodel._causal_softmax_inplace(weights)
+        assert weights.tobytes() == where_exp_softmax(logits).tobytes()
 
     @pytest.mark.parametrize("seq_len", [1, 2, 127, 128, 129, 200, 300])
     def test_prefills_bit_equal(self, seq_len):
