@@ -27,7 +27,7 @@ settings = ProcSettings(ows=8, pool_size=7)
 
 mini = mini_prefill(config, rows=settings.ows)
 full = full_prefill(config, rows=settings.ows)
-gap = np.abs(mini.per_layer_attention - full.per_layer_attention).max()
+gap = np.abs(mini.weights - full.weights).max()
 print(f"mini vs full window attention rows: max |diff| = {gap:.2e}")
 print(f"live K/V bytes during mini prefill: {mini.kv_bytes}")
 print(f"live K/V bytes during full prefill: {full.kv_bytes}\n")

@@ -26,7 +26,6 @@ from .metrics import (
 )
 from .sampling import (
     AllocationProfile,
-    average_allocations,
     build_profile,
     load_profile,
     profile_similarity,
@@ -61,7 +60,6 @@ __all__ = [
     "TraceHeader",
     "allocate",
     "allocation_r_avg",
-    "average_allocations",
     "build_profile",
     "evict_layer",
     "full_prefill",

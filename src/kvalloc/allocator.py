@@ -50,7 +50,10 @@ class AllocationList:
 
     @classmethod
     def from_json(cls, text: str) -> "AllocationList":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError as exc:  # nesting past the recursion limit
+            raise ValueError(f"malformed allocation JSON: {exc}") from exc
         if not isinstance(obj, dict) or "sizes" not in obj:
             raise ValueError('allocation JSON must be an object with a "sizes" key')
         return cls(sizes=obj["sizes"])

@@ -8,9 +8,11 @@ to the window and therefore to the first generated token.
 
 Scoring reads only those ``ows`` window rows. ``score_window`` is the one
 implementation; ``process_trace`` feeds it each layer's window rows of a
-trace, whole or windowed, or a toy-model prefill, averaged over heads, and the
-eviction simulator scores through ``process_trace``. The rows are sliced out
-before any float64 cast or head reduction, so no whole-matrix copy is made.
+trace, whole or windowed, a toy prefill's float64 rows included, averaged
+over heads, and the eviction simulator scores through ``process_trace``. The
+rows are sliced out before any float64 cast or head reduction, so no
+whole-matrix copy is made. ``_causal_softmax_inplace`` makes such rows from
+logits, for the toy model's heads and the simulator's recomputed windows.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .toymodel import PrefillResult
-from .trace import DEFAULT_OWS, AttentionTrace, is_integer, set_integers
+from .trace import AttentionTrace, is_integer, set_integers
+
+# The observation window: the last rows of each matrix that scoring reads by default and a toy prefill keeps.
+DEFAULT_OWS = 8
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,27 @@ class ProcSettings:
             raise ValueError(
                 f"pool_size {self.pool_size} exceeds non-window length {seq_len - self.ows}"
             )
+
+
+_BLOCK = 128
+_STRICT_UPPER = ~np.tri(_BLOCK, dtype=bool)
+
+
+def _causal_softmax_inplace(a: np.ndarray, scale: float = 1.0) -> None:
+    # ``a`` holds the last rows of a (t, t) matrix of logits. Each block of
+    # rows touches only the columns its rows see, so exp skips the masked
+    # part. Every step is elementwise or exact and the sum still reduces
+    # whole rows, so the bits equal a where/exp/divide on the square.
+    r, t = a.shape
+    for i0 in range(0, r, _BLOCK):
+        i1 = min(i0 + _BLOCK, r)
+        rows, block = a[i0:i1], a[i0:i1, : t - r + i1]
+        block /= scale
+        np.copyto(block[:, t - r + i0 :], -np.inf, where=_STRICT_UPPER[: i1 - i0, : i1 - i0])
+        block -= block.max(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        rows[:, t - r + i1 :] = 0.0
+        block /= rows.sum(axis=1, keepdims=True)
 
 
 def is_cache_size(n: object) -> bool:
@@ -114,26 +139,22 @@ def score_window(rows: np.ndarray, settings: ProcSettings, layer: int = 0) -> Sc
     return ScoreVector(layer=layer, scores=smooth(merged, settings.pool_size))
 
 
-def process_trace(source: AttentionTrace | PrefillResult, settings: ProcSettings) -> list[ScoreVector]:
-    """Score every layer of a trace or a prefill from the mean of its heads' window rows.
+def process_trace(source: AttentionTrace, settings: ProcSettings) -> list[ScoreVector]:
+    """Score every layer of a trace from the mean of its heads' window rows.
 
-    A trace is read from its float32 weights, a prefill from its own
-    float64 rows; either must hold at least ``ows`` rows per matrix. A
-    layer's window rows are averaged over heads, then scored by
-    ``score_window``. Only those rows are cast to float64, which gives the
-    same scores, bit for bit, as averaging the whole matrices.
+    The trace, a toy prefill included, must hold at least ``ows`` rows per
+    matrix. A layer's window rows are averaged over heads, then scored by
+    ``score_window``. Only those rows are cast to float64 (a prefill's already
+    are), which gives the same scores, bit for bit, as averaging the whole
+    matrices.
     """
-    if isinstance(source, AttentionTrace):
-        attn = source.weights
-    elif isinstance(source, PrefillResult):
-        attn = source.per_layer_attention
-    else:
+    if not isinstance(source, AttentionTrace):
         raise TypeError(f"expected an AttentionTrace or a PrefillResult, got {type(source).__name__}")
-    r, t = attn.shape[-2:]
+    r, t = source.weights.shape[-2:]
     settings.check_seq_len(t)
     if r < settings.ows:
         raise ValueError(f"ows {settings.ows} needs {settings.ows} window rows; the source holds {r}")
     return [
         score_window(layer_attn[:, r - settings.ows :].astype(np.float64).mean(axis=0), settings, layer=layer)
-        for layer, layer_attn in enumerate(attn)
+        for layer, layer_attn in enumerate(source.weights)
     ]

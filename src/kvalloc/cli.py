@@ -149,7 +149,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def _simulate_source(args: argparse.Namespace):
-    """Resolve the attention source, projection width and sequence length for simulation."""
+    """Resolve the attention source and projection width for simulation."""
     if args.toy:
         if args.trace is not None:
             raise ValueError("a trace path and --toy are mutually exclusive")
@@ -161,11 +161,10 @@ def _simulate_source(args: argparse.Namespace):
             seq_len=args.seq_len,
             seed=args.seed,
         )
-        return toymodel.mini_prefill(config, rows=args.ows), config.proj_dim, config.seq_len
+        return toymodel.mini_prefill(config, rows=args.ows), config.proj_dim
     if args.trace is None:
         raise ValueError("either a trace path or --toy is required")
-    loaded = trace.read_window(args.trace, args.ows)
-    return loaded, args.proj_dim, loaded.header.seq_len
+    return trace.read_window(args.trace, args.ows), args.proj_dim
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -174,7 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if sum([args.allocation is not None, args.auto, args.profile is not None]) != 1:
         raise ValueError("exactly one of --allocation, --auto, or --profile is required")
     constraint = _constraint(args) if args.auto else None
-    source, proj_dim, seq_len = _simulate_source(args)
+    source, proj_dim = _simulate_source(args)
     if args.allocation is not None:
         with open(args.allocation, "r", encoding="utf-8") as fh:
             allocation = allocator.AllocationList.from_json(fh.read())
@@ -187,8 +186,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     reports = {"personalized": report}
     if args.compare_uniform:
-        capacity = seq_len - settings.ows
-        uniform = allocator.uniform_allocation(allocation.total, len(allocation), capacity)
+        uniform = allocator.uniform_allocation(allocation.total, len(allocation), source.header.seq_len - settings.ows)
         reports["uniform"] = eviction.simulate_task(source, uniform, settings, proj_dim=proj_dim)
         _note(f"uniform: {reports['uniform'].summary()}")
 

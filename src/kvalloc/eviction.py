@@ -3,8 +3,8 @@
 Eviction keeps each layer's ``n_i`` highest-scoring non-window tokens plus
 every observation-window token, in original order. The simulation entry
 point applies this across all layers of a trace, whole or windowed (its
-header gives the sequence length), or a toy-model run and reports retained
-indices, per-layer retention, and the compressed memory footprint.
+header gives the sequence length), a toy-model prefill included, and reports
+retained indices, per-layer retention, and the compressed memory footprint.
 
 Window tokens are retained on top of the per-layer budget, not inside it;
 every report says so explicitly.
@@ -25,9 +25,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import metrics
-from .attnproc import ProcSettings, ScoreVector, process_trace, score_window
+from .attnproc import ProcSettings, ScoreVector, _causal_softmax_inplace, process_trace, score_window
 from .allocator import AllocationList
-from .toymodel import PrefillResult, _causal_softmax_inplace
 from .trace import AttentionTrace, is_integer
 
 ELEMENT_BYTES = 4
@@ -114,24 +113,23 @@ def evict_layer(
 
 
 def simulate_task(
-    source: AttentionTrace | PrefillResult,
+    source: AttentionTrace,
     allocation: AllocationList,
     settings: ProcSettings,
     proj_dim: int = 64,
 ) -> EvictionReport:
     """Apply per-layer eviction across a whole task and account for memory.
 
-    ``source`` supplies the attention weights: a trace or a prefill result,
-    whole or its last rows, scored by ``process_trace``. ``proj_dim`` sets
-    the per-token projection width used for byte accounting when the source
-    carries no K/V (a full-prefill result overrides it with the real width);
-    it must be an integer >= 1 either way.
+    ``source`` supplies the attention weights: a trace, whole or its last
+    rows, scored by ``process_trace``. ``proj_dim`` sets the per-token
+    projection width used for byte accounting when the source carries no K/V
+    (a full prefill's cache overrides it with the real width); it must be an
+    integer >= 1 either way.
     """
     if not is_integer(proj_dim) or proj_dim < 1:
         raise ValueError(f"proj_dim must be an integer >= 1, got {proj_dim!r}")
     vectors = process_trace(source, settings)
-    attn = source.per_layer_attention if isinstance(source, PrefillResult) else source.weights
-    l, h, _, t = attn.shape
+    l, h, t = source.header.layers, source.header.heads, source.header.seq_len
     if getattr(source, "kv_pairs", None) is not None:
         proj_dim = source.kv_pairs.shape[-1]
     if len(allocation) != l:

@@ -91,11 +91,14 @@ def retention(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> float:
 
 
 def r_avg(values: Iterable[float]) -> float:
-    """Arithmetic mean of per-layer retention values."""
+    """Arithmetic mean of per-layer retention values, added left to right as the exact oracle adds them."""
     vals = list(values)
     if not vals:
         raise ValueError("r_avg of an empty list is undefined")
-    return sum(float(v) for v in vals) / len(vals)
+    total = 0.0
+    for v in vals:  # not sum(), which compensates float sums from Python 3.12 on
+        total += float(v)
+    return total / len(vals)
 
 
 def _first_reaching(curve: np.ndarray, target_r: float) -> int:

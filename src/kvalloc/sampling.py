@@ -109,7 +109,10 @@ def save_profile(profile: AllocationProfile, path: str | Path) -> None:
 
 def load_profile(path: str | Path) -> AllocationProfile:
     """Read a profile file, whose ``averaged`` must be its samples' average; other keys are ignored."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:  # nesting past the recursion limit
+        raise ValueError(f"malformed profile file: {exc}") from exc
     missing = {"task_type", "samples", "averaged"} - (obj.keys() if isinstance(obj, dict) else set())
     if missing:
         raise ValueError(f"profile file missing keys: {sorted(missing)}")

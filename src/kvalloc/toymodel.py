@@ -7,24 +7,22 @@ key/value projections in one K/V cache array (the cache a real inference run
 would hold); ``mini_prefill`` runs the same layers but caches nothing and
 terminates the moment the last layer's attention weights exist. Their rows
 are elementwise equal, which is what lets allocation decisions computed on
-the cheap pass apply to the real one.
+the cheap pass apply to the real one. Both return a ``PrefillResult``, an
+``AttentionTrace`` of float64 rows, scored and evicted as any trace is.
 
 Weights are a pure function of the seed, drawn once per config and read-only:
 identical configs give bit-identical results. Each head computes its whole
-attention matrix in place in a ``(seq_len, seq_len)`` float64 scratch of the
-thread running it: the logits go straight into it, the masked row softmax
-runs there in row blocks, with ``exp`` only on causal columns, then the kept
-rows are copied out and the context ``attn @ v`` is read from it. So a
-prefill holds one square per thread, not one per (layer, head). Within a
-layer the heads run on ``min(heads, CPUs)`` threads (CPUs as
-``os.sched_getaffinity`` counts them) once ``seq_len`` is 256 or more, where
-a head's work outweighs the threads' overhead, and on the calling thread
-below that. Each head writes only its own slots and does the same arithmetic
-on any thread, so the bits do not depend on the thread count; its kept rows,
-K, V and context go straight into its slots of the attention, the cache and
-one context array. The norms, output projection and MLP stay on the calling
-thread, and no thread outlives a call. The eviction simulator softmaxes its
-recomputed window rows in place with the same softmax.
+attention matrix in a ``(seq_len, seq_len)`` float64 scratch of the thread
+running it, with ``attnproc._causal_softmax_inplace``, then copies out the
+kept rows and reads the context ``attn @ v`` from it: a prefill holds one
+square per thread, not one per (layer, head). Within a layer the heads run
+on ``min(heads, CPUs)`` threads (CPUs as ``os.sched_getaffinity`` counts
+them) once ``seq_len`` is 256 or more, where a head's work outweighs the
+threads' overhead, and on the calling thread below that. Each head writes
+only its own slots of the attention, the cache and one context array, with
+the same arithmetic on any thread, so the bits do not depend on the thread
+count. The norms, output projection and MLP stay on the calling thread, and
+no thread outlives a call.
 """
 
 from __future__ import annotations
@@ -32,16 +30,18 @@ from __future__ import annotations
 import functools
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .trace import DEFAULT_OWS, AttentionTrace, TraceHeader, is_integer, set_integers
+from .attnproc import DEFAULT_OWS, _causal_softmax_inplace
+from .trace import AttentionTrace, TraceHeader, is_integer, set_integers
 
 
 @dataclass(frozen=True)
 class ToyModelConfig:
-    """Dimensions (integers >= 1) and seed (an integer >= 0) of the toy transformer, kept as Python ints."""
+    """Dimensions (integers >= 1, ``seq_len`` >= 2 as in a trace) and seed (an integer >= 0), kept as Python ints."""
 
     layers: int = 2
     heads: int = 1
@@ -51,26 +51,30 @@ class ToyModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        set_integers(self, layers=1, heads=1, model_dim=1, proj_dim=1, seq_len=1, seed=0)
+        set_integers(self, layers=1, heads=1, model_dim=1, proj_dim=1, seq_len=2, seed=0)
 
 
 @dataclass(frozen=True)
-class PrefillResult:
-    """Output of a prefill pass.
+class PrefillResult(AttentionTrace):
+    """Output of a prefill pass: a trace of the kept attention rows, float64 as computed.
 
-    ``per_layer_attention`` holds the last ``rows`` rows of every head's
-    float64 attention matrix, shape ``(layers, heads, min(rows, seq_len),
-    seq_len)``, the layout of ``AttentionTrace.weights``. A full prefill also
-    carries the logits for the first output token and the K/V cache, one
-    C-contiguous float32 array (the 4-byte elements a cache would store) of
-    shape ``(layers, 2, heads, seq_len, proj_dim)``, whose ``kv_pairs[layer]``
-    unpacks into keys and values. A mini prefill carries the attention and
-    nothing else: ``kv_pairs`` is None, ``kv_bytes`` 0.
+    ``weights`` is ``(layers, heads, min(rows, seq_len), seq_len)``, checked
+    when built like any trace's. A full prefill also carries the logits for
+    the first output token and the K/V cache, one C-contiguous float32 array
+    of shape ``(layers, 2, heads, seq_len, proj_dim)`` whose ``kv_pairs[layer]``
+    unpacks into keys and values. A mini prefill carries neither: ``kv_pairs``
+    is None, ``kv_bytes`` 0.
     """
 
-    per_layer_attention: np.ndarray = field(repr=False)
+    dtype: ClassVar[type] = np.float64
+
     kv_pairs: np.ndarray | None = None
     first_token_logits: np.ndarray | None = None
+
+    @property
+    def per_layer_attention(self) -> np.ndarray:
+        """``weights``, under the name the benchmark reads."""
+        return self.weights
 
     @property
     def kv_bytes(self) -> int:
@@ -78,30 +82,8 @@ class PrefillResult:
         return 0 if self.kv_pairs is None else self.kv_pairs.nbytes
 
     def attention_trace(self) -> AttentionTrace:
-        """Repackage the recorded rows as a float32 trace, windowed unless every row was kept."""
-        l, h, _, t = self.per_layer_attention.shape
-        header = TraceHeader(layers=l, heads=h, seq_len=t)
-        return AttentionTrace(header=header, weights=self.per_layer_attention.astype(np.float32))
-
-
-_BLOCK = 128
-_STRICT_UPPER = ~np.tri(_BLOCK, dtype=bool)
-
-
-def _causal_softmax_inplace(a: np.ndarray, scale: float = 1.0) -> None:
-    # Each block of rows touches only the columns its rows see, so exp skips
-    # the masked part. Every step is elementwise or exact and the sum still
-    # reduces whole rows, so the bits equal a where/exp/divide on the square.
-    r, t = a.shape
-    for i0 in range(0, r, _BLOCK):
-        i1 = min(i0 + _BLOCK, r)
-        rows, block = a[i0:i1], a[i0:i1, : t - r + i1]
-        block /= scale
-        np.copyto(block[:, t - r + i0 :], -np.inf, where=_STRICT_UPPER[: i1 - i0, : i1 - i0])
-        block -= block.max(axis=1, keepdims=True)
-        np.exp(block, out=block)
-        rows[:, t - r + i1 :] = 0.0
-        block /= rows.sum(axis=1, keepdims=True)
+        """The kept rows as a float32 trace, windowed unless every row was kept."""
+        return AttentionTrace(header=self.header, weights=self.weights)
 
 
 def _rms_normalize(x: np.ndarray) -> np.ndarray:
@@ -216,8 +198,7 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
     attention = _allocated("attention array", l * h * r * t * 8, lambda: np.empty((l, h, r, t)))
     x = _allocated("input", t * d * 8, lambda: default_input(config)) if x is None else _check_input(config, x)
     weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 8, lambda: _Weights(config))
-    kv_nbytes = l * 2 * h * t * p * 4
-    kv = _allocated("K/V cache", kv_nbytes, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
+    kv = _allocated("K/V cache", l * 2 * h * t * p * 4, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
     # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
     contexts = np.empty((t, h * p))
 
@@ -241,25 +222,21 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
 
         _each_head(head_body, h, workers)
         if stop:
-            # All attention statistics exist; the rest of the layer is dead
-            # weight for scoring purposes.
-            return PrefillResult(per_layer_attention=attention)
+            break  # all attention statistics exist; the rest of the layer is dead weight for scoring
         x = x + contexts @ lw["wo"]
-        hn = _rms_normalize(x)
-        x = x + np.tanh(hn @ lw["w1"]) @ lw["w2"]
+        x = x + np.tanh(_rms_normalize(x) @ lw["w1"]) @ lw["w2"]
 
-    logits = _rms_normalize(x)[-1] @ weights.unembed
-    return PrefillResult(per_layer_attention=attention, kv_pairs=kv, first_token_logits=logits)
+    logits = _rms_normalize(x)[-1] @ weights.unembed if full else None
+    header = TraceHeader(layers=l, heads=h, seq_len=t)
+    return PrefillResult(header=header, weights=attention, kv_pairs=kv, first_token_logits=logits)
 
 
 def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: int = DEFAULT_OWS) -> PrefillResult:
     """Run every layer, keeping the last ``rows`` attention rows per head, the K/V cache, and logits.
 
     ``rows`` is an integer >= 1; from ``seq_len`` on every row is kept. The
-    cache and logits do not depend on it. Each layer's heads run on
-    ``min(heads, len(os.sched_getaffinity(0)))`` threads when
-    ``seq_len >= 256``, on one below that; the result has the same bits for
-    any thread count.
+    cache and logits do not depend on it, and no bit depends on how many
+    threads run the heads.
     """
     return _forward(config, x, full=True, rows=rows)
 
@@ -269,6 +246,6 @@ def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: i
 
     The recorded rows equal ``full_prefill``'s at the same ``rows``
     elementwise; no K/V is ever stored, so the live cache footprint is zero
-    bytes. Heads run on threads as in ``full_prefill``.
+    bytes.
     """
     return _forward(config, x, full=False, rows=rows)

@@ -10,10 +10,10 @@ seq_len`` IEEE-754 binary32 little-endian values in layer-major / head /
 row-major order.
 
 An ``AttentionTrace`` holds the last rows of each (layer, head) matrix, all
-of them in a whole trace, and is valid by construction: building one checks
-every row once, so saving and scoring need not check again. ``_find_defect``
-is the one check, over any run of rows of one (layer, head) matrix, and
-``_check_block`` raises what it finds.
+of them in a whole trace, as float32 but in a toy prefill (a subclass), and is
+valid by construction: building one checks every row once, so saving and
+scoring need not check again. ``_find_defect`` is the one check, over any run
+of rows of one (layer, head) matrix, and ``_check_block`` raises what it finds.
 
 The CLI streams traces in row chunks, touching ``CHUNK_BYTES`` of one ``(t, t)``
 float32 buffer: ``read_window`` reads a chunk, checks its rows before the
@@ -31,6 +31,7 @@ import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,9 +45,6 @@ ROW_SUM_ATOL = 1e-3
 # The streaming reader and writer touch this many bytes of rows of their (t, t)
 # buffer at a time, and at least one row.
 CHUNK_BYTES = 2 << 20
-
-# The observation window: the last rows of each matrix that scoring reads by default and a toy prefill keeps.
-DEFAULT_OWS = 8
 
 
 class TraceFormatError(ValueError):
@@ -135,16 +133,19 @@ class AttentionTrace:
 
     ``weights`` has shape ``(layers, heads, w, seq_len)``: the last ``w`` rows,
     ``1 <= w <= seq_len``, of every per-head matrix (all of them in a whole
-    trace). Every row is a probability distribution over positions up to its
-    own index (zeros after it, row sums 1). Construction checks this with
-    ``validate`` and raises TraceFormatError on the first offender.
+    trace), as the class's ``dtype``, float32 but in a toy prefill. Every row
+    is a probability distribution over positions up to its own index (zeros
+    after it, row sums 1). Construction checks this with ``validate`` and
+    raises TraceFormatError on the first offender.
     """
+
+    dtype: ClassVar[type] = np.float32
 
     header: TraceHeader
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        w, h = np.ascontiguousarray(self.weights, dtype=np.float32), self.header
+        w, h = np.ascontiguousarray(self.weights, dtype=self.dtype), self.header
         if w.ndim != 4 or w.shape[:2] != (h.layers, h.heads) or not 1 <= w.shape[2] <= w.shape[3] == h.seq_len:
             raise TraceFormatError(f"weights shape {w.shape} does not match header {h}")
         w.setflags(write=False)
@@ -170,11 +171,15 @@ _ABOVE = _LOWER == 0
 
 
 def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> tuple[tuple[int, float], str] | None:
-    """``_check_block``'s defect in ``rows`` as ``((rank, key), message)``, or None.
+    """The first defect in rows ``first_row`` onward of one (layer, head) matrix, as ``((rank, key), message)``.
 
-    Ranks follow the checks; a row-sum defect names the row of largest
-    deviation, which negated is its key. Of two runs of rows of one matrix, the
-    smaller key, or the earlier run on a tie, is what one check of both reports.
+    ``rows`` is ``(r, t)``; its row ``i`` is row ``first_row + i`` of the
+    ``t x t`` matrix. Causality is checked a 128-row band at a time, building
+    no ``t x t`` mask unless it fails, then finiteness, sign and row sums over
+    all the rows. Ranks follow the checks; a row-sum defect names the row of
+    largest deviation, which negated is its key. Of two runs of rows of one
+    matrix, the smaller key, or the earlier run on a tie, is what one check of
+    both reports. None if the rows are sound.
     """
     where = f"layer {layer}, head {head}"
     # Summed first, the rows are in cache for the causality check. A NaN or
@@ -202,15 +207,8 @@ def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> tup
 
 
 def _check_block(rows: np.ndarray, layer: int, head: int, first_row: int) -> None:
-    """Check rows ``first_row`` onward of one (layer, head) matrix.
-
-    ``rows`` is ``(r, t)``; its row ``i`` is row ``first_row + i`` of the
-    ``t x t`` matrix. Checks causality a 128-row band at a time, building no
-    ``t x t`` mask unless it fails, then finiteness, sign and row sums over all
-    the rows; raises TraceFormatError at the first offender.
-    """
-    defect = _find_defect(rows, layer, head, first_row)
-    if defect is not None:
+    """Raise TraceFormatError with ``_find_defect``'s message, if it finds a defect in these rows."""
+    if (defect := _find_defect(rows, layer, head, first_row)) is not None:
         raise TraceFormatError(defect[1])
 
 

@@ -421,6 +421,11 @@ class TestAllocationList:
         with pytest.raises(ValueError):
             AllocationList.from_json(text)
 
+    def test_nesting_past_the_recursion_limit_rejected(self):
+        depth = 100_000
+        with pytest.raises(ValueError, match="^malformed allocation JSON: maximum recursion depth exceeded"):
+            AllocationList.from_json('{"sizes":' + "[" * depth + "]" * depth + "}")
+
 
 class TestUniformAllocation:
     def test_even_spread(self):

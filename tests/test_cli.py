@@ -273,6 +273,12 @@ class TestSimulate:
         assert out == ""
         assert err == "error: seed must be >= 0, got -1\n"
 
+    def test_toy_single_token_exits_2_by_name(self, capsys):
+        code, out, err = run(capsys, "simulate", "--toy", "--auto", "--budget", "1", "--seq-len", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: seq_len must be >= 2, got 1\n"
+
     # The trace is scored for --auto before simulate_task sees the width.
     @pytest.mark.parametrize("proj_dim", ["-5", "0"])
     def test_proj_dim_below_one_exits_2(self, fixture_trace_path, capsys, proj_dim):
@@ -422,6 +428,15 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == "error: profile averaged [0, 3] is not its samples' average [1, 2]\n"
+
+    @pytest.mark.parametrize("flag, prefix", [("--allocation", '{"sizes":'), ("--profile", '{"task_type":"qa","samples":')])
+    def test_deeply_nested_file_exits_2(self, fixture_trace_path, tmp_path, capsys, flag, prefix):
+        path = tmp_path / "nested.json"
+        path.write_text(prefix + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        code, out, err = run(capsys, "simulate", fixture_trace_path, flag, str(path), "--ows", "2", "--pool-size", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed ") and "maximum recursion depth exceeded" in err
 
     def test_profile_with_non_string_task_type_exits_2(self, fixture_trace_path, tmp_path, capsys):
         profile_path = tmp_path / "profile.json"

@@ -45,12 +45,12 @@ import numpy as np
 import pytest
 
 from kvalloc.allocator import AllocationList
-from kvalloc.attnproc import ProcSettings, ScoreVector, process_trace
+from kvalloc.attnproc import DEFAULT_OWS, ProcSettings, ScoreVector, process_trace
 from kvalloc.eviction import simulate_task
 from kvalloc.metrics import retention_table
 from kvalloc.toymodel import ToyModelConfig, default_input, full_prefill, mini_prefill
 from kvalloc.trace import (
-    DEFAULT_OWS, SyntheticSpec, generate_trace, load_trace, read_window, save_trace, write_synthetic,
+    SyntheticSpec, generate_trace, load_trace, read_window, save_trace, write_synthetic,
 )
 
 SPEC = SyntheticSpec(layers=4, heads=2, seq_len=256, sparsity=0.1, seed=3, layer_skew=1.0)

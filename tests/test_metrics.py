@@ -192,6 +192,10 @@ class TestRAvg:
         with pytest.raises(ValueError):
             r_avg([])
 
+    def test_adds_left_to_right(self):
+        # A compensated sum (Python 3.12's sum() of floats) gives 1 + 2e-16 before the division.
+        assert r_avg([1.0, 1e-16, 1e-16]) == 1.0 / 3
+
 
 class TestMinCacheSize:
     def test_binary_search_matches_linear_scan(self):

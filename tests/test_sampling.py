@@ -168,6 +168,13 @@ class TestProfilePersistence:
         with pytest.raises(ValueError):
             load_profile(path)
 
+    def test_nesting_past_the_recursion_limit_rejected(self, tmp_path):
+        path = tmp_path / "profile.json"
+        depth = 100_000
+        path.write_text('{"task_type":"qa","samples":' + "[" * depth + "]" * depth + ',"averaged":[]}', encoding="utf-8")
+        with pytest.raises(ValueError, match="^malformed profile file: maximum recursion depth exceeded"):
+            load_profile(path)
+
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"task_type":"qa"}', encoding="utf-8")

@@ -23,7 +23,7 @@ from kvalloc.toymodel import (
     full_prefill,
     mini_prefill,
 )
-from kvalloc.trace import load_trace, save_trace
+from kvalloc.trace import AttentionTrace, TraceFormatError, TraceHeader, load_trace, save_trace
 
 from conftest import where_exp_softmax
 
@@ -37,6 +37,7 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
 
     weights = _Weights(config)
     t, p, h = config.seq_len, config.proj_dim, config.heads
+    header = TraceHeader(layers=config.layers, heads=h, seq_len=t)
     attention = np.empty((config.layers, h, t, t), dtype=np.float64)
     kv_pairs = []
     for layer_idx, lw in enumerate(weights.layers):
@@ -54,12 +55,12 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
             keys[head], values[head] = k, v
             contexts[head] = attn @ v
         if stop:
-            return PrefillResult(per_layer_attention=attention)
+            return PrefillResult(header=header, weights=attention)
         kv_pairs.append((keys.astype(np.float32), values.astype(np.float32)))
         x = x + contexts.transpose(1, 0, 2).reshape(t, h * p) @ lw["wo"]
         x = x + np.tanh(rms(x) @ lw["w1"]) @ lw["w2"]
     logits = rms(x)[-1] @ weights.unembed
-    return PrefillResult(per_layer_attention=attention, kv_pairs=np.array(kv_pairs), first_token_logits=logits)
+    return PrefillResult(header=header, weights=attention, kv_pairs=np.array(kv_pairs), first_token_logits=logits)
 
 
 class TestConfig:
@@ -74,6 +75,12 @@ class TestConfig:
     def test_non_integer_fields_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             ToyModelConfig(**{field: value})
+
+    def test_single_token_refused_by_name(self):
+        # A one-token prefill is no trace (TraceHeader needs seq_len >= 2) and has nothing to score.
+        with pytest.raises(ValueError, match="^seq_len must be >= 2, got 1$"):
+            ToyModelConfig(seq_len=1)
+        assert ToyModelConfig(seq_len=2).seq_len == 2
 
     def test_negative_seed_rejected_by_name(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -109,12 +116,6 @@ class TestFullPrefill:
         assert abs(attn[0, 0] - 1.0) <= 1e-6
         assert abs(attn[1].sum() - 1.0) <= 1e-6
         assert (attn[1] >= 0).all()
-
-    def test_single_token_attention_is_identity(self):
-        config = ToyModelConfig(layers=2, heads=1, model_dim=6, proj_dim=3, seq_len=1, seed=0)
-        result = full_prefill(config)
-        assert result.per_layer_attention.shape == (2, 1, 1, 1)
-        assert (result.per_layer_attention == 1.0).all()
 
     def test_kv_byte_counter(self):
         config = ToyModelConfig(layers=4, heads=1, model_dim=8, proj_dim=6, seq_len=10, seed=2)
@@ -246,8 +247,41 @@ class TestTraceExport:
         for a, b in zip(from_memory, from_disk):
             assert np.array_equal(a.scores, b.scores)
 
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_prefills_are_traces_of_float64_rows(self, prefill):
+        config = ToyModelConfig(layers=2, heads=3, model_dim=8, proj_dim=4, seq_len=12, seed=5)
+        result = prefill(config, rows=5)
+        assert isinstance(result, AttentionTrace)
+        assert result.header == TraceHeader(layers=2, heads=3, seq_len=12)
+        assert result.weights.shape == (2, 3, 5, 12) and result.weights.dtype == np.float64
+        assert not result.weights.flags.writeable
+        assert result.per_layer_attention is result.weights
+        copy = result.attention_trace()
+        assert type(copy) is AttentionTrace and copy.header == result.header
+        assert copy.weights.tobytes() == result.weights.astype(np.float32).tobytes()
+
+    def test_prefill_rows_are_checked_when_built(self):
+        weights = np.full((1, 1, 1, 2), 0.5)
+        weights[0, 0, 0, 1] = np.nan
+        with pytest.raises(TraceFormatError, match="non-finite weight at layer 0, head 0, row 1"):
+            PrefillResult(header=TraceHeader(layers=1, heads=1, seq_len=2), weights=weights)
+
+    def test_whole_prefill_saves_as_its_float32_trace(self, tmp_path):
+        config = ToyModelConfig(layers=3, heads=2, model_dim=10, proj_dim=5, seq_len=16, seed=13)
+        result = full_prefill(config, rows=config.seq_len)
+        save_trace(result, tmp_path / "prefill.bin")
+        save_trace(result.attention_trace(), tmp_path / "copy.bin")
+        assert (tmp_path / "prefill.bin").read_bytes() == (tmp_path / "copy.bin").read_bytes()
+
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_windowed_prefill_not_saved(self, tmp_path, prefill):
+        result = prefill(ToyModelConfig(seq_len=16))
+        with pytest.raises(TraceFormatError, match="cannot save the last 8 of 16 rows"):
+            save_trace(result, tmp_path / "prefill.bin")
+        assert not (tmp_path / "prefill.bin").exists()
+
     def test_prefill_result_is_plain_data(self):
-        result = PrefillResult(per_layer_attention=np.ones((1, 1, 1, 1)))
+        result = PrefillResult(header=TraceHeader(layers=1, heads=1, seq_len=2), weights=np.full((1, 1, 1, 2), 0.5))
         assert result.kv_bytes == 0 and result.kv_pairs is None
 
 
@@ -273,7 +307,7 @@ class TestMatchesWhereExpReference:
         toymodel._causal_softmax_inplace(weights)
         assert weights.tobytes() == where_exp_softmax(logits).tobytes()
 
-    @pytest.mark.parametrize("seq_len", [1, 2, 127, 128, 129, 200, 300])
+    @pytest.mark.parametrize("seq_len", [2, 127, 128, 129, 200, 300])
     def test_prefills_bit_equal(self, seq_len):
         rng = np.random.default_rng(seq_len)
         for _ in range(2):
