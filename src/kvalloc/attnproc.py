@@ -18,6 +18,7 @@ logits, for the toy model's heads and the simulator's recomputed windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,20 +97,37 @@ def checked_scores(values) -> np.ndarray:
     return s
 
 
+def _retention_curve(scores: np.ndarray) -> np.ndarray:
+    """The retention curve of checked scores, as ``metrics.retention_curve`` describes it; its one implementation."""
+    if scores.size == 0:
+        raise ValueError("empty score vector")
+    cum = np.cumsum(np.sort(scores)[::-1])
+    if cum[-1] == 0:
+        return np.ones(scores.size + 1)
+    return np.concatenate(([0.0], cum / cum[-1]))
+
+
 @dataclass(frozen=True)
 class ScoreVector:
-    """Per-layer attention-score distribution over non-window tokens, checked by ``checked_scores``."""
+    """Per-layer attention-score distribution over non-window tokens: a read-only copy checked by ``checked_scores``."""
 
     layer: int
     scores: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        s = checked_scores(self.scores)
+        s = checked_scores(np.array(self.scores, dtype=np.float64))
         s.setflags(write=False)
         object.__setattr__(self, "scores", s)
 
     def __len__(self) -> int:
         return int(self.scores.size)
+
+    @cached_property
+    def curve(self) -> np.ndarray:
+        """The scores' retention curve, read-only, built on first read and kept: 8 bytes per token more."""
+        curve = _retention_curve(self.scores)
+        curve.setflags(write=False)
+        return curve
 
 
 def smooth(values: np.ndarray, pool_size: int) -> np.ndarray:

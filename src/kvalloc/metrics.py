@@ -5,7 +5,10 @@ score mass preserved by keeping its ``n`` highest-scoring tokens. On top of
 it sits the cross-layer average that drives allocation.
 
 Every function takes a ``ScoreVector``, which was checked when it was built,
-or a raw array, which ``attnproc.checked_scores`` checks on the way in.
+or a raw array, which ``attnproc.checked_scores`` checks on the way in. A
+vector keeps its read-only retention curve from first read for its lifetime
+(8 bytes per token more), and ``retention_curve`` returns that shared array;
+a raw array gets a fresh, writable one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attnproc import ScoreVector, checked_scores, is_cache_size
+from .attnproc import ScoreVector, _retention_curve, checked_scores, is_cache_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,13 +49,9 @@ class _RetentionTable(Sequence[RetentionPoint]):
         return RetentionPoint(layer=self._layers[row], n=self._sizes[col], r=float(self._ratios[row, col]))
 
 
-def _as_scores(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray:
-    return w.scores if isinstance(w, ScoreVector) else checked_scores(w)
-
-
 def topk_indices(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> np.ndarray:
     """Indices of the ``n`` largest scores, ties broken toward lower index."""
-    scores = _as_scores(w)
+    scores = w.scores if isinstance(w, ScoreVector) else checked_scores(w)
     if not is_cache_size(n) or n > scores.size:
         raise ValueError(f"n must be in [0, {scores.size}], got {n!r}")
     # Eviction keeps the lower index of a tie, so this sorts indices, stably; a curve sorts values.
@@ -68,18 +67,10 @@ def retention_curve(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray
     is, so the sums have the bits of a stable index sort and repeat exactly.
     The final entry is exactly 1.0. An all-zero vector has nothing to keep:
     its curve is all ones, every size retains everything, no slot gains.
+    For a ``ScoreVector`` this is its kept, read-only ``curve``, the one
+    array every caller shares; a raw array is checked and gets a fresh curve.
     """
-    scores = _as_scores(w)
-    if scores.size == 0:
-        raise ValueError("empty score vector")
-    cum = np.cumsum(np.sort(scores)[::-1])
-    total = cum[-1]
-    if total == 0:
-        return np.ones(scores.size + 1)
-    curve = np.empty(scores.size + 1, dtype=np.float64)
-    curve[0] = 0.0
-    curve[1:] = cum / total
-    return curve
+    return w.curve if isinstance(w, ScoreVector) else _retention_curve(checked_scores(w))
 
 
 def retention(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> float:
@@ -101,23 +92,12 @@ def r_avg(values: Iterable[float]) -> float:
     return total / len(vals)
 
 
-def _first_reaching(curve: np.ndarray, target_r: float) -> int:
-    # The curve never decreases and ends at 1.0: the left insertion point is the answer.
-    if not isinstance(target_r, numbers.Real) or isinstance(target_r, bool) or not 0 <= target_r <= 1:
-        raise ValueError(f"target retention must be in [0, 1], got {target_r!r}")
-    return int(np.searchsorted(curve, target_r, side="left"))
-
-
 def retention_table(score_vectors: list[ScoreVector], sizes: Iterable[int]) -> Sequence[RetentionPoint]:
     """Each layer's retention at each size: read-only points over one float64 array of ratios."""
     sizes = list(sizes)
     ratios = np.empty((len(score_vectors), len(sizes)))
     for row, sv in zip(ratios, score_vectors):
-        curve = retention_curve(sv)
-        for n in sizes:
-            if not is_cache_size(n) or n >= curve.size:
-                raise ValueError(f"n must be in [0, {curve.size - 1}], got {n!r}")
-        row[:] = curve[sizes]
+        row[:] = [retention(sv, n) for n in sizes]
     return _RetentionTable(tuple(sv.layer for sv in score_vectors), sizes, ratios)
 
 
@@ -127,9 +107,11 @@ def min_size_table_csv(score_vectors: list[ScoreVector], targets: Iterable[float
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["layer", "r_target", "n_min"])
     targets = list(targets)
+    for target in targets:
+        if not isinstance(target, numbers.Real) or isinstance(target, bool) or not 0 <= target <= 1:
+            raise ValueError(f"target retention must be in [0, 1], got {target!r}")
     for sv in score_vectors:
+        # A curve never decreases and ends at 1.0: the left insertion point is the smallest size reaching a target.
         curve = retention_curve(sv)
-        for target in targets:
-            n_min = _first_reaching(curve, target)
-            writer.writerow([sv.layer, repr(float(target)), n_min])
+        writer.writerows([sv.layer, repr(float(t)), int(np.searchsorted(curve, t, side="left"))] for t in targets)
     return buf.getvalue()

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from kvalloc.allocator import Constraint, allocate
 from kvalloc.attnproc import ProcSettings, ScoreVector, process_trace, score_window, smooth
+from kvalloc.metrics import retention_curve
 from kvalloc.toymodel import ToyModelConfig, _causal_softmax_inplace, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace
 
@@ -197,6 +199,23 @@ class TestScoreVector:
     def test_matrix_rejected(self):
         with pytest.raises(ValueError, match="vector"):
             ScoreVector(layer=0, scores=np.zeros((2, 2)))
+
+    def test_owns_a_copy_of_the_callers_array(self):
+        a = np.array([3.0, 1.0, 2.0])
+        sv = ScoreVector(layer=0, scores=a)
+        assert sv.scores is not a and a.flags.writeable
+        a[0] = 9.0
+        assert sv.scores.tolist() == [3.0, 1.0, 2.0]
+        assert not sv.scores.flags.writeable
+
+    def test_a_write_through_the_base_of_a_view_cannot_reach_it(self):
+        b = np.array([3.0, 1.0, 2.0, 5.0])
+        sv = ScoreVector(layer=0, scores=b[:3])
+        curve = retention_curve(sv).tobytes()
+        b[0] = -7.0
+        assert sv.scores.tolist() == [3.0, 1.0, 2.0]
+        assert allocate([sv], Constraint.budget(1)).sizes == (1,)
+        assert retention_curve(sv).tobytes() == curve
 
 
 def causal_softmax(logits) -> np.ndarray:

@@ -202,6 +202,8 @@ def test_retention_table_holds_one_array():
     rng = np.random.default_rng(5)
     vectors = [ScoreVector(layer=i, scores=rng.lognormal(size=1024)) for i in range(64)]
     sizes = [2**k for k in range(11)] + [3, 100, 500, 1000]
+    for v in vectors:  # each vector keeps its curve; only the table is measured
+        v.curve
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -211,3 +213,19 @@ def test_retention_table_holds_one_array():
         tracemalloc.stop()
     assert len(table) == 64 * 15
     assert held / len(table) <= 16
+
+
+def test_a_vector_builds_its_curve_once_and_holds_its_bytes():
+    sv = ScoreVector(layer=0, scores=np.random.default_rng(6).lognormal(size=4096))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        curve = sv.curve
+        held = tracemalloc.get_traced_memory()[0] - base
+        again = sv.curve
+        held_again = tracemalloc.get_traced_memory()[0] - base - held
+    finally:
+        tracemalloc.stop()
+    assert again is curve and held_again < 1024
+    assert curve.nbytes == 8 * (len(sv) + 1)
+    assert curve.nbytes <= held <= curve.nbytes + 1024

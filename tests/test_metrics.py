@@ -20,6 +20,7 @@ from kvalloc.metrics import (
     retention_table,
     topk_indices,
 )
+from kvalloc import allocator, attnproc
 from kvalloc.allocator import AllocationList
 from kvalloc.attnproc import ProcSettings, ScoreVector
 from kvalloc.eviction import simulate_task
@@ -123,6 +124,7 @@ class TestRetention:
     @example([5e-324, 5e-324, 1e-310])
     def test_value_sort_has_the_bits_of_the_stable_index_sort(self, values):
         assert retention_curve(values).tobytes() == argsort_curve(values).tobytes()
+        assert ScoreVector(layer=0, scores=values).curve.tobytes() == argsort_curve(values).tobytes()
 
 
 class TestTopK:
@@ -305,3 +307,39 @@ class TestTables:
         assert lines[0] == "layer,r_target,n_min"
         assert lines[1] == "0,0.5,1"
         assert lines[2] == "0,1.0,3"
+
+
+class TestOneCurvePerVector:
+    def test_every_consumer_reads_the_vectors_one_curve(self, monkeypatch):
+        built = []
+
+        def counting(scores):
+            built.append(scores)
+            return real(scores)
+
+        real = attnproc._retention_curve
+        monkeypatch.setattr(attnproc, "_retention_curve", counting)
+        settings = ProcSettings(ows=2, pool_size=3)
+        trace = generate_trace(SyntheticSpec(layers=4, heads=2, seq_len=24, seed=3))
+        vectors = attnproc.process_trace(trace, settings)
+        sizes = [0, 1, 5, 22]
+        for _ in range(2):
+            for constraint in (allocator.Constraint.budget(30), allocator.Constraint.target(0.8)):
+                allocation = allocator.allocate(vectors, constraint)
+                allocator.oracle_allocate(vectors, constraint)
+                allocator.allocation_r_avg(vectors, allocation)
+            for sv in vectors:
+                retention(sv, 3)
+                assert retention_curve(sv) is sv.curve
+            retention_table(vectors, sizes)
+            min_size_table_csv(vectors, [0.5, 0.9])
+        assert [id(s) for s in built] == [id(sv.scores) for sv in vectors]
+        # simulate_task scores the trace into vectors of its own; each is sorted once too.
+        simulate_task(trace, allocation, settings)
+        assert len(built) == 2 * len(vectors) and len({id(s) for s in built}) == len(built)
+
+    def test_the_curve_is_read_only(self):
+        sv = ScoreVector(layer=0, scores=np.array([0.7, 0.2, 0.1]))
+        with pytest.raises(ValueError, match="read-only"):
+            sv.curve[0] = 1.0
+        assert retention_curve([0.7, 0.2, 0.1]).flags.writeable
