@@ -4,7 +4,8 @@ Every command is deterministic given its flags and seed; machine-readable
 output (JSON or CSV) goes to stdout, diagnostics to stderr, or nowhere if it
 is closed. Exit codes: 0 on success, 2 on validation or usage errors (a closed
 stdout, for a command that writes its result there, included), 1 on internal
-errors (including a failed oracle cross-check).
+errors (including a failed oracle cross-check). Every command checks its
+flags before it reads a trace, so a bad flag is reported over a bad file.
 
 This module owns the stdout formats: the library returns score vectors,
 retention points, allocations and reports, and every command writes them
@@ -91,8 +92,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_scores(args: argparse.Namespace) -> int:
-    loaded = trace.read_window(args.trace, args.ows)
-    vectors = attnproc.process_trace(loaded, _settings(args))
+    settings = _settings(args)
+    vectors = attnproc.process_trace(trace.read_window(args.trace, args.ows), settings)
     if args.fmt == "csv":
         _write_csv(
             ("layer", "position", "score"),
@@ -106,22 +107,21 @@ def _cmd_scores(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     if (args.sizes is None) == (args.targets is None):
         raise ValueError("exactly one of --sizes or --targets is required")
-    loaded = trace.read_window(args.trace, args.ows)
-    vectors = attnproc.process_trace(loaded, _settings(args))
-    if args.sizes is not None:
-        sizes = [int(x) for x in args.sizes.split(",") if x]
+    settings = _settings(args)
+    sizes = None if args.sizes is None else [int(x) for x in args.sizes.split(",") if x]
+    targets = None if args.targets is None else [float(x) for x in args.targets.split(",") if x]
+    vectors = attnproc.process_trace(trace.read_window(args.trace, args.ows), settings)
+    if sizes is not None:
         points = metrics.retention_table(vectors, sizes)
         _write_csv(("layer", "n", "r"), ((p.layer, p.n, repr(p.r)) for p in points))
     else:
-        targets = [float(x) for x in args.targets.split(",") if x]
         sys.stdout.write(metrics.min_size_table_csv(vectors, targets))
     return 0
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
-    constraint = _constraint(args)
-    loaded = trace.read_window(args.trace, args.ows)
-    vectors = attnproc.process_trace(loaded, _settings(args))
+    constraint, settings = _constraint(args), _settings(args)
+    vectors = attnproc.process_trace(trace.read_window(args.trace, args.ows), settings)
     allocation = allocator.allocate(vectors, constraint)
     achieved = allocator.allocation_r_avg(vectors, allocation)
 
@@ -208,11 +208,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    constraint = _constraint(args)
+    constraint, settings = _constraint(args), _settings(args)
     lists = []
     for path in args.traces:
-        loaded = trace.read_window(path, args.ows)
-        vectors = attnproc.process_trace(loaded, _settings(args))
+        vectors = attnproc.process_trace(trace.read_window(path, args.ows), settings)
         lists.append(allocator.allocate(vectors, constraint))
     profile = sampling.build_profile(args.task_type, lists)
     if len(lists) >= 2:

@@ -15,12 +15,13 @@ valid by construction: building one checks every row once, so saving and
 scoring need not check again. ``_find_defect`` is the one check, over any run
 of rows of one (layer, head) matrix, and ``_check_block`` raises what it finds.
 
-The CLI streams traces in row chunks, touching ``CHUNK_BYTES`` of one ``(t, t)``
-float32 buffer: ``read_window`` reads a chunk, checks its rows before the
+The CLI streams traces in row chunks through one ``(n, t)`` float32 buffer of
+``CHUNK_BYTES``: ``read_window`` reads a chunk, checks its rows before the
 window and keeps its window rows, which building the result checks, and
-``write_synthetic`` fills, checks and writes one. Neither holds the payload,
-so traces larger than memory can be written and scored. ``load_trace`` is
-``read_window`` keeping every row; it and ``save_trace`` hold one payload array.
+``write_synthetic`` fills, checks and writes one. Their ``(t, t)`` block is
+never touched, only a guard that the shape fits in memory. Neither holds the
+payload, so traces larger than memory can be written and scored. ``load_trace``
+is ``read_window`` keeping every row; it and ``save_trace`` hold one payload array.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ HEADER_VERSION = 1
 # sources still load.
 ROW_SUM_ATOL = 1e-3
 
-# The streaming reader and writer touch this many bytes of rows of their (t, t)
-# buffer at a time, and at least one row.
-CHUNK_BYTES = 2 << 20
+# The streaming chunk buffer: this many bytes of rows, at least one, a whole matrix
+# up to seq_len 256 (32 rows at 2048); below numpy's 4 MiB huge-page threshold.
+CHUNK_BYTES = 256 << 10
 
 
 class TraceFormatError(ValueError):
@@ -287,12 +288,16 @@ def _fill_rows(out: np.ndarray, profile: np.ndarray, first: int) -> None:
         np.divide(band, band.sum(axis=1, keepdims=True), out=out[start : start + k], casting="unsafe")
 
 
-def _chunks(block: np.ndarray):
-    """Yield ``(first_row, rows)`` per chunk of a ``(t, t)`` matrix, ``rows`` a view of ``block``'s first rows."""
-    t = len(block)
-    n = max(1, min(t, CHUNK_BYTES // (4 * t)))
+def _chunk_buffer(t: int) -> np.ndarray:
+    """The ``(n, t)`` float32 chunk buffer of a ``t x t`` matrix: ``CHUNK_BYTES`` of rows, from 1 to ``t``."""
+    return np.empty((max(1, min(t, CHUNK_BYTES // (4 * t))), t), dtype="<f4")
+
+
+def _chunks(buffer: np.ndarray):
+    """Yield ``(first_row, rows)`` per chunk of a ``(t, t)`` matrix, ``rows`` a view of ``buffer``'s first rows."""
+    n, t = buffer.shape
     for first in range(0, t, n):
-        yield first, block[: min(n, t - first)]
+        yield first, buffer[: min(n, t - first)]
 
 
 def _empty(shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -323,16 +328,17 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
 def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
     """Write ``save_trace(generate_trace(spec), path)``'s bytes, one checked chunk of rows at a time.
 
-    The ``(t, t)`` buffer is allocated before ``path`` is opened, so a shape
-    too large for memory raises TraceFormatError and writes nothing.
+    Rows go through one ``_chunk_buffer``. An untouched ``(t, t)`` block is allocated before
+    ``path`` is opened, so a shape too large for memory raises TraceFormatError and writes nothing.
     """
     t = spec.seq_len
     header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
-    block = _empty((t, t), f"a {spec.layers}x{spec.heads}x{t} trace needs a {t * t * 4}-byte block buffer")
+    _empty((t, t), f"a {spec.layers}x{spec.heads}x{t} trace needs a {t * t * 4}-byte block buffer")
+    buffer = _chunk_buffer(t)
     with open(path, "wb") as fh:
         fh.write(header.to_json_line())
         for layer, head, profile in _head_profiles(spec):
-            for first, rows in _chunks(block):
+            for first, rows in _chunks(buffer):
                 _fill_rows(rows, profile, first)
                 _check_block(rows, layer, head, first)
                 fh.write(rows.data)
@@ -380,25 +386,26 @@ def load_trace(path: str | Path) -> AttentionTrace:
 def read_window(path: str | Path, ows: int) -> AttentionTrace:
     """Read a trace file in row chunks, keeping the last ``min(ows, seq_len)`` rows of each matrix.
 
-    Each chunk is read into the first rows of one ``(t, t)`` buffer, its rows
-    before the window checked there, as one check of all of them would report,
-    and its window rows kept, which building the result checks. So every row is
-    checked once and this accepts and rejects what ``load_trace`` does. Of
-    several defects, the first in this order is reported: the rows before the
-    window, matrix by matrix, then the window rows. A pipe is read on past a
-    failed matrix: a wrong payload length comes first. Only a piped header
-    promising more than memory, whose buffer and window rows fit, reports its
-    payload length where ``load_trace`` says it cannot be allocated.
+    Each chunk is read into one ``_chunk_buffer``, its rows before the window
+    checked there, as one check of all of them would report, and its window
+    rows kept, which building the result checks. So every row is checked once
+    and this accepts and rejects what ``load_trace`` does. Of several defects,
+    the first in this order is reported: the rows before the window, matrix by
+    matrix, then the window rows. A pipe is read on past a failed matrix: a
+    wrong payload length comes first. Only a piped header promising more than
+    memory, whose ``(t, t)`` guard block (never touched) and window rows fit,
+    reports its payload length where ``load_trace`` says it cannot be allocated.
     """
     with open(path, "rb") as fh:
         header, sized = _read_header(fh)
-        # At least one row: an ows below 1 is refused by ProcSettings, after the file.
+        # At least one row: the CLI refuses an ows below 1 (ProcSettings) before reading.
         t, w = header.seq_len, min(max(ows, 1), header.seq_len)
         lo = t - w  # the first window row
         promise = f"header promises a {header.payload_bytes}-byte payload"
         block, window = _empty((t, t), promise), _empty((header.layers, header.heads, w, t), promise)
-        got, error, defect = 0, None, None
-        chunks = ((*matrix, *c) for matrix in np.ndindex(header.layers, header.heads) for c in _chunks(block))
+        del block  # a guard, never touched: it and the window rows had to fit at once
+        buffer, got, error, defect = _chunk_buffer(t), 0, None, None
+        chunks = ((*matrix, *c) for matrix in np.ndindex(header.layers, header.heads) for c in _chunks(buffer))
         for layer, head, first, rows in chunks:
             got += (n := fh.readinto(rows.data))
             if n < rows.nbytes:
@@ -414,7 +421,7 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
                     raise TraceFormatError(defect[1])
                 error, defect = error or TraceFormatError(defect[1]), None
         # Bytes past the promised payload are counted through the chunk buffer, never held.
-        while n := fh.readinto(rows.data):
+        while n := fh.readinto(buffer.data):
             got += n
         _check_payload_length(got, header)
     if error is not None:

@@ -669,6 +669,45 @@ class TestUsageErrorsBeforeInput:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    # Every command that reads a trace checks its window flags first, as
+    # simulate does: a missing file is not reported over a bad flag.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scores", "missing.bin"],
+            ["curves", "missing.bin", "--sizes", "1"],
+            ["allocate", "missing.bin", "--budget", "10"],
+            ["simulate", "missing.bin", "--auto", "--budget", "10"],
+            ["profile", "missing.bin", "--task-type", "qa", "--budget", "10"],
+        ],
+        ids=["scores", "curves", "allocate", "simulate", "profile"],
+    )
+    @pytest.mark.parametrize(
+        "flag,message",
+        [(["--pool-size", "2"], "pool_size must be odd, got 2"), (["--ows", "0"], "ows must be >= 1, got 0")],
+        ids=["even-pool-size", "ows-zero"],
+    )
+    def test_window_flag_error_reported_before_the_trace_is_read(self, tmp_path, capsys, argv, flag, message):
+        argv = [str(tmp_path / arg) if arg == "missing.bin" else arg for arg in argv]
+        code, out, err = run(capsys, *argv, *flag)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            (["--sizes", "1,x"], "invalid literal for int() with base 10: 'x'"),
+            (["--targets", "0.5,x"], "could not convert string to float: 'x'"),
+        ],
+        ids=["sizes", "targets"],
+    )
+    def test_curves_list_parsed_before_the_trace_is_read(self, tmp_path, capsys, flag, message):
+        code, out, err = run(capsys, "curves", str(tmp_path / "missing.bin"), *flag)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestClosedStdout:
     """With stdout closed (``>&-``), Python sets ``sys.stdout`` to None."""

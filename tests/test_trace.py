@@ -317,7 +317,7 @@ class TestGenerate:
     # Bands of 128 rows must give the whole-matrix bits, so seq_len runs past
     # one band and off its multiples; writing chunk by chunk gives the bytes of
     # saving the generated trace, so chunks of `chunk_rows` rows (None: the
-    # module's own, one chunk up to seq_len 724) split matrices off both.
+    # module's own, one chunk up to seq_len 256) split matrices off both.
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.builds(
@@ -335,6 +335,8 @@ class TestGenerate:
     @example(SyntheticSpec(layers=2, heads=1, seq_len=768, sparsity=1.0, seed=2), None)
     @example(SyntheticSpec(layers=2, heads=3, seq_len=725, sparsity=0.1, seed=3, layer_skew=1.0), None)
     @example(SyntheticSpec(layers=1, heads=1, seq_len=1000, sparsity=0.02, seed=4), None)
+    @example(SyntheticSpec(layers=2, heads=2, seq_len=256, sparsity=0.1, seed=7, layer_skew=1.5), None)
+    @example(SyntheticSpec(layers=2, heads=2, seq_len=257, sparsity=0.1, seed=8, layer_skew=1.5), None)
     @example(SyntheticSpec(layers=2, heads=2, seq_len=300, sparsity=0.05, seed=5, layer_skew=0.5), 129)
     @example(SyntheticSpec(layers=3, heads=1, seq_len=2, sparsity=0.5, seed=6), 1)
     def test_row_blocks_match_the_whole_matrix_build(self, tmp_path, monkeypatch, spec, chunk_rows):
@@ -732,10 +734,12 @@ class TestReadWindow:
             with pytest.raises(TraceFormatError, match=exact):
                 feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
 
-    @pytest.mark.parametrize("t,rows", [(2, 2), (724, 724), (725, 723), (2048, 256), (4099, 127)])
+    @pytest.mark.parametrize("t,rows", [(2, 2), (256, 256), (257, 255), (2048, 32), (4099, 15)])
     def test_chunk_rows(self, t, rows):
-        # The (t, t) buffer is never touched, so large shapes cost nothing here.
-        chunks = list(trace_module._chunks(np.empty((t, t), dtype="<f4")))
+        buffer = trace_module._chunk_buffer(t)
+        assert buffer.shape == (rows, t) and buffer.dtype == np.dtype("<f4")
+        chunks = list(trace_module._chunks(buffer))
+        assert all(c.base is buffer for _, c in chunks)
         assert [len(c) for _, c in chunks[:-1]] == [rows] * (len(chunks) - 1) and 1 <= len(chunks[-1][1]) <= rows
         assert [first for first, _ in chunks] == list(range(0, t, rows))
 
