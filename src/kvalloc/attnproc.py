@@ -13,6 +13,8 @@ over heads, and the eviction simulator scores through ``process_trace``. The
 rows are sliced out before any float64 cast or head reduction, so no
 whole-matrix copy is made. ``_causal_softmax_inplace`` makes such rows from
 logits, for the toy model's heads and the simulator's recomputed windows.
+A ``ScoreVector`` is the one checked form of scores and holds the one
+retention curve; ``metrics`` makes a raw array into one on the way in.
 """
 
 from __future__ import annotations
@@ -80,42 +82,27 @@ def is_cache_size(n: object) -> bool:
     return is_integer(n) and n >= 0
 
 
-def checked_scores(values) -> np.ndarray:
-    """``values`` as a contiguous float64 vector, nonnegative with a finite sum.
-
-    NaN fails the sign test; an infinity, or finite scores whose sum
-    overflows, fail the sum test. Raises ValueError.
-    """
-    s = np.ascontiguousarray(values, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError(f"scores must be a vector, got shape {s.shape}")
-    if s.size and not s.min() >= 0:
-        raise ValueError("scores must be nonnegative")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(s.sum()):
-            raise ValueError("scores must have a finite sum")
-    return s
-
-
-def _retention_curve(scores: np.ndarray) -> np.ndarray:
-    """The retention curve of checked scores, as ``metrics.retention_curve`` describes it; its one implementation."""
-    if scores.size == 0:
-        raise ValueError("empty score vector")
-    cum = np.cumsum(np.sort(scores)[::-1])
-    if cum[-1] == 0:
-        return np.ones(scores.size + 1)
-    return np.concatenate(([0.0], cum / cum[-1]))
-
-
 @dataclass(frozen=True)
 class ScoreVector:
-    """Per-layer attention-score distribution over non-window tokens: a read-only copy checked by ``checked_scores``."""
+    """Per-layer attention-score distribution over non-window tokens, the one checked form of scores.
+
+    ``scores`` is kept as a read-only float64 copy, nonnegative with a finite
+    sum: NaN fails the sign test; an infinity, or finite scores whose sum
+    overflows, fail the sum test. Raises ValueError.
+    """
 
     layer: int
     scores: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        s = checked_scores(np.array(self.scores, dtype=np.float64))
+        s = np.array(self.scores, dtype=np.float64, ndmin=1)
+        if s.ndim != 1:
+            raise ValueError(f"scores must be a vector, got shape {s.shape}")
+        if s.size and not s.min() >= 0:
+            raise ValueError("scores must be nonnegative")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(s.sum()):
+                raise ValueError("scores must have a finite sum")
         s.setflags(write=False)
         object.__setattr__(self, "scores", s)
 
@@ -124,8 +111,11 @@ class ScoreVector:
 
     @cached_property
     def curve(self) -> np.ndarray:
-        """The scores' retention curve, read-only, built on first read and kept: 8 bytes per token more."""
-        curve = _retention_curve(self.scores)
+        """The one retention curve, as ``metrics.retention_curve`` describes it; read-only, kept: 8 bytes a token."""
+        if self.scores.size == 0:
+            raise ValueError("empty score vector")
+        cum = np.cumsum(np.sort(self.scores)[::-1])
+        curve = np.ones(self.scores.size + 1) if cum[-1] == 0 else np.concatenate(([0.0], cum / cum[-1]))
         curve.setflags(write=False)
         return curve
 

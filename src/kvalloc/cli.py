@@ -120,7 +120,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
 
 def _cmd_allocate(args: argparse.Namespace) -> int:
-    constraint, settings = _constraint(args), _settings(args)
+    settings, constraint = _settings(args), _constraint(args)
     vectors = attnproc.process_trace(trace.read_window(args.trace, args.ows), settings)
     allocation = allocator.allocate(vectors, constraint)
     achieved = allocator.allocation_r_avg(vectors, allocation)
@@ -148,8 +148,8 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_source(args: argparse.Namespace):
-    """Resolve the attention source and projection width for simulation."""
+def _simulate_source(args: argparse.Namespace) -> trace.AttentionTrace:
+    """Resolve the attention source for simulation: a trace's window rows, or a toy prefill's."""
     if args.toy:
         if args.trace is not None:
             raise ValueError("a trace path and --toy are mutually exclusive")
@@ -161,10 +161,10 @@ def _simulate_source(args: argparse.Namespace):
             seq_len=args.seq_len,
             seed=args.seed,
         )
-        return toymodel.mini_prefill(config, rows=args.ows), config.proj_dim
+        return toymodel.mini_prefill(config, rows=args.ows)
     if args.trace is None:
         raise ValueError("either a trace path or --toy is required")
-    return trace.read_window(args.trace, args.ows), args.proj_dim
+    return trace.read_window(args.trace, args.ows)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -173,7 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if sum([args.allocation is not None, args.auto, args.profile is not None]) != 1:
         raise ValueError("exactly one of --allocation, --auto, or --profile is required")
     constraint = _constraint(args) if args.auto else None
-    source, proj_dim = _simulate_source(args)
+    source = _simulate_source(args)
     if args.allocation is not None:
         with open(args.allocation, "r", encoding="utf-8") as fh:
             allocation = allocator.AllocationList.from_json(fh.read())
@@ -181,13 +181,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         allocation = sampling.load_profile(args.profile).averaged
     else:
         allocation = allocator.allocate(attnproc.process_trace(source, settings), constraint)
-    report = eviction.simulate_task(source, allocation, settings, proj_dim=proj_dim)
+    report = eviction.simulate_task(source, allocation, settings, proj_dim=args.proj_dim)
     _note(f"personalized: {report.summary()}")
 
     reports = {"personalized": report}
     if args.compare_uniform:
         uniform = allocator.uniform_allocation(allocation.total, len(allocation), source.header.seq_len - settings.ows)
-        reports["uniform"] = eviction.simulate_task(source, uniform, settings, proj_dim=proj_dim)
+        reports["uniform"] = eviction.simulate_task(source, uniform, settings, proj_dim=args.proj_dim)
         _note(f"uniform: {reports['uniform'].summary()}")
 
     if args.fmt == "csv":
@@ -208,7 +208,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    constraint, settings = _constraint(args), _settings(args)
+    settings, constraint = _settings(args), _constraint(args)
     lists = []
     for path in args.traces:
         vectors = attnproc.process_trace(trace.read_window(path, args.ows), settings)

@@ -5,10 +5,10 @@ score mass preserved by keeping its ``n`` highest-scoring tokens. On top of
 it sits the cross-layer average that drives allocation.
 
 Every function takes a ``ScoreVector``, which was checked when it was built,
-or a raw array, which ``attnproc.checked_scores`` checks on the way in. A
-vector keeps its read-only retention curve from first read for its lifetime
-(8 bytes per token more), and ``retention_curve`` returns that shared array;
-a raw array gets a fresh, writable one.
+or a raw array, which becomes one on the way in (``layer`` 0), so it is
+checked there. A vector keeps its read-only retention curve from first read
+for its lifetime (8 bytes per token more), and ``retention_curve`` returns
+that shared array; a raw array's is as read-only, and built afresh per call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attnproc import ScoreVector, _retention_curve, checked_scores, is_cache_size
+from .attnproc import ScoreVector, is_cache_size
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,9 +49,14 @@ class _RetentionTable(Sequence[RetentionPoint]):
         return RetentionPoint(layer=self._layers[row], n=self._sizes[col], r=float(self._ratios[row, col]))
 
 
+def _vector(w: ScoreVector | np.ndarray | Sequence[float]) -> ScoreVector:
+    """``w`` itself if it is a ``ScoreVector``, else its scores checked into one."""
+    return w if isinstance(w, ScoreVector) else ScoreVector(layer=0, scores=w)
+
+
 def topk_indices(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> np.ndarray:
     """Indices of the ``n`` largest scores, ties broken toward lower index."""
-    scores = w.scores if isinstance(w, ScoreVector) else checked_scores(w)
+    scores = _vector(w).scores
     if not is_cache_size(n) or n > scores.size:
         raise ValueError(f"n must be in [0, {scores.size}], got {n!r}")
     # Eviction keeps the lower index of a tie, so this sorts indices, stably; a curve sorts values.
@@ -67,10 +72,10 @@ def retention_curve(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray
     is, so the sums have the bits of a stable index sort and repeat exactly.
     The final entry is exactly 1.0. An all-zero vector has nothing to keep:
     its curve is all ones, every size retains everything, no slot gains.
-    For a ``ScoreVector`` this is its kept, read-only ``curve``, the one
-    array every caller shares; a raw array is checked and gets a fresh curve.
+    This is the vector's kept, read-only ``curve``, the one array every
+    caller shares; a raw array is checked into a vector and gets its curve.
     """
-    return w.curve if isinstance(w, ScoreVector) else _retention_curve(checked_scores(w))
+    return _vector(w).curve
 
 
 def retention(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> float:

@@ -36,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from .attnproc import DEFAULT_OWS, _causal_softmax_inplace
-from .trace import AttentionTrace, TraceHeader, is_integer, set_integers
+from .trace import AttentionTrace, is_integer, set_integers
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class PrefillResult(AttentionTrace):
 
     def attention_trace(self) -> AttentionTrace:
         """The kept rows as a float32 trace, windowed unless every row was kept."""
-        return AttentionTrace(header=self.header, weights=self.weights)
+        return AttentionTrace(self.weights)
 
 
 def _rms_normalize(x: np.ndarray) -> np.ndarray:
@@ -227,8 +227,7 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
         x = x + np.tanh(_rms_normalize(x) @ lw["w1"]) @ lw["w2"]
 
     logits = _rms_normalize(x)[-1] @ weights.unembed if full else None
-    header = TraceHeader(layers=l, heads=h, seq_len=t)
-    return PrefillResult(header=header, weights=attention, kv_pairs=kv, first_token_logits=logits)
+    return PrefillResult(attention, kv_pairs=kv, first_token_logits=logits)
 
 
 def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: int = DEFAULT_OWS) -> PrefillResult:

@@ -10,10 +10,11 @@ seq_len`` IEEE-754 binary32 little-endian values in layer-major / head /
 row-major order.
 
 An ``AttentionTrace`` holds the last rows of each (layer, head) matrix, all
-of them in a whole trace, as float32 but in a toy prefill (a subclass), and is
-valid by construction: building one checks every row once, so saving and
-scoring need not check again. ``_find_defect`` is the one check, over any run
-of rows of one (layer, head) matrix, and ``_check_block`` raises what it finds.
+of them in a whole trace, as float32 but in a toy prefill (a subclass). Its
+header is read off the rows' shape, and it is valid by construction:
+building one checks every row once, so saving and scoring need not check
+again. ``_find_defect`` is the one check, over any run of rows of one
+(layer, head) matrix, and ``_check_block`` raises what it finds.
 
 The CLI streams traces in row chunks through one ``(n, t)`` float32 buffer of
 ``CHUNK_BYTES``: ``read_window`` reads a chunk, checks its rows before the
@@ -137,18 +138,20 @@ class AttentionTrace:
     trace), as the class's ``dtype``, float32 but in a toy prefill. Every row
     is a probability distribution over positions up to its own index (zeros
     after it, row sums 1). Construction checks this with ``validate`` and
-    raises TraceFormatError on the first offender.
+    raises TraceFormatError on the first offender. ``header`` is not passed
+    but read off that shape, so the two cannot disagree.
     """
 
     dtype: ClassVar[type] = np.float32
 
-    header: TraceHeader
+    header: TraceHeader = field(init=False)
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        w, h = np.ascontiguousarray(self.weights, dtype=self.dtype), self.header
-        if w.ndim != 4 or w.shape[:2] != (h.layers, h.heads) or not 1 <= w.shape[2] <= w.shape[3] == h.seq_len:
-            raise TraceFormatError(f"weights shape {w.shape} does not match header {h}")
+        w = np.ascontiguousarray(self.weights, dtype=self.dtype)
+        if w.ndim != 4 or not 1 <= w.shape[2] <= w.shape[3]:
+            raise TraceFormatError(f"weights shape {w.shape} is not (layers, heads, rows, seq_len), 1 <= rows <= seq_len")
+        object.__setattr__(self, "header", TraceHeader(layers=w.shape[0], heads=w.shape[1], seq_len=w.shape[3]))
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         self.validate()
@@ -321,8 +324,7 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
     weights = np.empty((spec.layers, spec.heads, t, t), dtype=np.float32)
     for layer, head, profile in _head_profiles(spec):
         _fill_rows(weights[layer, head], profile, 0)
-    header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
-    return AttentionTrace(header=header, weights=weights)
+    return AttentionTrace(weights)
 
 
 def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
@@ -426,4 +428,4 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
         _check_payload_length(got, header)
     if error is not None:
         raise error
-    return AttentionTrace(header=header, weights=window)
+    return AttentionTrace(window)

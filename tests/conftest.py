@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kvalloc.attnproc import ProcSettings
-from kvalloc.trace import AttentionTrace, TraceHeader
+from kvalloc.trace import AttentionTrace
 
 
 def where_exp_softmax(logits: np.ndarray) -> np.ndarray:
@@ -23,9 +23,7 @@ def make_trace(per_layer_rows: list[list[list[float]]], heads: int = 1) -> Atten
     """Build a single-head trace from explicit per-layer row lists."""
     weights = np.asarray(per_layer_rows, dtype=np.float32)[:, None, :, :]
     weights = np.repeat(weights, heads, axis=1)
-    layers, _, t, _ = weights.shape
-    header = TraceHeader(layers=layers, heads=heads, seq_len=t)
-    return AttentionTrace(header=header, weights=weights)
+    return AttentionTrace(weights)
 
 
 # Causal row-stochastic 5x5 matrices whose window-row scores (ows=2, ps=1)

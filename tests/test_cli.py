@@ -137,7 +137,7 @@ class TestAllocate:
         weights = generated.weights.copy()
         weights[1] = np.eye(24)
         path = tmp_path / "diagonal.bin"
-        save_trace(AttentionTrace(header=generated.header, weights=weights), path)
+        save_trace(AttentionTrace(weights), path)
         code, out, err = run(capsys, "allocate", str(path), "--budget", "20")
         assert code == 0, err
         sizes = json.loads(out)["sizes"]
@@ -679,8 +679,13 @@ class TestUsageErrorsBeforeInput:
             ["allocate", "missing.bin", "--budget", "10"],
             ["simulate", "missing.bin", "--auto", "--budget", "10"],
             ["profile", "missing.bin", "--task-type", "qa", "--budget", "10"],
+            # Without a constraint flag: the window flags are still checked first.
+            ["allocate", "missing.bin"],
+            ["profile", "missing.bin", "--task-type", "qa"],
+            ["simulate", "missing.bin", "--auto"],
         ],
-        ids=["scores", "curves", "allocate", "simulate", "profile"],
+        ids=["scores", "curves", "allocate", "simulate", "profile",
+             "allocate-no-constraint", "profile-no-constraint", "simulate-no-constraint"],
     )
     @pytest.mark.parametrize(
         "flag,message",

@@ -54,3 +54,44 @@ def test_every_import_form_is_seen(line):
 @pytest.mark.parametrize("line", ["from .trace import AttentionTrace", "from . import trace", "import toymodel_x"])
 def test_other_imports_are_not(line):
     assert toymodel_import_lines(line) == []
+
+
+# Scores reach the allocator through metrics, and metrics reads them through ScoreVector:
+# neither reaches past another module's public names.
+PUBLIC_ONLY = ("metrics.py", "allocator.py")
+
+
+def private_names_used(source: str) -> list[str]:
+    """Underscore-prefixed names a module of the package imports from, or reads off, another of its modules."""
+    modules, names = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "kvalloc"):
+            if node.module in (None, "kvalloc"):  # "from . import metrics": the names are modules
+                modules.update(alias.asname or alias.name for alias in node.names)
+            names += [alias.name for alias in node.names if alias.name.startswith("_")]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names += [node.attr] if node.attr.startswith("_") else []
+    return names
+
+
+@pytest.mark.parametrize("name", PUBLIC_ONLY)
+def test_metrics_and_allocator_use_no_private_name_of_another_module(name):
+    assert private_names_used((SRC / name).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .attnproc import ScoreVector, _retention_curve",
+        "from kvalloc.attnproc import _retention_curve",
+        "from . import attnproc\nattnproc._retention_curve(s)",
+    ],
+)
+def test_every_private_use_is_seen(source):
+    assert private_names_used(source) == ["_retention_curve"]
+
+
+@pytest.mark.parametrize("source", ["from .attnproc import ScoreVector", "import numpy as np\nnp._core", "x._y"])
+def test_public_uses_are_not(source):
+    assert private_names_used(source) == []

@@ -5,6 +5,7 @@ counts; its cases here build reports.
 """
 
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -313,12 +314,14 @@ class TestOneCurvePerVector:
     def test_every_consumer_reads_the_vectors_one_curve(self, monkeypatch):
         built = []
 
-        def counting(scores):
-            built.append(scores)
-            return real(scores)
+        def counting(sv):
+            built.append(sv.scores)
+            return real(sv)
 
-        real = attnproc._retention_curve
-        monkeypatch.setattr(attnproc, "_retention_curve", counting)
+        real = ScoreVector.curve.func
+        curve = cached_property(counting)
+        curve.__set_name__(ScoreVector, "curve")
+        monkeypatch.setattr(ScoreVector, "curve", curve)
         settings = ProcSettings(ows=2, pool_size=3)
         trace = generate_trace(SyntheticSpec(layers=4, heads=2, seq_len=24, seed=3))
         vectors = attnproc.process_trace(trace, settings)
@@ -342,4 +345,29 @@ class TestOneCurvePerVector:
         sv = ScoreVector(layer=0, scores=np.array([0.7, 0.2, 0.1]))
         with pytest.raises(ValueError, match="read-only"):
             sv.curve[0] = 1.0
-        assert retention_curve([0.7, 0.2, 0.1]).flags.writeable
+        assert not retention_curve([0.7, 0.2, 0.1]).flags.writeable
+
+
+class TestRawArraysAreVectors:
+    """A raw array is checked into a ``ScoreVector`` on the way in, so both give the same bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=10), min_size=1, max_size=4),
+        st.data(),
+        st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_every_consumer_gives_the_same_bits(self, layers, data, target):
+        raw = [np.asarray(w) for w in layers]
+        vectors = [ScoreVector(layer=i, scores=w) for i, w in enumerate(layers)]
+        for w, sv in zip(raw, vectors):
+            assert retention_curve(w).tobytes() == retention_curve(sv).tobytes()
+            n = data.draw(st.integers(0, len(w)))
+            assert topk_indices(w, n).tobytes() == topk_indices(sv, n).tobytes()
+        budget = allocator.Constraint.budget(data.draw(st.integers(0, sum(map(len, raw)))))
+        for constraint in (budget, allocator.Constraint.target(target)):
+            for solve in (allocator.allocate, allocator.oracle_allocate):
+                allocation = solve(raw, constraint)
+                assert allocation == solve(vectors, constraint)
+                r_raw = allocator.allocation_r_avg(raw, allocation)
+                assert r_raw.hex() == allocator.allocation_r_avg(vectors, allocation).hex()

@@ -37,7 +37,6 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
 
     weights = _Weights(config)
     t, p, h = config.seq_len, config.proj_dim, config.heads
-    header = TraceHeader(layers=config.layers, heads=h, seq_len=t)
     attention = np.empty((config.layers, h, t, t), dtype=np.float64)
     kv_pairs = []
     for layer_idx, lw in enumerate(weights.layers):
@@ -55,12 +54,12 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
             keys[head], values[head] = k, v
             contexts[head] = attn @ v
         if stop:
-            return PrefillResult(header=header, weights=attention)
+            return PrefillResult(attention)
         kv_pairs.append((keys.astype(np.float32), values.astype(np.float32)))
         x = x + contexts.transpose(1, 0, 2).reshape(t, h * p) @ lw["wo"]
         x = x + np.tanh(rms(x) @ lw["w1"]) @ lw["w2"]
     logits = rms(x)[-1] @ weights.unembed
-    return PrefillResult(header=header, weights=attention, kv_pairs=np.array(kv_pairs), first_token_logits=logits)
+    return PrefillResult(attention, kv_pairs=np.array(kv_pairs), first_token_logits=logits)
 
 
 class TestConfig:
@@ -260,11 +259,18 @@ class TestTraceExport:
         assert type(copy) is AttentionTrace and copy.header == result.header
         assert copy.weights.tobytes() == result.weights.astype(np.float32).tobytes()
 
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    @pytest.mark.parametrize("rows", [1, 8, 100])
+    def test_header_is_the_configs(self, prefill, rows):
+        config = ToyModelConfig(layers=3, heads=2, model_dim=10, proj_dim=5, seq_len=16, seed=13)
+        result = prefill(config, rows=rows)
+        assert result.header == result.attention_trace().header == TraceHeader(layers=3, heads=2, seq_len=16)
+
     def test_prefill_rows_are_checked_when_built(self):
         weights = np.full((1, 1, 1, 2), 0.5)
         weights[0, 0, 0, 1] = np.nan
         with pytest.raises(TraceFormatError, match="non-finite weight at layer 0, head 0, row 1"):
-            PrefillResult(header=TraceHeader(layers=1, heads=1, seq_len=2), weights=weights)
+            PrefillResult(weights)
 
     def test_whole_prefill_saves_as_its_float32_trace(self, tmp_path):
         config = ToyModelConfig(layers=3, heads=2, model_dim=10, proj_dim=5, seq_len=16, seed=13)
@@ -281,7 +287,7 @@ class TestTraceExport:
         assert not (tmp_path / "prefill.bin").exists()
 
     def test_prefill_result_is_plain_data(self):
-        result = PrefillResult(header=TraceHeader(layers=1, heads=1, seq_len=2), weights=np.full((1, 1, 1, 2), 0.5))
+        result = PrefillResult(np.full((1, 1, 1, 2), 0.5))
         assert result.kv_bytes == 0 and result.kv_pairs is None
 
 

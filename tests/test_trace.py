@@ -172,10 +172,9 @@ class TestLoadSave:
 
     def test_save_refuses_invariant_violation(self, tmp_path):
         # A trace that breaks an invariant cannot be built, so there is nothing to save.
-        header = TraceHeader(layers=1, heads=1, seq_len=2)
         weights = np.array([[[[0.5, 0.5], [0.5, 0.5]]]])
         with pytest.raises(TraceFormatError, match=r"causality violation at layer 0, head 0, row 0"):
-            save_trace(AttentionTrace(header=header, weights=weights), tmp_path / "bad.bin")
+            save_trace(AttentionTrace(weights), tmp_path / "bad.bin")
         assert not (tmp_path / "bad.bin").exists()
 
     def test_save_empty_path_is_io_error(self):
@@ -183,10 +182,14 @@ class TestLoadSave:
         with pytest.raises(OSError):
             save_trace(generate_trace(spec), "")
 
-    def test_weights_shape_must_match_header(self):
-        header = TraceHeader(layers=2, heads=1, seq_len=2)
-        with pytest.raises(TraceFormatError, match="shape"):
-            AttentionTrace(header=header, weights=np.zeros((1, 1, 2, 2)))
+    @pytest.mark.parametrize("ows", [1, 3, 5, 9])
+    def test_header_is_read_off_the_rows(self, tmp_path, ows):
+        path = tmp_path / "t.bin"
+        write_synthetic(SyntheticSpec(layers=2, heads=3, seq_len=5, seed=2), path)
+        with open(path, "rb") as fh:
+            parsed = TraceHeader.from_json_line(fh.readline()[:-1])
+        assert parsed == TraceHeader(layers=2, heads=3, seq_len=5)
+        assert read_window(path, ows).header == load_trace(path).header == parsed
 
     def test_save_refuses_a_window(self, tmp_path):
         spec = SyntheticSpec(layers=2, heads=1, seq_len=8, sparsity=0.5, seed=1)
@@ -424,7 +427,8 @@ class TestHeaderFieldTypes:
         header = TraceHeader(layers=integer(1), heads=integer(2), seq_len=integer(3))
         assert type(header.layers) is type(header.heads) is type(header.seq_len) is int
         rows = np.tri(3) / np.arange(1, 4)[:, None]
-        trace = AttentionTrace(header=header, weights=np.broadcast_to(rows, (1, 2, 3, 3)))
+        trace = AttentionTrace(np.broadcast_to(rows, (1, 2, 3, 3)))
+        assert trace.header == header
         path = tmp_path / "t.bin"
         save_trace(trace, path)
         loaded = load_trace(path)
@@ -458,10 +462,9 @@ class TestNonFiniteAndNegativeWeights:
         pattern = rf"{kind} weight at layer 0, head 1, row {row}"
         with pytest.raises(TraceFormatError, match=pattern) as loaded:
             load_trace(path)
-        header = TraceHeader(layers=1, heads=2, seq_len=3)
         weights = np.frombuffer(two_head_payload(rows).split(b"\n", 1)[1], dtype="<f4")
         with pytest.raises(TraceFormatError) as built:
-            AttentionTrace(header=header, weights=weights.reshape(1, 2, 3, 3))
+            AttentionTrace(weights.reshape(1, 2, 3, 3))
         assert str(built.value) == str(loaded.value)
 
     def test_nan_above_diagonal_is_a_causality_violation(self, tmp_path):
@@ -489,7 +492,7 @@ class TestBuiltTracesAreChecked:
             load_trace(path)
         weights = np.frombuffer(data.split(b"\n", 1)[1], dtype="<f4").reshape(1, 2, 3, 3)
         with pytest.raises(TraceFormatError) as built:
-            AttentionTrace(header=TraceHeader(layers=1, heads=2, seq_len=3), weights=weights)
+            AttentionTrace(weights)
         assert str(built.value) == str(loaded.value)
 
 
@@ -757,20 +760,17 @@ class TestReadWindow:
 class TestTraceWindow:
     """An AttentionTrace of the last rows of each matrix."""
 
-    HEADER = TraceHeader(layers=1, heads=2, seq_len=3)
     HEAD0 = [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]
 
     def test_rows_are_checked_at_their_place_in_the_matrix(self):
         # [0.5, 0.5, 0.0] is causal as row 1 and not as row 0; [0.2, 0.3, 0.5]
         # is causal as row 2 and not as row 1.
         rows = np.array([[self.HEAD0[1:], self.HEAD0[1:]]], dtype=np.float32)
-        assert AttentionTrace(header=self.HEADER, weights=rows).weights.shape == (1, 2, 2, 3)
+        assert AttentionTrace(rows).weights.shape == (1, 2, 2, 3)
         with pytest.raises(TraceFormatError, match="causality violation at layer 0, head 0, row 0: .* column 1"):
-            AttentionTrace(header=self.HEADER, weights=rows[:, :, :1].repeat(3, axis=2))
+            AttentionTrace(rows[:, :, :1].repeat(3, axis=2))
         with pytest.raises(TraceFormatError, match="causality violation at layer 0, head 1, row 1: .* column 2"):
-            AttentionTrace(
-                header=self.HEADER, weights=np.array([[self.HEAD0[1:], self.HEAD0[2:] * 2]], dtype=np.float32)
-            )
+            AttentionTrace(np.array([[self.HEAD0[1:], self.HEAD0[2:] * 2]], dtype=np.float32))
 
     @pytest.mark.parametrize(
         "row,kind",
@@ -784,14 +784,27 @@ class TestTraceWindow:
             load_trace(path)
         rows = np.array([[self.HEAD0[2:], [row]]], dtype=np.float32)
         with pytest.raises(TraceFormatError) as built:
-            AttentionTrace(header=self.HEADER, weights=rows)
+            AttentionTrace(rows)
         assert str(built.value) == str(loaded.value)
 
-    @pytest.mark.parametrize("shape", [(1, 2, 0, 3), (1, 2, 4, 3), (1, 1, 1, 3), (1, 2, 1, 4), (2, 3)])
-    def test_shape_must_match_header(self, shape):
+    @pytest.mark.parametrize("shape", [(1, 2, 0, 3), (1, 2, 4, 3), (2, 3)])
+    def test_shape_is_the_last_rows_of_square_matrices(self, shape):
         # The last w rows of every matrix, 1 <= w <= seq_len, and nothing else.
-        with pytest.raises(TraceFormatError, match="shape"):
-            AttentionTrace(header=self.HEADER, weights=np.zeros(shape))
+        message = rf"^weights shape {re.escape(str(shape))} is not \(layers, heads, rows, seq_len\), 1 <= rows <= seq_len$"
+        with pytest.raises(TraceFormatError, match=message):
+            AttentionTrace(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "shape,message",
+        [
+            ((0, 2, 1, 3), "layers and heads must be >= 1, got 0x2"),
+            ((1, 0, 1, 3), "layers and heads must be >= 1, got 1x0"),
+            ((1, 2, 1, 1), "seq_len must be >= 2, got 1"),
+        ],
+    )
+    def test_the_header_read_off_the_shape_is_checked(self, shape, message):
+        with pytest.raises(TraceFormatError, match=f"^{message}$"):
+            AttentionTrace(np.ones(shape))
 
 
 class TestCausalityBands:
