@@ -82,13 +82,14 @@ def is_cache_size(n: object) -> bool:
     return is_integer(n) and n >= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreVector:
     """Per-layer attention-score distribution over non-window tokens, the one checked form of scores.
 
     ``scores`` is kept as a read-only float64 copy, nonnegative with a finite
     sum: NaN fails the sign test; an infinity, or finite scores whose sum
-    overflows, fail the sum test. Raises ValueError.
+    overflows, fail the sum test. Raises ValueError. Vectors compare and hash
+    by identity.
     """
 
     layer: int

@@ -15,14 +15,17 @@ identical configs give bit-identical results. Each head computes its whole
 attention matrix in a ``(seq_len, seq_len)`` float64 scratch of the thread
 running it, with ``attnproc._causal_softmax_inplace``, then copies out the
 kept rows and reads the context ``attn @ v`` from it: a prefill holds one
-square per thread, not one per (layer, head). Within a layer the heads run
-on ``min(heads, CPUs)`` threads (CPUs as ``os.sched_getaffinity`` counts
-them) once ``seq_len`` is 256 or more, where a head's work outweighs the
-threads' overhead, and on the calling thread below that. Each head writes
-only its own slots of the attention, the cache and one context array, with
-the same arithmetic on any thread, so the bits do not depend on the thread
-count. The norms, output projection and MLP stay on the calling thread, and
-no thread outlives a call.
+square per thread, not one per (layer, head). A prefill runs on
+``min(heads, CPUs)`` threads (CPUs as ``os.sched_getaffinity`` counts them)
+once ``seq_len`` is 192 or more, where a layer's work outweighs the threads'
+overhead, and on the calling thread below that. The threads start once per
+call and go through the layers in lockstep: each runs its share of a layer's
+heads, waits for the others, runs its band of rows through the output
+projection, the MLP and the next layer's norm, and waits again. A head
+writes only its own slots of the attention, the cache and one context
+array, and every step after the heads is row-wise, with the same arithmetic
+on any thread, so the bits do not depend on the thread count. The input is
+only read, and no thread outlives a call.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ class ToyModelConfig:
         set_integers(self, layers=1, heads=1, model_dim=1, proj_dim=1, seq_len=2, seed=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefillResult(AttentionTrace):
     """Output of a prefill pass: a trace of the kept attention rows, float64 as computed.
 
@@ -135,11 +138,11 @@ def _allocated(what: str, nbytes: int, make):
         raise ValueError(f"a {nbytes}-byte toy {what} cannot be allocated") from exc
 
 
-# Below this sequence length a head's numpy calls are too short to pay for
-# handing the GIL between threads. Full prefills at 8 layers, d=64, on 2 CPUs:
-# threads took 1.2-2.4x as long at t=64-128, broke even near t=192-256 and
-# took 0.6-0.8x as long at t=320-512.
-_THREADED_SEQ_LEN = 256
+# Below this sequence length a layer's numpy calls are too short to pay for
+# handing the GIL between threads. Full prefills at 8 layers, 4 heads, d=64,
+# on 2 CPUs, threads started once per call: threads took 1.1-1.8x as long at
+# t=64-144, broke even near t=160-176 and took 0.7-0.9x as long at t=192-320.
+_THREADED_SEQ_LEN = 192
 
 
 def _head_workers(heads: int, seq_len: int) -> int:
@@ -151,29 +154,32 @@ def _head_workers(heads: int, seq_len: int) -> int:
     return min(heads, len(cpus))
 
 
-def _each_head(body, heads: int, workers: int) -> None:
-    """Call ``body(head, worker)`` for every head on ``workers`` threads, this one included.
+def _in_lockstep(body, workers: int) -> None:
+    """Call ``body(worker, sync)`` on ``workers`` threads, this one included; ``sync()`` waits for all of them.
 
-    Thread ``worker`` runs heads ``worker, worker + workers, ...``; numpy
-    releases the GIL in the matmuls, ufuncs and reductions of a head, so the
+    numpy releases the GIL in the matmuls, ufuncs and reductions, so the
     threads overlap. All are joined before this returns, and the first
-    exception any raised is raised here.
+    exception any raised is raised here; it breaks ``sync`` so that the
+    others leave at their next call instead of waiting for it.
     """
-    errors: list[BaseException] = []
+    barrier, errors = threading.Barrier(workers), []
 
     def run(worker: int) -> None:
         try:
-            for head in range(worker, heads, workers):
-                body(head, worker)
+            body(worker, barrier.wait)
         except BaseException as exc:  # raised again below, in the calling thread
             errors.append(exc)
+            barrier.abort()
 
     started: list[threading.Thread] = []
     try:
         for i in range(1, workers):
             started.append(threading.Thread(target=run, args=(i,)))
             started[-1].start()
-        run(0)
+        run(0)  # raises nothing: it keeps what it catches
+    except BaseException:
+        barrier.abort()  # a thread failed to start: the started ones would wait for it at the barrier
+        raise
     finally:
         # Also when a thread cannot be started: the ones that were still write to the arrays.
         for thread in started:
@@ -201,32 +207,42 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
     kv = _allocated("K/V cache", l * 2 * h * t * p * 4, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
     # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
     contexts = np.empty((t, h * p))
+    # The residual stream after layer 0; x may be the caller's own array, so it is only read.
+    residual = np.empty((t, d))
+    xn = _rms_normalize(x)
 
-    for layer_idx, lw in enumerate(weights.layers):
-        stop = not full and layer_idx == l - 1
-        xn = _rms_normalize(x)
-
-        def head_body(head: int, worker: int) -> None:
-            # Writes only this head's slots, so the bits do not depend on which thread runs it.
-            q = xn @ lw["wq"][head]
-            k = xn @ lw["wk"][head]
-            attn = np.matmul(q, k.T, out=scratch[worker])
-            _causal_softmax_inplace(attn, np.sqrt(p))
-            attention[layer_idx, head] = attn[t - r :]
+    def layers(worker: int, sync) -> None:
+        # Every step after the heads is row-wise, so no bit depends on how the rows are split as long
+        # as no band is one row: numpy runs a one-row product as a matrix-vector product, with other bits.
+        bands = min(workers, t // 2)
+        band = slice(worker * t // bands, (worker + 1) * t // bands) if worker < bands else slice(0)
+        source = x
+        for layer_idx, lw in enumerate(weights.layers):
+            stop = not full and layer_idx == l - 1
+            for head in range(worker, h, workers):
+                # Writes only this head's slots, so the bits do not depend on which thread runs it.
+                q = xn @ lw["wq"][head]
+                k = xn @ lw["wk"][head]
+                attn = np.matmul(q, k.T, out=scratch[worker])
+                _causal_softmax_inplace(attn, np.sqrt(p))
+                attention[layer_idx, head] = attn[t - r :]
+                if stop:
+                    continue
+                v = xn @ lw["wv"][head]
+                if full:
+                    kv[layer_idx, 0, head], kv[layer_idx, 1, head] = k, v
+                contexts[:, head * p : (head + 1) * p] = attn @ v
             if stop:
-                return
-            v = xn @ lw["wv"][head]
-            if full:
-                kv[layer_idx, 0, head], kv[layer_idx, 1, head] = k, v
-            contexts[:, head * p : (head + 1) * p] = attn @ v
+                return  # all attention statistics exist; the rest of the layer is dead weight for scoring
+            sync()  # every head has read xn and written its context columns
+            out = np.add(source[band], contexts[band] @ lw["wo"], out=residual[band])
+            out += np.tanh(_rms_normalize(out) @ lw["w1"]) @ lw["w2"]
+            xn[band] = _rms_normalize(out)
+            source = residual
+            sync()  # xn is the next layer's input, or after the last the logits'
 
-        _each_head(head_body, h, workers)
-        if stop:
-            break  # all attention statistics exist; the rest of the layer is dead weight for scoring
-        x = x + contexts @ lw["wo"]
-        x = x + np.tanh(_rms_normalize(x) @ lw["w1"]) @ lw["w2"]
-
-    logits = _rms_normalize(x)[-1] @ weights.unembed if full else None
+    _in_lockstep(layers, workers)
+    logits = xn[-1] @ weights.unembed if full else None
     return PrefillResult(attention, kv_pairs=kv, first_token_logits=logits)
 
 

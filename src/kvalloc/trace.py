@@ -129,7 +129,7 @@ class TraceHeader:
         return cls(layers=obj["layers"], heads=obj["heads"], seq_len=obj["seq_len"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionTrace:
     """Per-layer, per-head causal attention weights for one task.
 
@@ -139,7 +139,8 @@ class AttentionTrace:
     is a probability distribution over positions up to its own index (zeros
     after it, row sums 1). Construction checks this with ``validate`` and
     raises TraceFormatError on the first offender. ``header`` is not passed
-    but read off that shape, so the two cannot disagree.
+    but read off that shape, so the two cannot disagree. Traces compare and
+    hash by identity, as arrays have no single truth value.
     """
 
     dtype: ClassVar[type] = np.float32

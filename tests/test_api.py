@@ -50,3 +50,20 @@ def test_name_imports(name):
     namespace = {}
     exec(f"from kvalloc import {name}", namespace)
     assert namespace[name] is getattr(kvalloc, name)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: kvalloc.generate_trace(kvalloc.SyntheticSpec(1, 1, 4)),
+        lambda: kvalloc.ScoreVector(0, [1.0, 2.0]),
+        lambda: kvalloc.full_prefill(kvalloc.ToyModelConfig(layers=1, seq_len=4)),
+    ],
+    ids=["AttentionTrace", "ScoreVector", "PrefillResult"],
+)
+def test_array_holders_compare_and_hash_by_identity(make):
+    # Their fields are arrays, whose == is elementwise: a field-wise == or hash would raise.
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and isinstance(hash(b), int)
+    assert a in [b, a] and a not in [b]

@@ -359,7 +359,7 @@ def prefill_bytes(result: PrefillResult) -> list[bytes]:
 
 
 class TestHeadsOnThreads:
-    """From 256 tokens on, heads run on min(heads, CPUs) threads; the bits do not depend on how many."""
+    """From 192 tokens on, a prefill runs on min(heads, CPUs) threads; the bits do not depend on how many."""
 
     @staticmethod
     def cpus(monkeypatch, n: int) -> None:
@@ -380,6 +380,30 @@ class TestHeadsOnThreads:
             assert results[2] == results[1] and results[4] == results[1]
             reference = per_head_forward(config, x, full=prefill is full_prefill)
             assert results[1] == prefill_bytes(reference)
+
+    def test_bit_equal_with_more_workers_than_pairs_of_rows(self, monkeypatch):
+        # A one-row product runs as a matrix-vector product, whose bits differ from a matrix product's.
+        monkeypatch.setattr(toymodel, "_THREADED_SEQ_LEN", 2)
+        config = ToyModelConfig(layers=3, heads=6, model_dim=12, proj_dim=4, seq_len=8, seed=9)
+        results = []
+        for n in (1, 6):
+            self.cpus(monkeypatch, n)
+            results.append(prefill_bytes(full_prefill(config, rows=config.seq_len)))
+        assert results[1] == results[0]
+
+    def test_bit_equal_under_frequent_thread_switches(self, monkeypatch):
+        # More workers than cores, switching every microsecond: a missing wait lets one read a half-written array.
+        config = ToyModelConfig(layers=4, heads=4, model_dim=12, proj_dim=3, seq_len=256, seed=8)
+        self.cpus(monkeypatch, 1)
+        expected = prefill_bytes(full_prefill(config, rows=8))
+        self.cpus(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert prefill_bytes(full_prefill(config, rows=8)) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     @staticmethod
     def threads_used(monkeypatch, heads: int, seq_len: int = toymodel._THREADED_SEQ_LEN) -> int:
@@ -415,20 +439,46 @@ class TestHeadsOnThreads:
         prefill(ToyModelConfig(layers=3, heads=5, model_dim=8, proj_dim=4, seq_len=256, seed=2))
         assert threading.active_count() == before
 
-    def test_a_head_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch):
+    # A head's softmax, or the residual rows' norm after the heads.
+    @pytest.mark.parametrize("step", ["_causal_softmax_inplace", "_rms_normalize"])
+    def test_a_head_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, step):
         self.cpus(monkeypatch, 2)
-        caller, inner = threading.current_thread(), toymodel._causal_softmax_inplace
+        caller, inner = threading.current_thread(), getattr(toymodel, step)
 
         def fail_off_the_calling_thread(*args):
             if threading.current_thread() is not caller:
                 raise MemoryError("head")
-            inner(*args)
+            return inner(*args)
 
-        monkeypatch.setattr(toymodel, "_causal_softmax_inplace", fail_off_the_calling_thread)
+        monkeypatch.setattr(toymodel, step, fail_off_the_calling_thread)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="head"):
             full_prefill(ToyModelConfig(layers=2, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=3))
         assert threading.active_count() == before
+
+    def test_threads_start_once_per_call(self, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        starts, inner = [], threading.Thread.start
+
+        def count(thread):
+            starts.append(thread)
+            inner(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", count)
+        full_prefill(ToyModelConfig(layers=3, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=5))
+        assert len(starts) == 1
+
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_the_input_is_only_read(self, monkeypatch, prefill, cpus):
+        self.cpus(monkeypatch, cpus)
+        config = ToyModelConfig(layers=3, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=6)
+        x = default_input(config)
+        x.setflags(write=False)
+        before = x.tobytes()
+        result = prefill(config, x, rows=config.seq_len)
+        assert x.tobytes() == before
+        assert prefill_bytes(result) == prefill_bytes(prefill(config, x.copy(), rows=config.seq_len))
 
     def test_a_thread_that_cannot_start_leaves_none_running(self, monkeypatch):
         self.cpus(monkeypatch, 4)
@@ -446,6 +496,31 @@ class TestHeadsOnThreads:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             mini_prefill(ToyModelConfig(layers=1, heads=4, model_dim=8, proj_dim=4, seq_len=256, seed=4))
         assert threading.active_count() == before and not starts[0].is_alive()
+
+    def test_a_thread_that_cannot_start_releases_the_ones_at_a_barrier(self, monkeypatch):
+        # The started thread runs its head of layer 0, then waits at the barrier for the missing one.
+        self.cpus(monkeypatch, 3)
+        starts, raised = [], []
+
+        class SecondStartFails(threading.Thread):
+            def start(self):
+                starts.append(self)
+                if len(starts) == 2:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+
+        def call():
+            try:
+                full_prefill(ToyModelConfig(layers=2, heads=3, model_dim=8, proj_dim=4, seq_len=256, seed=4))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)  # a daemon, so a hang fails this test alone
+        monkeypatch.setattr(threading, "Thread", SecondStartFails)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and not starts[0].is_alive()
+        assert [str(exc) for exc in raised] == ["can't start new thread"]
 
     def test_import_loads_no_executor(self):
         env = dict(os.environ)
