@@ -38,11 +38,15 @@ allocation = allocate(scores, Constraint.budget(budget))
 print(f"budget {budget} tokens -> per-layer sizes {list(allocation.sizes)}")
 
 report = simulate_task(full, allocation, settings)
-print(f"\npersonalized: {report.summary()}")
-
 uniform = uniform_allocation(budget, config.layers, config.seq_len - settings.ows)
 uniform_report = simulate_task(full, uniform, settings)
-print(f"uniform:      {uniform_report.summary()}")
+
+# A report is data: what it counted, and the ratios and mean derived from that.
+print(f"\n{'':13}{'ratio':>8}{'reduction':>11}{'r_avg':>8}{'bytes kept':>20}")
+for name, each in (("personalized", report), ("uniform", uniform_report)):
+    kept = f"{each.bytes_after} of {each.bytes_before}"
+    print(f"{name:13}{each.compression_ratio:8.1%}{each.memory_reduction:11.1%}{each.r_avg:8.4f}{kept:>20}")
+print(f"({report.window_policy})")
 
 print(f"\nsame total, retention {report.r_avg:.4f} vs {uniform_report.r_avg:.4f}.")
 print("A randomly initialized model has little cross-layer skew, so the two")

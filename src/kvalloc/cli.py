@@ -181,14 +181,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         allocation = sampling.load_profile(args.profile).averaged
     else:
         allocation = allocator.allocate(attnproc.process_trace(source, settings), constraint)
-    report = eviction.simulate_task(source, allocation, settings, proj_dim=args.proj_dim)
-    _note(f"personalized: {report.summary()}")
-
-    reports = {"personalized": report}
+    reports = {"personalized": eviction.simulate_task(source, allocation, settings, proj_dim=args.proj_dim)}
     if args.compare_uniform:
         uniform = allocator.uniform_allocation(allocation.total, len(allocation), source.header.seq_len - settings.ows)
         reports["uniform"] = eviction.simulate_task(source, uniform, settings, proj_dim=args.proj_dim)
-        _note(f"uniform: {reports['uniform'].summary()}")
+
+    payload = {}
+    for method, report in reports.items():
+        _note(
+            f"{method}: compression ratio {report.compression_ratio * 100:.1f}% "
+            f"(memory reduction {report.memory_reduction * 100:.1f}%), r_avg {report.r_avg:.4f}, "
+            f"{report.bytes_after} of {report.bytes_before} bytes retained; {report.window_policy}"
+        )
+        fields = {key: getattr(report, key) for key in REPORT_KEYS}
+        payload |= fields if method == "personalized" else {method: fields}
 
     if args.fmt == "csv":
         _write_csv(
@@ -200,9 +206,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ),
         )
     else:
-        payload = {key: getattr(report, key) for key in REPORT_KEYS}
-        if "uniform" in reports:
-            payload["uniform"] = {key: getattr(reports["uniform"], key) for key in REPORT_KEYS}
         _write_json(payload)
     return 0
 

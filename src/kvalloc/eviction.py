@@ -7,14 +7,14 @@ header gives the sequence length), a toy-model prefill included, and reports
 retained indices, per-layer retention, and the compressed memory footprint.
 
 Window tokens are retained on top of the per-layer budget, not inside it;
-every report says so explicitly.
+every report's ``window_policy`` says so.
 
 Scoring reads only the observation-window rows of each layer:
 ``simulate_task`` scores through ``attnproc.process_trace``, which casts just
 those rows to float64, and ``evict_layer`` computes logits for just the last
 ``ows`` queries, softmaxes them in place and scores them with
-``attnproc.score_window``. Reports are data; the CLI decides how they are
-printed.
+``attnproc.score_window``. A report is data with no text form: ``cli.py``
+formats its stderr line and its JSON.
 """
 
 from __future__ import annotations
@@ -61,15 +61,6 @@ class EvictionReport:
     @property
     def memory_reduction(self) -> float:
         return 1.0 - self.compression_ratio
-
-    def summary(self) -> str:
-        return (
-            f"compression ratio {self.compression_ratio * 100:.1f}% "
-            f"(memory reduction {self.memory_reduction * 100:.1f}%), "
-            f"r_avg {self.r_avg:.4f}, "
-            f"{self.bytes_after} of {self.bytes_before} bytes retained; "
-            f"{self.window_policy}"
-        )
 
 
 def _retained_for_layer(sv: ScoreVector, n: int, seq_len: int, ows: int) -> np.ndarray:

@@ -11,8 +11,10 @@ the cheap pass apply to the real one. Both return a ``PrefillResult``, an
 ``AttentionTrace`` of float64 rows, scored and evicted as any trace is.
 
 Weights are a pure function of the seed, drawn once per config and read-only:
-identical configs give bit-identical results. Each head computes its whole
-attention matrix in a ``(seq_len, seq_len)`` float64 scratch of the thread
+identical configs give bit-identical results under one BLAS thread setting
+(the matrix products' last bits can change with numpy's BLAS pool, which
+the benchmark pins to one thread). Each head computes its whole attention
+matrix in a ``(seq_len, seq_len)`` float64 scratch of the thread
 running it, with ``attnproc._causal_softmax_inplace``, then copies out the
 kept rows and reads the context ``attn @ v`` from it: a prefill holds one
 square per thread, not one per (layer, head). A prefill runs on
@@ -22,10 +24,10 @@ overhead, and on the calling thread below that. The threads start once per
 call and go through the layers in lockstep: each runs its share of a layer's
 heads, waits for the others, runs its band of rows through the output
 projection, the MLP and the next layer's norm, and waits again. A head
-writes only its own slots of the attention, the cache and one context
-array, and every step after the heads is row-wise, with the same arithmetic
-on any thread, so the bits do not depend on the thread count. The input is
-only read, and no thread outlives a call.
+writes only its own slots of the attention, the cache and one context array,
+and every step after the heads is row-wise, with the same arithmetic on any
+thread, so the bits do not depend on the prefill's thread count. The input
+is only read, and no thread outlives a call.
 """
 
 from __future__ import annotations

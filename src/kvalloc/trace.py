@@ -175,16 +175,17 @@ _LOWER = np.tri(_BAND)
 _ABOVE = _LOWER == 0
 
 
-def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> tuple[tuple[int, float], str] | None:
-    """The first defect in rows ``first_row`` onward of one (layer, head) matrix, as ``((rank, key), message)``.
+def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> tuple[tuple, str] | None:
+    """The first defect in rows ``first_row`` onward of one (layer, head) matrix, as ``(key, message)``.
 
     ``rows`` is ``(r, t)``; its row ``i`` is row ``first_row + i`` of the
     ``t x t`` matrix. Causality is checked a 128-row band at a time, building
     no ``t x t`` mask unless it fails, then finiteness, sign and row sums over
-    all the rows. Ranks follow the checks; a row-sum defect names the row of
-    largest deviation, which negated is its key. Of two runs of rows of one
-    matrix, the smaller key, or the earlier run on a tie, is what one check of
-    both reports. None if the rows are sound.
+    all the rows. The key is the matrix's place in a file, the rank of the
+    check and, for a row-sum defect (the row of largest deviation), that
+    deviation negated. Of runs of rows read in file order, the least key, or
+    the earlier run on a tie, is what one check of them all reports. None if
+    the rows are sound.
     """
     where = f"layer {layer}, head {head}"
     # Summed first, the rows are in cache for the causality check. A NaN or
@@ -196,18 +197,18 @@ def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> tup
         k, col = len(band), first_row + start
         if band[:, col + k :].any() or np.logical_and(band[:, col : col + k], _ABOVE[:k, :k]).any():
             row, col = np.argwhere((rows != 0) & ~np.tri(*rows.shape, k=first_row, dtype=bool))[0]
-            return (0, 0.0), f"causality violation at {where}, row {first_row + row}: nonzero weight in column {col}"
+            return (layer, head, 0, 0.0), f"causality violation at {where}, row {first_row + row}: nonzero weight in column {col}"
     finite = np.isfinite(sums)
     if not finite.all():
-        return (1, 0.0), f"non-finite weight at {where}, row {first_row + int(finite.argmin())}"
+        return (layer, head, 1, 0.0), f"non-finite weight at {where}, row {first_row + int(finite.argmin())}"
     if rows.min() < 0:
         row, col = np.argwhere(rows < 0)[0]
-        return (2, 0.0), f"negative weight at {where}, row {first_row + row}: {float(rows[row, col]):g} in column {col}"
+        return (layer, head, 2, 0.0), f"negative weight at {where}, row {first_row + row}: {float(rows[row, col]):g} in column {col}"
     off = np.abs(sums - 1.0)
     row = int(off.argmax())
     if off[row] > ROW_SUM_ATOL:
         message = f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
-        return (3, -float(off[row])), f"row-sum violation at {where}, row {first_row + row}: {message}"
+        return (layer, head, 3, -float(off[row])), f"row-sum violation at {where}, row {first_row + row}: {message}"
     return None
 
 
@@ -368,17 +369,16 @@ def _check_payload_length(size: int, header: TraceHeader) -> None:
         raise TraceFormatError(f"payload length {size} bytes does not match header (expected {header.payload_bytes})")
 
 
-def _read_header(fh) -> tuple[TraceHeader, bool]:
-    """Parse the header line; check a regular file's payload size before any allocation, and say if it was."""
+def _read_header(fh) -> TraceHeader:
+    """Parse the header line; check a regular file's payload size before any allocation."""
     line = fh.readline()
     if not line.endswith(b"\n"):
         raise TraceFormatError("malformed trace file: missing header line")
     header = TraceHeader.from_json_line(line[:-1])
     st = os.fstat(fh.fileno())
-    sized = stat.S_ISREG(st.st_mode)
-    if sized:
+    if stat.S_ISREG(st.st_mode):
         _check_payload_length(st.st_size - fh.tell(), header)
-    return header, sized
+    return header
 
 
 def load_trace(path: str | Path) -> AttentionTrace:
@@ -394,20 +394,22 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
     rows kept, which building the result checks. So every row is checked once
     and this accepts and rejects what ``load_trace`` does. Of several defects,
     the first in this order is reported: the rows before the window, matrix by
-    matrix, then the window rows. A pipe is read on past a failed matrix: a
-    wrong payload length comes first. Only a piped header promising more than
-    memory, whose ``(t, t)`` guard block (never touched) and window rows fit,
-    reports its payload length where ``load_trace`` says it cannot be allocated.
+    matrix, then the window rows. A file or a pipe is read to its end before
+    any of them: a wrong payload length comes first. Only a piped header
+    promising more than memory, whose ``(t, t)`` guard block (never touched)
+    and window rows fit, reports its payload length where ``load_trace`` says
+    it cannot be allocated. An ``ows`` below 1 or not an integer is a ValueError.
     """
+    if not is_integer(ows) or ows < 1:
+        raise ValueError(f"ows must be an integer >= 1, got {ows!r}")
     with open(path, "rb") as fh:
-        header, sized = _read_header(fh)
-        # At least one row: the CLI refuses an ows below 1 (ProcSettings) before reading.
-        t, w = header.seq_len, min(max(ows, 1), header.seq_len)
+        header = _read_header(fh)
+        t, w = header.seq_len, min(ows, header.seq_len)
         lo = t - w  # the first window row
         promise = f"header promises a {header.payload_bytes}-byte payload"
         block, window = _empty((t, t), promise), _empty((header.layers, header.heads, w, t), promise)
         del block  # a guard, never touched: it and the window rows had to fit at once
-        buffer, got, error, defect = _chunk_buffer(t), 0, None, None
+        buffer, got, defect = _chunk_buffer(t), 0, None
         chunks = ((*matrix, *c) for matrix in np.ndindex(header.layers, header.heads) for c in _chunks(buffer))
         for layer, head, first, rows in chunks:
             got += (n := fh.readinto(rows.data))
@@ -419,14 +421,10 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
             found = _find_defect(rows[: lo - first], layer, head, first) if first < lo else None
             if found is not None and (defect is None or found[0] < defect[0]):
                 defect = found
-            if end == t and defect is not None:
-                if sized:
-                    raise TraceFormatError(defect[1])
-                error, defect = error or TraceFormatError(defect[1]), None
         # Bytes past the promised payload are counted through the chunk buffer, never held.
         while n := fh.readinto(buffer.data):
             got += n
         _check_payload_length(got, header)
-    if error is not None:
-        raise error
+    if defect is not None:
+        raise TraceFormatError(defect[1])
     return AttentionTrace(window)

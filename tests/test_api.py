@@ -1,5 +1,7 @@
 """Public API snapshot: any name added to or dropped from ``kvalloc`` shows up here."""
 
+import dataclasses
+
 import pytest
 
 import kvalloc
@@ -67,3 +69,12 @@ def test_array_holders_compare_and_hash_by_identity(make):
     assert a == a and a != b
     assert hash(a) == hash(a) and isinstance(hash(b), int)
     assert a in [b, a] and a not in [b]
+
+
+def test_eviction_report_is_data():
+    # What was counted or given, and what is derived from it; the CLI formats it.
+    fields = ["sizes", "ows", "retained_indices", "bytes_before", "bytes_after", "per_layer_r"]
+    assert [f.name for f in dataclasses.fields(kvalloc.EvictionReport)] == fields
+    report = kvalloc.EvictionReport((1,), 1, ((0, 1),), 16, 8, (1.0,))
+    public = sorted(name for name in dir(report) if not name.startswith("_"))
+    assert public == sorted(fields + ["compression_ratio", "memory_reduction", "r_avg", "window_policy"])

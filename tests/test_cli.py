@@ -241,6 +241,19 @@ class TestSimulate:
         )
         assert err == f"personalized: {summary}uniform: {summary}"
 
+    def test_the_report_line_at_the_reference_operating_point(self, tmp_path, capsys):
+        # sum(n_i + ows) = 0.384 * layers * seq_len: 2 x (88 + 8) of 2 x 250 tokens.
+        path, alloc_path = tmp_path / "t.bin", tmp_path / "alloc.json"
+        save_trace(generate_trace(SyntheticSpec(layers=2, heads=1, seq_len=250, sparsity=0.1, seed=1)), path)
+        alloc_path.write_text('{"sizes":[88,88]}', encoding="utf-8")
+        code, out, err = run(capsys, "simulate", str(path), "--allocation", str(alloc_path))
+        assert code == 0
+        assert json.loads(out)["compression_ratio"] == 0.384
+        assert err == (
+            "personalized: compression ratio 38.4% (memory reduction 61.6%), r_avg 0.8340, "
+            "12288 of 32000 bytes retained; observation window retained in addition to per-layer budget\n"
+        )
+
     # A 1x1xT toy prefill's one worker thread needs a T x T float64 attention scratch: 8 and 72 TB here.
     @pytest.mark.parametrize("seq_len, nbytes", [("1000000", 8 * 10**12), ("3000000", 72 * 10**12)])
     def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, seq_len, nbytes):

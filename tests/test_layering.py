@@ -95,3 +95,55 @@ def test_every_private_use_is_seen(source):
 @pytest.mark.parametrize("source", ["from .attnproc import ScoreVector", "import numpy as np\nnp._core", "x._y"])
 def test_public_uses_are_not(source):
     assert private_names_used(source) == []
+
+
+# Library calls return data: the CLI is the one module that writes to the terminal.
+TERMINAL_WRITERS = {"cli.py"}
+STREAMS = {"stdout", "stderr"}
+
+
+def terminal_use_lines(source: str) -> list[int]:
+    """Line numbers where a module names ``sys.stdout`` or ``sys.stderr``, in any form, or calls ``print``."""
+    tree = ast.parse(source)
+    imports = [alias for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    sys_names = {alias.asname or alias.name for alias in imports if alias.name == "sys"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "sys":
+            named = any(alias.name in STREAMS for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            named = node.attr in STREAMS and isinstance(node.value, ast.Name) and node.value.id in sys_names
+        else:
+            named = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+        lines += [node.lineno] if named else []
+    return sorted(lines)
+
+
+def test_only_the_cli_writes_to_the_terminal():
+    found = {path.name: terminal_use_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    assert all(found[name] for name in TERMINAL_WRITERS)
+    assert {name: lines for name, lines in found.items() if lines and name not in TERMINAL_WRITERS} == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import sys\nsys.stdout.write(line)",
+        "import sys\nprint(line, file=sys.stderr)",
+        "import sys as s\ns.stderr.flush()",
+        "from sys import stdout",
+        "from sys import argv, stderr as err",
+        "import os, sys\nstream = sys.stdout",
+        "x = 1\nprint(x)",
+    ],
+)
+def test_every_terminal_use_is_seen(source):
+    assert set(terminal_use_lines(source)) == {source.count("\n") + 1}
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["import sys\nsys.maxsize", "fh.write(line)", "report.print(x)", "stdout = io.StringIO()", "proc.stdout.read()"],
+)
+def test_other_names_are_not(source):
+    assert terminal_use_lines(source) == []

@@ -586,6 +586,13 @@ class TestReadWindow:
         with pytest.raises(ValueError):
             window.weights[0, 0, 0, 0] = 0.0
 
+    @pytest.mark.parametrize("ows", [0, -3, True, 2.5, None])
+    def test_a_window_size_below_one_or_not_an_integer_is_refused(self, path, ows):
+        with pytest.raises(ValueError, match=rf"^ows must be an integer >= 1, got {re.escape(repr(ows))}$"):
+            read_window(path, ows)
+        with pytest.raises(ValueError, match="ows must be an integer"):
+            read_window(path.parent / "missing.bin", ows)  # refused before the file is opened
+
     def test_window_scores_equal_trace_scores(self, path):
         settings_ = ProcSettings(ows=5, pool_size=3)
         from_window = process_trace(read_window(path, 5), settings_)
