@@ -8,13 +8,13 @@ to the window and therefore to the first generated token.
 
 Scoring reads only those ``ows`` window rows. ``score_window`` is the one
 implementation; ``process_trace`` feeds it each layer's window rows of a
-trace, whole or windowed, a toy prefill's float64 rows included, averaged
-over heads, and the eviction simulator scores through ``process_trace``. The
-rows are sliced out before any float64 cast or head reduction, so no
-whole-matrix copy is made. ``_causal_softmax_inplace`` makes such rows from
-logits, for the toy model's heads and the simulator's recomputed windows.
-A ``ScoreVector`` is the one checked form of scores and holds the one
-retention curve; ``metrics`` makes a raw array into one on the way in.
+trace, whole or windowed, a toy prefill's included, averaged over heads, and
+the eviction simulator scores through ``process_trace``. The rows are sliced
+out before any float64 cast or head reduction, so no whole-matrix copy is
+made. ``_causal_softmax_inplace`` makes such rows from logits, for the toy
+model's heads and the simulator's recomputed windows. A ``ScoreVector`` is
+the one checked form of scores and holds the one retention curve;
+``metrics`` makes a raw array into one on the way in.
 """
 
 from __future__ import annotations
@@ -153,9 +153,8 @@ def process_trace(source: AttentionTrace, settings: ProcSettings) -> list[ScoreV
 
     The trace, a toy prefill included, must hold at least ``ows`` rows per
     matrix. A layer's window rows are averaged over heads, then scored by
-    ``score_window``. Only those rows are cast to float64 (a prefill's already
-    are), which gives the same scores, bit for bit, as averaging the whole
-    matrices.
+    ``score_window``. Only those rows are cast to float64, which gives the
+    same scores, bit for bit, as averaging the whole matrices.
     """
     if not isinstance(source, AttentionTrace):
         raise TypeError(f"expected an AttentionTrace or a PrefillResult, got {type(source).__name__}")

@@ -8,15 +8,16 @@ would hold); ``mini_prefill`` runs the same layers but caches nothing and
 terminates the moment the last layer's attention weights exist. Their rows
 are elementwise equal, which is what lets allocation decisions computed on
 the cheap pass apply to the real one. Both return a ``PrefillResult``, an
-``AttentionTrace`` of float64 rows, scored and evicted as any trace is.
+``AttentionTrace`` of ``<f4`` rows like a trace file's, scored, saved and
+evicted as any trace is.
 
 Weights are a pure function of the seed, drawn once per config and read-only:
 identical configs give bit-identical results under one BLAS thread setting
 (the matrix products' last bits can change with numpy's BLAS pool, which
 the benchmark pins to one thread). Each head computes its whole attention
-matrix in a ``(seq_len, seq_len)`` float64 scratch of the thread
-running it, with ``attnproc._causal_softmax_inplace``, then copies out the
-kept rows and reads the context ``attn @ v`` from it: a prefill holds one
+matrix in a ``(seq_len, seq_len)`` float64 scratch of the thread running it,
+with ``attnproc._causal_softmax_inplace``, then copies out the kept rows as
+float32 and reads the context ``attn @ v`` from it: a prefill holds one
 square per thread, not one per (layer, head). A prefill runs on
 ``min(heads, CPUs)`` threads (CPUs as ``os.sched_getaffinity`` counts them)
 once ``seq_len`` is 192 or more, where a layer's work outweighs the threads'
@@ -36,7 +37,6 @@ import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class ToyModelConfig:
 
 @dataclass(frozen=True, eq=False)
 class PrefillResult(AttentionTrace):
-    """Output of a prefill pass: a trace of the kept attention rows, float64 as computed.
+    """Output of a prefill pass: a trace of the kept attention rows, stored as float32.
 
     ``weights`` is ``(layers, heads, min(rows, seq_len), seq_len)``, checked
     when built like any trace's. A full prefill also carries the logits for
@@ -70,8 +70,6 @@ class PrefillResult(AttentionTrace):
     unpacks into keys and values. A mini prefill carries neither: ``kv_pairs``
     is None, ``kv_bytes`` 0.
     """
-
-    dtype: ClassVar[type] = np.float64
 
     kv_pairs: np.ndarray | None = None
     first_token_logits: np.ndarray | None = None
@@ -87,8 +85,8 @@ class PrefillResult(AttentionTrace):
         return 0 if self.kv_pairs is None else self.kv_pairs.nbytes
 
     def attention_trace(self) -> AttentionTrace:
-        """The kept rows as a float32 trace, windowed unless every row was kept."""
-        return AttentionTrace(self.weights)
+        """This prefill, under the name the benchmark reads: it already is a trace."""
+        return self
 
 
 def _rms_normalize(x: np.ndarray) -> np.ndarray:
@@ -203,7 +201,7 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
     r, workers = min(int(rows), t), _head_workers(h, t)
     scratch = _allocated("attention scratch", workers * t * t * 8, lambda: np.empty((workers, t, t)))
-    attention = _allocated("attention array", l * h * r * t * 8, lambda: np.empty((l, h, r, t)))
+    attention = _allocated("attention array", l * h * r * t * 4, lambda: np.empty((l, h, r, t), "<f4"))
     x = _allocated("input", t * d * 8, lambda: default_input(config)) if x is None else _check_input(config, x)
     weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 8, lambda: _Weights(config))
     kv = _allocated("K/V cache", l * 2 * h * t * p * 4, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None

@@ -9,11 +9,11 @@ terminated by ``\\n``, followed immediately by ``layers * heads * seq_len *
 seq_len`` IEEE-754 binary32 little-endian values in layer-major / head /
 row-major order.
 
-An ``AttentionTrace`` holds the last rows of each (layer, head) matrix, all
-of them in a whole trace, as float32 but in a toy prefill (a subclass). Its
-header is read off the rows' shape, and it is valid by construction:
-building one checks every row once, so saving and scoring need not check
-again. ``_find_defect`` is the one check, over any run of rows of one
+An ``AttentionTrace`` holds the last rows of each (layer, head) matrix, all of
+them in a whole trace, as the file's ``<f4`` values, a toy prefill (a subclass)
+included. Its header is read off the rows' shape, and it is valid by
+construction: building one checks every row once, so saving and scoring need
+not check again. ``_find_defect`` is the one check, over any run of rows of one
 (layer, head) matrix, and ``_check_block`` raises what it finds.
 
 The CLI streams traces in row chunks through one ``(n, t)`` float32 buffer of
@@ -33,7 +33,6 @@ import stat
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
@@ -135,21 +134,19 @@ class AttentionTrace:
 
     ``weights`` has shape ``(layers, heads, w, seq_len)``: the last ``w`` rows,
     ``1 <= w <= seq_len``, of every per-head matrix (all of them in a whole
-    trace), as the class's ``dtype``, float32 but in a toy prefill. Every row
-    is a probability distribution over positions up to its own index (zeros
-    after it, row sums 1). Construction checks this with ``validate`` and
-    raises TraceFormatError on the first offender. ``header`` is not passed
-    but read off that shape, so the two cannot disagree. Traces compare and
-    hash by identity, as arrays have no single truth value.
+    trace), as the file format's ``<f4`` values. Every row is a probability
+    distribution over positions up to its own index (zeros after it, row sums
+    1). Construction checks this with ``validate`` and raises TraceFormatError
+    on the first offender. ``header`` is not passed but read off that shape,
+    so the two cannot disagree. Traces compare and hash by identity, as arrays
+    have no single truth value.
     """
-
-    dtype: ClassVar[type] = np.float32
 
     header: TraceHeader = field(init=False)
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        w = np.ascontiguousarray(self.weights, dtype=self.dtype)
+        w = np.ascontiguousarray(self.weights, dtype="<f4")
         if w.ndim != 4 or not 1 <= w.shape[2] <= w.shape[3]:
             raise TraceFormatError(f"weights shape {w.shape} is not (layers, heads, rows, seq_len), 1 <= rows <= seq_len")
         object.__setattr__(self, "header", TraceHeader(layers=w.shape[0], heads=w.shape[1], seq_len=w.shape[3]))
@@ -358,10 +355,9 @@ def save_trace(trace: AttentionTrace, path: str | Path) -> None:
     w, t = trace.weights.shape[2], trace.header.seq_len
     if w != t:
         raise TraceFormatError(f"cannot save the last {w} of {t} rows: files hold whole matrices")
-    payload = trace.weights.astype("<f4", copy=False)
     with open(path, "wb") as fh:
         fh.write(trace.header.to_json_line())
-        fh.write(payload.data)
+        fh.write(trace.weights.data)
 
 
 def _check_payload_length(size: int, header: TraceHeader) -> None:
@@ -391,14 +387,15 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
 
     Each chunk is read into one ``_chunk_buffer``, its rows before the window
     checked there, as one check of all of them would report, and its window
-    rows kept, which building the result checks. So every row is checked once
-    and this accepts and rejects what ``load_trace`` does. Of several defects,
-    the first in this order is reported: the rows before the window, matrix by
-    matrix, then the window rows. A file or a pipe is read to its end before
-    any of them: a wrong payload length comes first. Only a piped header
-    promising more than memory, whose ``(t, t)`` guard block (never touched)
-    and window rows fit, reports its payload length where ``load_trace`` says
-    it cannot be allocated. An ``ows`` below 1 or not an integer is a ValueError.
+    rows kept, which building the result checks. So every row of a sound file
+    is checked once and this accepts and rejects what ``load_trace`` does. Of
+    several defects, the first in this order is reported: the rows before the
+    window, matrix by matrix, then the window rows; no matrix after the first
+    defect's is checked. A file or a pipe is read to its end before any of
+    them: a wrong payload length comes first. Only a piped header promising
+    more than memory, whose ``(t, t)`` guard block (never touched) and window
+    rows fit, reports its payload length where ``load_trace`` says it cannot be
+    allocated. An ``ows`` below 1 or not an integer is a ValueError.
     """
     if not is_integer(ows) or ows < 1:
         raise ValueError(f"ows must be an integer >= 1, got {ows!r}")
@@ -418,7 +415,9 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
             end = first + len(rows)
             if end > lo:
                 window[layer, head, max(first - lo, 0) : end - lo] = rows[max(lo - first, 0) :]
-            found = _find_defect(rows[: lo - first], layer, head, first) if first < lo else None
+            # A later matrix's key is never the lesser; a later chunk of the same matrix's can be.
+            checked = first < lo and (defect is None or (layer, head) <= defect[0][:2])
+            found = _find_defect(rows[: lo - first], layer, head, first) if checked else None
             if found is not None and (defect is None or found[0] < defect[0]):
                 defect = found
         # Bytes past the promised payload are counted through the chunk buffer, never held.

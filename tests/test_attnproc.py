@@ -160,13 +160,13 @@ class TestProcessTrace:
             process_trace(trace, ProcSettings(ows=6, pool_size=1))
 
     @pytest.mark.parametrize("prefill", [mini_prefill, full_prefill])
-    def test_prefill_scored_from_its_float64_attention(self, prefill):
+    def test_prefill_scored_from_its_window_rows_cast_before_the_head_mean(self, prefill):
         result = prefill(ToyModelConfig(layers=3, heads=2, model_dim=12, proj_dim=4, seq_len=20, seed=6), rows=20)
         settings = ProcSettings(ows=4, pool_size=3)
         got = process_trace(result, settings)
         assert [sv.layer for sv in got] == [0, 1, 2]
         for layer, sv in enumerate(got):
-            rows = result.per_layer_attention[layer, :, 16:].mean(axis=0)
+            rows = result.per_layer_attention[layer, :, 16:].astype(np.float64).mean(axis=0)
             assert sv.scores.tobytes() == score_window(rows, settings).scores.tobytes()
 
     def test_other_sources_rejected(self):

@@ -30,7 +30,8 @@ thread, per-layer activations, the K/V cache and a few row vectors: not a
 t x t temporary per step, nor a square per (layer, head). One bound is a
 multiple of the whole (layers, heads, t, t) float64 array a prefill would
 hold; the other doubles the layers of a default prefill, which may add only
-their K/V and kept rows, where a square per (layer, head) would add 2 MiB.
+their K/V and kept rows, 4 bytes a weight as a trace stores them, where a
+square per (layer, head) would add 2 MiB.
 
 A retention table keeps its ratios in one float64 array and builds each
 ``RetentionPoint`` when it is read, so what it returns is bounded per point
@@ -200,7 +201,7 @@ def test_prefill_peak_does_not_grow_with_its_squares(monkeypatch, prefill, worke
         # temporaries overlap moves it by up to ~20 KiB, and some runs by ~200 KiB.
         peaks.append(min(peak_bytes(prefill, config, x) for _ in range(5)))
     kv_per_token = 2 * TOY.proj_dim * 4 if prefill is full_prefill else 0
-    added = TOY.layers * TOY.heads * TOY.seq_len * (DEFAULT_OWS * 8 + kv_per_token)
+    added = TOY.layers * TOY.heads * TOY.seq_len * (DEFAULT_OWS * 4 + kv_per_token)
     assert peaks[1] - peaks[0] <= added + 64 * 1024, (peaks, added)
 
 

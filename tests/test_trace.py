@@ -699,6 +699,25 @@ class TestReadWindow:
         chunks = [(first, min(3, 32 - first)) for first in range(0, 32, 3)]
         assert checked == [(*b, *c) for b in blocks for c in chunks] + [(*b, 32, 8) for b in blocks]
 
+    def test_no_matrix_after_a_held_defect_is_checked(self, path, monkeypatch):
+        # A later matrix's defect can never be reported before one held already,
+        # but the later chunks of the same matrix still can.
+        data = bytearray(path.read_bytes())
+        offset = data.index(b"\n") + 1 + 4 * 40 * 4  # layer 0, head 0, row 4
+        data[offset : offset + 4] = struct.pack("<f", -1.0)
+        path.write_bytes(bytes(data))
+        checked, inner = [], trace_module._find_defect
+
+        def record(rows, layer, head, first_row):
+            checked.append((layer, head, first_row, len(rows)))
+            return inner(rows, layer, head, first_row)
+
+        monkeypatch.setattr(trace_module, "_find_defect", record)
+        monkeypatch.setattr(trace_module, "CHUNK_BYTES", 3 * 40 * 4)
+        with pytest.raises(TraceFormatError, match=r"^negative weight at layer 0, head 0, row 4: -1 in column 0$"):
+            read_window(path, 8)
+        assert checked == [(0, 0, first, min(3, 32 - first)) for first in range(0, 32, 3)]
+
     @pytest.mark.parametrize(
         "defects,message",
         [
