@@ -66,6 +66,7 @@ def _causal_softmax_inplace(a: np.ndarray, scale: float = 1.0) -> None:
     # part. Every step is elementwise or exact and the sum still reduces
     # whole rows, so the bits equal a where/exp/divide on the square.
     r, t = a.shape
+    scale = float(scale)  # a numpy float64 scale would run a float32 block through float64
     for i0 in range(0, r, _BLOCK):
         i1 = min(i0 + _BLOCK, r)
         rows, block = a[i0:i1], a[i0:i1, : t - r + i1]

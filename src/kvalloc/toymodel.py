@@ -11,24 +11,26 @@ the cheap pass apply to the real one. Both return a ``PrefillResult``, an
 ``AttentionTrace`` of ``<f4`` rows like a trace file's, scored, saved and
 evicted as any trace is.
 
-Weights are a pure function of the seed, drawn once per config and read-only:
-identical configs give bit-identical results under one BLAS thread setting
-(the matrix products' last bits can change with numpy's BLAS pool, which
-the benchmark pins to one thread). Each head computes its whole attention
-matrix in a ``(seq_len, seq_len)`` float64 scratch of the thread running it,
-with ``attnproc._causal_softmax_inplace``, then copies out the kept rows as
-float32 and reads the context ``attn @ v`` from it: a prefill holds one
-square per thread, not one per (layer, head). A prefill runs on
-``min(heads, CPUs)`` threads (CPUs as ``os.sched_getaffinity`` counts them)
-once ``seq_len`` is 192 or more, where a layer's work outweighs the threads'
-overhead, and on the calling thread below that. The threads start once per
-call and go through the layers in lockstep: each runs its share of a layer's
-heads, waits for the others, runs its band of rows through the output
-projection, the MLP and the next layer's norm, and waits again. A head
-writes only its own slots of the attention, the cache and one context array,
-and every step after the heads is row-wise, with the same arithmetic on any
-thread, so the bits do not depend on the prefill's thread count. The input
-is only read, and no thread outlives a call.
+Weights are a pure function of the seed, drawn once per config in float64,
+rounded to float32 and read-only: identical configs give bit-identical
+results under one BLAS thread setting (the matrix products' last bits can
+change with numpy's BLAS pool, which the benchmark pins to one thread). All
+arithmetic is float32, as in a real prefill: the input is cast once, and
+each head computes its whole attention matrix in a ``(seq_len, seq_len)``
+float32 scratch of the thread running it, with
+``attnproc._causal_softmax_inplace``, then copies out the kept rows and
+reads the context ``attn @ v`` from it: a prefill holds one square per
+thread, not one per (layer, head). A prefill runs on ``min(heads, CPUs)``
+threads (CPUs as ``os.sched_getaffinity`` counts them) once ``seq_len`` is
+256 or more, where a layer's work outweighs the threads' overhead, and on
+the calling thread below that. The threads start once per call and go
+through the layers in lockstep: each runs its share of a layer's heads,
+waits for the others, runs its band of rows through the output projection,
+the MLP and the next layer's norm, and waits again. A head writes only its
+own slots of the attention, the cache and one context array, and every step
+after the heads is row-wise, with the same arithmetic on any thread, so the
+bits do not depend on the prefill's thread count. The caller's input is
+only read, and no thread outlives a call.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class _Weights:
         d, p, h = config.model_dim, config.proj_dim, config.heads
 
         def draw(*shape: int) -> np.ndarray:
-            w = rng.uniform(-1.0, 1.0, size=shape) * scale
+            w = (rng.uniform(-1.0, 1.0, size=shape) * scale).astype(np.float32)
             w.flags.writeable = False
             return w
 
@@ -114,9 +116,9 @@ class _Weights:
 
 
 def default_input(config: ToyModelConfig) -> np.ndarray:
-    """Seeded random token embeddings, shape (seq_len, model_dim)."""
+    """Seeded random token embeddings, shape (seq_len, model_dim), float32."""
     rng = np.random.default_rng([config.seed, 1])
-    return rng.uniform(-1.0, 1.0, size=(config.seq_len, config.model_dim))
+    return rng.uniform(-1.0, 1.0, size=(config.seq_len, config.model_dim)).astype(np.float32)
 
 
 def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
@@ -128,7 +130,11 @@ def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(x).all():
         raise ValueError("toy input x must be finite")
-    return x
+    # From this magnitude on, a row's float32 squares, summed in _rms_normalize, can overflow.
+    limit = np.sqrt(float(np.finfo(np.float32).max) / config.model_dim)
+    if np.abs(x).max() >= limit:
+        raise ValueError(f"toy input x must be below {limit:.6g} in magnitude, so its float32 squares stay finite")
+    return x.astype(np.float32)
 
 
 def _allocated(what: str, nbytes: int, make):
@@ -139,10 +145,10 @@ def _allocated(what: str, nbytes: int, make):
 
 
 # Below this sequence length a layer's numpy calls are too short to pay for
-# handing the GIL between threads. Full prefills at 8 layers, 4 heads, d=64,
-# on 2 CPUs, threads started once per call: threads took 1.1-1.8x as long at
-# t=64-144, broke even near t=160-176 and took 0.7-0.9x as long at t=192-320.
-_THREADED_SEQ_LEN = 192
+# handing the GIL between threads. Prefills at 8 layers, 4 heads, d=64, p=16 on
+# 2 CPUs, threaded/single time (full, mini; medians of 6 noisy runs, 0.58-1.55
+# each): 1.08, 1.31 at t=192; 1.02, 0.96 at t=224; 0.90, 0.95 at t=256; 0.74 at t=512.
+_THREADED_SEQ_LEN = 256
 
 
 def _head_workers(heads: int, seq_len: int) -> int:
@@ -192,23 +198,21 @@ def _in_lockstep(body, workers: int) -> None:
 def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: int) -> PrefillResult:
     """Run the layers; a full pass writes each head's K and V into one cache array, a mini one stops early.
 
-    The scratch, one ``(t, t)`` float64 square per worker thread, comes first,
-    before anything is drawn, so a shape too large fails at once; the K/V
-    cache (full pass only) comes after the weight set.
+    Every array is float32. The scratch, one ``(t, t)`` square per thread, comes first, so a shape too
+    large fails before anything is drawn; the K/V cache (full pass only) comes after the weight set.
+    The input is the pass's own copy, and its rows become the residual stream.
     """
     if not is_integer(rows) or rows < 1:
         raise ValueError(f"rows must be an integer >= 1, got {rows!r}")
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
     r, workers = min(int(rows), t), _head_workers(h, t)
-    scratch = _allocated("attention scratch", workers * t * t * 8, lambda: np.empty((workers, t, t)))
+    scratch = _allocated("attention scratch", workers * t * t * 4, lambda: np.empty((workers, t, t), np.float32))
     attention = _allocated("attention array", l * h * r * t * 4, lambda: np.empty((l, h, r, t), "<f4"))
-    x = _allocated("input", t * d * 8, lambda: default_input(config)) if x is None else _check_input(config, x)
-    weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 8, lambda: _Weights(config))
+    x = _allocated("input", t * d * 4, lambda: default_input(config)) if x is None else _check_input(config, x)
+    weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 4, lambda: _Weights(config))
     kv = _allocated("K/V cache", l * 2 * h * t * p * 4, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
     # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
-    contexts = np.empty((t, h * p))
-    # The residual stream after layer 0; x may be the caller's own array, so it is only read.
-    residual = np.empty((t, d))
+    contexts = np.empty((t, h * p), np.float32)
     xn = _rms_normalize(x)
 
     def layers(worker: int, sync) -> None:
@@ -216,7 +220,6 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
         # as no band is one row: numpy runs a one-row product as a matrix-vector product, with other bits.
         bands = min(workers, t // 2)
         band = slice(worker * t // bands, (worker + 1) * t // bands) if worker < bands else slice(0)
-        source = x
         for layer_idx, lw in enumerate(weights.layers):
             stop = not full and layer_idx == l - 1
             for head in range(worker, h, workers):
@@ -235,10 +238,10 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
             if stop:
                 return  # all attention statistics exist; the rest of the layer is dead weight for scoring
             sync()  # every head has read xn and written its context columns
-            out = np.add(source[band], contexts[band] @ lw["wo"], out=residual[band])
+            out = x[band]
+            out += contexts[band] @ lw["wo"]
             out += np.tanh(_rms_normalize(out) @ lw["w1"]) @ lw["w2"]
             xn[band] = _rms_normalize(out)
-            source = residual
             sync()  # xn is the next layer's input, or after the last the logits'
 
     _in_lockstep(layers, workers)

@@ -9,8 +9,8 @@ def where_exp_softmax(logits: np.ndarray) -> np.ndarray:
     """Reference causal softmax of the last ``r`` rows of a ``t x t`` matrix.
 
     Row ``i`` sees columns up to ``t - r + i``: mask the rest with np.where,
-    then exp and divide, one new array per step."""
-    logits = np.asarray(logits, dtype=np.float64)
+    then exp and divide, one new array per step, in the logits' own dtype."""
+    logits = np.asarray(logits)
     r, t = logits.shape
     masked = np.where(np.tri(r, t, k=t - r, dtype=bool), logits, -np.inf)
     shifted = masked - masked.max(axis=1, keepdims=True)

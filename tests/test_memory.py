@@ -24,14 +24,14 @@ of a piped trace followed by 64 MiB it does not promise, whose tail is counted
 through the chunk buffer, must stay within 16 MiB of the latter.
 
 A prefill keeps only the last rows of each head's attention. Each head
-computes its logits and softmax in place in a (t, t) float64 scratch owned
+computes its logits and softmax in place in a (t, t) float32 scratch owned
 by its worker thread, so beyond its kept rows a prefill holds one square per
 thread, per-layer activations, the K/V cache and a few row vectors: not a
 t x t temporary per step, nor a square per (layer, head). One bound is a
-multiple of the whole (layers, heads, t, t) float64 array a prefill would
+multiple of the whole (layers, heads, t, t) float32 array a prefill would
 hold; the other doubles the layers of a default prefill, which may add only
 their K/V and kept rows, 4 bytes a weight as a trace stores them, where a
-square per (layer, head) would add 2 MiB.
+square per (layer, head) would add 1 MiB.
 
 A retention table keeps its ratios in one float64 array and builds each
 ``RetentionPoint`` when it is read, so what it returns is bounded per point
@@ -62,7 +62,7 @@ SPEC = SyntheticSpec(layers=4, heads=2, seq_len=256, sparsity=0.1, seed=3, layer
 SETTINGS = ProcSettings(ows=8, pool_size=7)
 PAYLOAD = SPEC.layers * SPEC.heads * SPEC.seq_len * SPEC.seq_len * 4
 TOY = ToyModelConfig(layers=2, heads=2, model_dim=16, proj_dim=8, seq_len=256)
-ATTENTION = TOY.layers * TOY.heads * TOY.seq_len * TOY.seq_len * 8
+ATTENTION = TOY.layers * TOY.heads * TOY.seq_len * TOY.seq_len * 4
 STREAM = SyntheticSpec(layers=16, heads=2, seq_len=256, sparsity=0.1, seed=3, layer_skew=1.0)
 STREAM_PAYLOAD = STREAM.layers * STREAM.heads * STREAM.seq_len * STREAM.seq_len * 4
 

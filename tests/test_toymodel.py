@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +30,25 @@ from conftest import where_exp_softmax
 
 
 def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillResult:
-    """Reference forward: each head's scaled logits and softmax are new arrays,
-    copied into the attention array afterwards. Only the weights are shared."""
+    """Reference forward in float32: each head's scaled logits and softmax are new
+    arrays, copied into the attention array afterwards. Only the weights are shared."""
 
     def rms(v):
         return v / np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6)
 
     weights = _Weights(config)
     t, p, h = config.seq_len, config.proj_dim, config.heads
-    attention = np.empty((config.layers, h, t, t), dtype=np.float64)
+    x = np.asarray(x, dtype=np.float32)
+    attention = np.empty((config.layers, h, t, t), dtype=np.float32)
     kv_pairs = []
     for layer_idx, lw in enumerate(weights.layers):
         stop = not full and layer_idx == config.layers - 1
         xn = rms(x)
-        keys, values, contexts = np.empty((h, t, p)), np.empty((h, t, p)), np.empty((h, t, p))
+        keys, values, contexts = (np.empty((h, t, p), dtype=np.float32) for _ in range(3))
         for head in range(h):
             q = xn @ lw["wq"][head]
             k = xn @ lw["wk"][head]
-            attn = where_exp_softmax(q @ k.T / np.sqrt(p))
+            attn = where_exp_softmax(q @ k.T / float(np.sqrt(p)))
             attention[layer_idx, head] = attn
             if stop:
                 continue
@@ -55,7 +57,7 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
             contexts[head] = attn @ v
         if stop:
             return PrefillResult(attention)
-        kv_pairs.append((keys.astype(np.float32), values.astype(np.float32)))
+        kv_pairs.append((keys, values))
         x = x + contexts.transpose(1, 0, 2).reshape(t, h * p) @ lw["wo"]
         x = x + np.tanh(rms(x) @ lw["w1"]) @ lw["w2"]
     logits = rms(x)[-1] @ weights.unembed
@@ -94,6 +96,29 @@ class TestConfig:
         x[3, 5] = bad
         with pytest.raises(ValueError, match="^toy input x must be finite$"):
             prefill(config, x)
+
+    @pytest.mark.parametrize("value", [1e30, -1e200, 1e300, np.finfo(np.float64).max])
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_input_whose_float32_squares_overflow_rejected(self, prefill, value):
+        # The norm's squares would overflow to inf, and the prefill would return all-zero logits.
+        config = ToyModelConfig(layers=1, model_dim=2, seq_len=4)
+        limit = np.sqrt(float(np.finfo(np.float32).max) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^toy input x must be below " + re.escape(f"{limit:.6g} in magnitude")
+            with pytest.raises(ValueError, match=message):
+                prefill(config, np.full((4, 2), value))
+
+    @pytest.mark.parametrize("model_dim", [1, 2, 64])
+    def test_input_just_below_the_limit_runs_clean(self, model_dim):
+        config = ToyModelConfig(layers=2, heads=2, model_dim=model_dim, proj_dim=4, seq_len=6)
+        limit = np.sqrt(float(np.finfo(np.float32).max) / model_dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be below"):
+                full_prefill(config, np.full((6, model_dim), -limit))
+            result = full_prefill(config, np.full((6, model_dim), np.nextafter(limit, 0.0)))
+        assert np.isfinite(result.first_token_logits).all() and np.isfinite(result.weights).all()
 
 
 class TestFullPrefill:
@@ -318,12 +343,26 @@ class TestMatchesWhereExpReference:
     @example(t=300, r_share=1.0, magnitude=1e6, seed=2)  # square, r > 128
     @example(t=261, r_share=0.8, magnitude=50.0, seed=3)  # r > 128, t % 128 != 0
     @example(t=256, r_share=0.5, magnitude=1e6, seed=4)  # r = 128, t = 2 blocks
+    @example(t=512, r_share=0.02, magnitude=1.0, seed=5)  # the default window of a T=512 head
     def test_causal_softmax_bit_equal(self, t, r_share, magnitude, seed):
         r = max(1, round(r_share * t))
-        logits = np.random.default_rng(seed).normal(size=(r, t)) * magnitude
+        # float32 is the toy model's arithmetic, float64 eviction's recomputed windows.
+        for dtype in (np.float32, np.float64):
+            logits = (np.random.default_rng(seed).normal(size=(r, t)) * magnitude).astype(dtype)
+            weights = logits.copy()
+            toymodel._causal_softmax_inplace(weights)
+            assert weights.dtype == dtype
+            assert weights.tobytes() == where_exp_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_numpy_float64_scale_keeps_the_block_dtype(self, dtype):
+        # The toy and eviction both pass np.sqrt(p), a numpy float64: a float32 block must still be
+        # divided in float32, by the scale rounded to float32, and a float64 block as before.
+        logits = (np.random.default_rng(6).normal(size=(40, 300)) * 20.0).astype(dtype)
         weights = logits.copy()
-        toymodel._causal_softmax_inplace(weights)
-        assert weights.tobytes() == where_exp_softmax(logits).tobytes()
+        toymodel._causal_softmax_inplace(weights, np.sqrt(7))
+        assert weights.dtype == dtype
+        assert weights.tobytes() == where_exp_softmax(logits / float(np.sqrt(7))).tobytes()
 
     @pytest.mark.parametrize("seq_len", [2, 127, 128, 129, 200, 300])
     def test_prefills_bit_equal(self, seq_len):
@@ -371,7 +410,7 @@ def prefill_bytes(result: PrefillResult) -> list[bytes]:
 
 
 class TestHeadsOnThreads:
-    """From 192 tokens on, a prefill runs on min(heads, CPUs) threads; the bits do not depend on how many."""
+    """From 256 tokens on, a prefill runs on min(heads, CPUs) threads; the bits do not depend on how many."""
 
     @staticmethod
     def cpus(monkeypatch, n: int) -> None:
