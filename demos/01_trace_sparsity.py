@@ -34,6 +34,6 @@ with open("trace_column_mass.csv", "w", encoding="utf-8") as fh:
     fh.write("layer,position,mass\n")
     for layer in range(spec.layers):
         mass = trace.weights[layer].astype(np.float64).mean(axis=0).sum(axis=0)
-        for pos, m in enumerate(mass):
+        for pos, m in enumerate(mass.tolist()):  # Python floats: a numpy scalar's repr is not a CSV number
             fh.write(f"{layer},{pos},{m!r}\n")
 print("\nwrote trace_column_mass.csv (layer,position,mass) for heatmap plotting")

@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import metrics
-from .attnproc import ScoreVector, is_cache_size
+from .attnproc import ScoreVector
+from .trace import checked_integer
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,9 @@ class AllocationList:
 
     def __post_init__(self) -> None:
         sizes = self.sizes
-        if not isinstance(sizes, (list, tuple, np.ndarray)) or not all(map(is_cache_size, sizes)):
-            raise ValueError(f"cache sizes must be a sequence of integers >= 0, got {sizes!r}")
-        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
+        if not isinstance(sizes, (list, tuple, np.ndarray)):
+            raise ValueError(f"cache sizes must be a list, tuple or array, got {sizes!r}")
+        object.__setattr__(self, "sizes", tuple(checked_integer(f"sizes[{i}]", n) for i, n in enumerate(sizes)))
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -44,9 +45,6 @@ class AllocationList:
     @property
     def total(self) -> int:
         return sum(self.sizes)
-
-    def to_json(self) -> str:
-        return json.dumps({"sizes": list(self.sizes)}, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "AllocationList":
@@ -69,9 +67,7 @@ class Constraint:
     def __post_init__(self) -> None:
         value = self.value
         if self.mode == "budget":
-            if not is_cache_size(value):
-                raise ValueError(f"budget must be a nonnegative integer, got {value!r}")
-            object.__setattr__(self, "value", int(value))
+            object.__setattr__(self, "value", checked_integer("budget", value))
         elif self.mode == "target":
             if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value <= 1.0:
                 raise ValueError(f"target average retention must be in (0, 1], got {value!r}")
@@ -157,8 +153,7 @@ def allocation_r_avg(
     if len(allocation) != len(curves):
         raise ValueError(f"allocation has {len(allocation)} layers, scores have {len(curves)}")
     for i, (curve, n) in enumerate(zip(curves, allocation.sizes)):
-        if n >= curve.size:
-            raise ValueError(f"layer {i}: n_i {n} exceeds capacity {curve.size - 1}")
+        checked_integer(f"layer {i}: n_i", n, 0, curve.size - 1)
     return metrics.r_avg(float(curve[n]) for curve, n in zip(curves, allocation.sizes))
 
 
@@ -178,10 +173,7 @@ def allocate(
     if not curves:
         raise ValueError("need at least one layer of scores")
     if constraint.mode == "budget":
-        total_size = int(constraint.value)
-        capacity = sum(c.size - 1 for c in curves)
-        if total_size > capacity:
-            raise ValueError(f"budget {total_size} exceeds capacity {capacity}")
+        total_size = checked_integer("budget", constraint.value, 0, sum(c.size - 1 for c in curves))
 
         def enough(sizes: list[int]) -> bool:
             return sum(sizes) >= total_size
@@ -223,8 +215,8 @@ def oracle_allocate(
     if not curves:
         raise ValueError("need at least one layer of scores")
     capacity = sum(c.size - 1 for c in curves)
-    if constraint.mode == "budget" and constraint.value > capacity:
-        raise ValueError(f"budget {constraint.value} exceeds capacity {capacity}")
+    if constraint.mode == "budget":
+        checked_integer("budget", constraint.value, 0, capacity)
     # Budget mode never reads a total above N.
     width = int(constraint.value) + 1 if constraint.mode == "budget" else capacity + 1
 
@@ -258,21 +250,13 @@ def uniform_allocation(
 ) -> AllocationList:
     """Spread a total budget as evenly as possible; the remainder goes to the earliest layers.
 
-    Each argument is an integer (``is_cache_size``), never a bool, and
-    ``num_layers`` is at least 1; anything else is refused by name. With
-    ``total_size <= num_layers * capacity_per_layer`` no layer gets more
-    than its capacity.
+    Each argument is a ``checked_integer``: ``num_layers`` at least 1, the
+    others at least 0 and ``total_size`` at most ``num_layers *
+    capacity_per_layer``, so no layer gets more than its capacity; anything
+    else is refused by name.
     """
-    for name, value, least in (
-        ("total_size", total_size, 0),
-        ("num_layers", num_layers, 1),
-        ("capacity_per_layer", capacity_per_layer, 0),
-    ):
-        if not is_cache_size(value) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    if total_size > num_layers * capacity_per_layer:
-        raise ValueError(
-            f"total {total_size} outside [0, {num_layers * capacity_per_layer}]"
-        )
+    num_layers = checked_integer("num_layers", num_layers, 1)
+    capacity = checked_integer("capacity_per_layer", capacity_per_layer)
+    total_size = checked_integer("total_size", total_size, 0, num_layers * capacity)
     base, extra = divmod(total_size, num_layers)
     return AllocationList(sizes=tuple(base + (1 if i < extra else 0) for i in range(num_layers)))

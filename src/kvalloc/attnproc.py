@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trace import AttentionTrace, is_integer, set_integers
+from .trace import AttentionTrace, set_integers
 
 # The observation window: the last rows of each matrix that scoring reads by default and a toy prefill keeps.
 DEFAULT_OWS = 8
@@ -76,11 +76,6 @@ def _causal_softmax_inplace(a: np.ndarray, scale: float = 1.0) -> None:
         np.exp(block, out=block)
         rows[:, t - r + i1 :] = 0.0
         block /= rows.sum(axis=1, keepdims=True)
-
-
-def is_cache_size(n: object) -> bool:
-    """A cache size is an integer or numpy integer, never a bool, at least 0."""
-    return is_integer(n) and n >= 0
 
 
 @dataclass(frozen=True, eq=False)

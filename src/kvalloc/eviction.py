@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics
 from .attnproc import ProcSettings, ScoreVector, _causal_softmax_inplace, process_trace, score_window
 from .allocator import AllocationList
-from .trace import AttentionTrace, is_integer
+from .trace import AttentionTrace, checked_integer
 
 ELEMENT_BYTES = 4
 
@@ -95,8 +95,7 @@ def evict_layer(
         )
     t, p = q.shape
     settings.check_seq_len(t)
-    if not 0 <= n_i <= t - settings.ows:
-        raise ValueError(f"n_i must be in [0, {t - settings.ows}], got {n_i}")
+    n_i = checked_integer("n_i", n_i, 0, t - settings.ows)
     window = q[t - settings.ows :] @ np.asarray(k_arr, dtype=np.float64).T
     _causal_softmax_inplace(window, np.sqrt(p))
     retained = _retained_for_layer(score_window(window, settings), n_i, t, settings.ows)
@@ -117,8 +116,7 @@ def simulate_task(
     (a full prefill's cache overrides it with the real width); it must be an
     integer >= 1 either way.
     """
-    if not is_integer(proj_dim) or proj_dim < 1:
-        raise ValueError(f"proj_dim must be an integer >= 1, got {proj_dim!r}")
+    proj_dim = checked_integer("proj_dim", proj_dim, 1)
     vectors = process_trace(source, settings)
     l, h, t = source.header.layers, source.header.heads, source.header.seq_len
     if getattr(source, "kv_pairs", None) is not None:
@@ -129,12 +127,11 @@ def simulate_task(
     retained_indices = []
     per_layer_r = []
     for sv, n in zip(vectors, allocation.sizes):
-        if n > cap:
-            raise ValueError(f"layer {sv.layer}: n_i {n} exceeds capacity {cap}")
+        checked_integer(f"layer {sv.layer}: n_i", n, 0, cap)
         retained_indices.append(tuple(int(i) for i in _retained_for_layer(sv, n, t, settings.ows)))
         per_layer_r.append(metrics.retention(sv, n))
 
-    per_token = 2 * h * int(proj_dim) * ELEMENT_BYTES
+    per_token = 2 * h * proj_dim * ELEMENT_BYTES
     return EvictionReport(
         sizes=allocation.sizes,
         ows=settings.ows,

@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attnproc import ScoreVector, is_cache_size
+from .attnproc import ScoreVector
+from .trace import checked_integer
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +58,7 @@ def _vector(w: ScoreVector | np.ndarray | Sequence[float]) -> ScoreVector:
 def topk_indices(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> np.ndarray:
     """Indices of the ``n`` largest scores, ties broken toward lower index."""
     scores = _vector(w).scores
-    if not is_cache_size(n) or n > scores.size:
-        raise ValueError(f"n must be in [0, {scores.size}], got {n!r}")
+    n = checked_integer("n", n, 0, scores.size)
     # Eviction keeps the lower index of a tie, so this sorts indices, stably; a curve sorts values.
     return np.argsort(-scores, kind="stable")[:n]
 
@@ -81,9 +81,7 @@ def retention_curve(w: ScoreVector | np.ndarray | Sequence[float]) -> np.ndarray
 def retention(w: ScoreVector | np.ndarray | Sequence[float], n: int) -> float:
     """Fraction of total score mass kept by the ``n`` largest scores."""
     curve = retention_curve(w)
-    if not is_cache_size(n) or n >= curve.size:
-        raise ValueError(f"n must be in [0, {curve.size - 1}], got {n!r}")
-    return float(curve[n])
+    return float(curve[checked_integer("n", n, 0, curve.size - 1)])
 
 
 def r_avg(values: Iterable[float]) -> float:

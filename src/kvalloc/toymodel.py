@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attnproc import DEFAULT_OWS, _causal_softmax_inplace
-from .trace import AttentionTrace, is_integer, set_integers
+from .trace import AttentionTrace, checked_integer, set_integers
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,9 @@ def _rms_normalize(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 class _Weights:
-    """All model parameters, drawn once per config in a fixed order."""
+    """All model parameters, drawn once per config in a fixed order; only the last config's set is kept."""
 
     def __init__(self, config: ToyModelConfig):
         rng = np.random.default_rng(config.seed)
@@ -202,10 +202,8 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
     large fails before anything is drawn; the K/V cache (full pass only) comes after the weight set.
     The input is the pass's own copy, and its rows become the residual stream.
     """
-    if not is_integer(rows) or rows < 1:
-        raise ValueError(f"rows must be an integer >= 1, got {rows!r}")
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
-    r, workers = min(int(rows), t), _head_workers(h, t)
+    r, workers = min(checked_integer("rows", rows, 1), t), _head_workers(h, t)
     scratch = _allocated("attention scratch", workers * t * t * 4, lambda: np.empty((workers, t, t), np.float32))
     attention = _allocated("attention array", l * h * r * t * 4, lambda: np.empty((l, h, r, t), "<f4"))
     x = _allocated("input", t * d * 4, lambda: default_input(config)) if x is None else _check_input(config, x)

@@ -57,25 +57,22 @@ def is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def set_integers(obj: object, **least: int) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as an int.
-
-    Raises ValueError naming the first that is not an integer (``is_integer``) of at least its given least.
-    """
-    for name, low in least.items():
-        value = getattr(obj, name)
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-        object.__setattr__(obj, name, int(value))
-
-
-def _header_integer(key: str, value: object) -> int:
-    """``value`` as an int; TraceFormatError naming ``key`` unless it is an integer (``is_integer``)."""
+def checked_integer(name: str, value: object, least: int = 0, most: int | None = None) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer (``is_integer``) in ``[least, most]``."""
     if not is_integer(value):
-        raise TraceFormatError(f"trace header field {key!r} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if most is None:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    elif not least <= value <= most:
+        raise ValueError(f"{name} must be in [{least}, {most}], got {value!r}")
     return int(value)
+
+
+def set_integers(obj: object, **least: int) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a ``checked_integer`` of at least its given least."""
+    for name, low in least.items():
+        object.__setattr__(obj, name, checked_integer(name, getattr(obj, name), low))
 
 
 @dataclass(frozen=True)
@@ -87,12 +84,10 @@ class TraceHeader:
     seq_len: int
 
     def __post_init__(self) -> None:
-        for key in ("layers", "heads", "seq_len"):
-            object.__setattr__(self, key, _header_integer(key, getattr(self, key)))
-        if self.layers < 1 or self.heads < 1:
-            raise TraceFormatError(f"layers and heads must be >= 1, got {self.layers}x{self.heads}")
-        if self.seq_len < 2:
-            raise TraceFormatError(f"seq_len must be >= 2, got {self.seq_len}")
+        try:
+            set_integers(self, layers=1, heads=1, seq_len=2)
+        except ValueError as exc:
+            raise TraceFormatError(str(exc)) from None
 
     @property
     def payload_bytes(self) -> int:
@@ -120,8 +115,8 @@ class TraceHeader:
         missing = {"version", "layers", "heads", "seq_len", "dtype"} - obj.keys()
         if missing:
             raise TraceFormatError(f"trace header missing keys: {sorted(missing)}")
-        _header_integer("version", obj["version"])  # the shape fields are checked by the constructor
-        if obj["version"] != HEADER_VERSION:
+        # The shape fields are checked by the constructor.
+        if not is_integer(obj["version"]) or obj["version"] != HEADER_VERSION:
             raise TraceFormatError(f"unsupported trace version {obj['version']!r}")
         if obj["dtype"] != HEADER_DTYPE:
             raise TraceFormatError(f"unsupported dtype {obj['dtype']!r} (version 1 is {HEADER_DTYPE} only)")
@@ -397,8 +392,7 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
     rows fit, reports its payload length where ``load_trace`` says it cannot be
     allocated. An ``ows`` below 1 or not an integer is a ValueError.
     """
-    if not is_integer(ows) or ows < 1:
-        raise ValueError(f"ows must be an integer >= 1, got {ows!r}")
+    ows = checked_integer("ows", ows, 1)
     with open(path, "rb") as fh:
         header = _read_header(fh)
         t, w = header.seq_len, min(ows, header.seq_len)

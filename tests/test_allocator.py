@@ -117,7 +117,7 @@ class TestBudgetMode:
             assert allocate(scores, Constraint.budget(n)).total == n
 
     def test_budget_above_capacity_rejected(self):
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ValueError, match=r"^budget must be in \[0, 6\], got 7$"):
             allocate([W1, W2], Constraint.budget(7))
 
     def test_full_budget_fills_everything(self):
@@ -388,10 +388,8 @@ class TestOracle:
 
 
 class TestAllocationList:
-    def test_json_roundtrip(self):
-        alloc = AllocationList(sizes=(3, 0, 5))
-        assert alloc.to_json() == '{"sizes":[3,0,5]}'
-        assert AllocationList.from_json(alloc.to_json()) == alloc
+    def test_json_read(self):
+        assert AllocationList.from_json('{"sizes":[3,0,5]}') == AllocationList(sizes=(3, 0, 5))
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -411,7 +409,7 @@ class TestAllocationList:
         "bad", [1.9, 2.0, True, False, "3", None, np.float64(2.0), np.bool_(True)], ids=repr
     )
     def test_non_integer_sizes_rejected(self, bad):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=f"^sizes\\[1\\] must be an integer, got {re.escape(repr(bad))}$"):
             AllocationList(sizes=(1, bad))
 
     @pytest.mark.parametrize(
@@ -447,21 +445,22 @@ class TestUniformAllocation:
             uniform_allocation(13, 4, 3)
 
     @pytest.mark.parametrize(
-        "args, name, bad",
+        "args, message",
         [
-            ((True, 1, 5), "total_size", True),
-            ((2.0, 1, 5), "total_size", 2.0),
-            ((-1, 1, 5), "total_size", -1),
-            ((2, 2.0, 5), "num_layers", 2.0),
-            ((2, np.True_, 5), "num_layers", np.True_),
-            ((0, 0, 5), "num_layers", 0),
-            ((2, 1, 2.5), "capacity_per_layer", 2.5),
-            ((2, 1, False), "capacity_per_layer", False),
-            ((2, 1, "5"), "capacity_per_layer", "5"),
+            ((True, 1, 5), "total_size must be an integer, got True"),
+            ((2.0, 1, 5), "total_size must be an integer, got 2.0"),
+            ((-1, 1, 5), "total_size must be in [0, 5], got -1"),
+            ((2, 2.0, 5), "num_layers must be an integer, got 2.0"),
+            ((2, np.True_, 5), "num_layers must be an integer, got np.True_"),
+            ((0, 0, 5), "num_layers must be >= 1, got 0"),
+            ((2, 1, 2.5), "capacity_per_layer must be an integer, got 2.5"),
+            ((2, 1, False), "capacity_per_layer must be an integer, got False"),
+            ((2, 1, "5"), "capacity_per_layer must be an integer, got '5'"),
+            ((13, 4, 3), "total_size must be in [0, 12], got 13"),
         ],
     )
-    def test_non_integer_arguments_refused_by_name(self, args, name, bad):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got {re.escape(repr(bad))}$"):
+    def test_non_integer_arguments_refused_by_name(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             uniform_allocation(*args)
 
     def test_numpy_integer_arguments_accepted(self):
@@ -562,8 +561,8 @@ class TestValidation:
             allocation_r_avg([W1], AllocationList(sizes=(1, 1)))
 
     def test_allocation_r_avg_size_above_capacity(self):
-        with pytest.raises(ValueError, match=r"^layer 0: n_i 5 exceeds capacity 2$"):
+        with pytest.raises(ValueError, match=r"^layer 0: n_i must be in \[0, 2\], got 5$"):
             allocation_r_avg([[1.0, 2.0]], AllocationList((5,)))
-        with pytest.raises(ValueError, match=r"^layer 1: n_i 4 exceeds capacity 3$"):
+        with pytest.raises(ValueError, match=r"^layer 1: n_i must be in \[0, 3\], got 4$"):
             allocation_r_avg([W2, W1], AllocationList((3, 4)))
         assert allocation_r_avg([W2, W1], AllocationList((3, 3))) == 1.0

@@ -301,7 +301,7 @@ class TestSimulate:
         )
         assert code == 2
         assert out == ""
-        assert err == f"error: proj_dim must be an integer >= 1, got {proj_dim}\n"
+        assert err == f"error: proj_dim must be >= 1, got {proj_dim}\n"
 
     def test_allocation_file_source(self, fixture_trace_path, tmp_path, capsys):
         alloc_path = tmp_path / "alloc.json"
@@ -590,22 +590,22 @@ class TestDeterminism:
 
 class TestMalformedTraceFiles:
     @pytest.mark.parametrize(
-        "header",
+        "header, message",
         [
-            b'{"version":1,"layers":"1","heads":1,"seq_len":2,"dtype":"f32le"}',
-            b'{"version":1,"layers":1.5,"heads":1,"seq_len":2,"dtype":"f32le"}',
-            b'{"version":1,"layers":true,"heads":1,"seq_len":2,"dtype":"f32le"}',
-            b'{"version":true,"layers":1,"heads":1,"seq_len":2,"dtype":"f32le"}',
-            b'{"version":1,"layers":1,"heads":1,"seq_len":2.0,"dtype":"f32le"}',
+            (b'{"version":1,"layers":"1","heads":1,"seq_len":2,"dtype":"f32le"}', "layers must be an integer, got '1'"),
+            (b'{"version":1,"layers":1.5,"heads":1,"seq_len":2,"dtype":"f32le"}', "layers must be an integer, got 1.5"),
+            (b'{"version":1,"layers":true,"heads":1,"seq_len":2,"dtype":"f32le"}', "layers must be an integer, got True"),
+            (b'{"version":true,"layers":1,"heads":1,"seq_len":2,"dtype":"f32le"}', "unsupported trace version True"),
+            (b'{"version":1,"layers":1,"heads":1,"seq_len":2.0,"dtype":"f32le"}', "seq_len must be an integer, got 2.0"),
         ],
     )
-    def test_mistyped_header_field_exits_2(self, tmp_path, capsys, header):
+    def test_mistyped_header_field_exits_2(self, tmp_path, capsys, header, message):
         path = tmp_path / "t.bin"
         path.write_bytes(header + b"\n" + b"\0\0\x80\x3f" + b"\0" * 4 + b"\0\0\0\x3f" * 2)
         code, out, err = run(capsys, "allocate", str(path), "--budget", "0", "--ows", "1", "--pool-size", "1")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "must be an integer" in err
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "header", [b"[" * 100_000, b'{"version":' + b"1" * 5000 + b"}"], ids=["deep-nesting", "long-integer"]

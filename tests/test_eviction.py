@@ -92,11 +92,23 @@ class TestEvictLayer:
         assert retained.tolist() == [6, 7]
         assert np.array_equal(k_out, k[6:])
 
-    def test_budget_out_of_range_rejected(self):
-        rng = np.random.default_rng(83)
-        q, k, v = rng.normal(size=(3, 8, 4))
-        with pytest.raises(ValueError, match="n_i"):
-            evict_layer(q, k, v, 7, ProcSettings(ows=2, pool_size=1))
+    # Capacity is t - ows = 6: a size that is no integer, or outside [0, 6], is refused by its own name.
+    @pytest.mark.parametrize(
+        "n_i, message",
+        [
+            ("3", "n_i must be an integer, got '3'"),
+            (None, "n_i must be an integer, got None"),
+            (2.5, "n_i must be an integer, got 2.5"),
+            (True, "n_i must be an integer, got True"),
+            (-1, "n_i must be in [0, 6], got -1"),
+            (7, "n_i must be in [0, 6], got 7"),
+        ],
+        ids=["str", "None", "float", "bool", "negative", "above-capacity"],
+    )
+    def test_budget_out_of_range_rejected(self, n_i, message):
+        q, k, v = np.random.default_rng(83).normal(size=(3, 8, 4))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evict_layer(q, k, v, n_i, ProcSettings(ows=2, pool_size=1))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -246,8 +258,9 @@ class TestSimulateTask:
     @pytest.mark.parametrize("proj_dim", [-5, 0, 2.5, True, np.float64(8.0), "8"], ids=repr)
     def test_proj_dim_refused_by_name_before_scoring(self, proj_dim):
         trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=8, sparsity=0.5, seed=0))
+        rule = ">= 1" if type(proj_dim) is int else "an integer"
         # Scoring would refuse this window; the width is refused first.
-        with pytest.raises(ValueError, match=f"^proj_dim must be an integer >= 1, got {re.escape(repr(proj_dim))}$"):
+        with pytest.raises(ValueError, match=f"^proj_dim must be {rule}, got {re.escape(repr(proj_dim))}$"):
             simulate_task(trace, AllocationList(sizes=(1,)), ProcSettings(ows=8, pool_size=1), proj_dim=proj_dim)
 
     def test_numpy_proj_dim_counts_python_int_bytes(self):
@@ -261,7 +274,7 @@ class TestSimulateTask:
 
     def test_oversized_layer_budget_rejected(self):
         trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=8, sparsity=0.5, seed=0))
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ValueError, match=r"^layer 0: n_i must be in \[0, 6\], got 7$"):
             simulate_task(trace, AllocationList(sizes=(7,)), ProcSettings(ows=2, pool_size=1))
 
 

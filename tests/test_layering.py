@@ -147,3 +147,53 @@ def test_every_terminal_use_is_seen(source):
 )
 def test_other_names_are_not(source):
     assert terminal_use_lines(source) == []
+
+
+# What a valid count is, and how a bad one is reported, is decided in one place: trace.checked_integer.
+COUNT_CHECKERS = {"trace.py"}
+COUNT_MESSAGES = ("must be an integer", "must be >=", "must be in [")
+# A real-valued range, not a count.
+REAL_RANGES = {"target retention must be in [0, 1], got "}
+
+
+def count_message_lines(source: str) -> list[int]:
+    """Line numbers of the strings, f-string parts included, that word a count check's message."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value not in REAL_RANGES:
+            lines += [node.lineno] if any(m in node.value for m in COUNT_MESSAGES) else []
+    return sorted(lines)
+
+
+def test_only_trace_words_a_count_check():
+    found = {path.name: count_message_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    assert all(found[name] for name in COUNT_CHECKERS)
+    assert {name: lines for name, lines in found.items() if lines and name not in COUNT_CHECKERS} == {}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'raise ValueError(f"{name} must be an integer, got {value!r}")',
+        'raise ValueError(f"rows must be an integer >= 1, got {rows!r}")',
+        'raise ValueError(f"n_i must be >= 0, got {n}")',
+        'raise ValueError(f"n must be in [0, {size}], got {n!r}")',
+        'message = "budget must be in [0, 6]"',
+        'raise ValueError(f"retention target must be in [0, 1], got {target!r}")',
+    ],
+)
+def test_every_count_message_is_seen(source):
+    assert count_message_lines(source) == [1]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'raise ValueError(f"target retention must be in [0, 1], got {target!r}")',
+        'raise ValueError(f"sparsity must be in (0, 1], got {s}")',
+        'raise ValueError(f"pool_size must be odd, got {p}")',
+        'n = checked_integer("n", n, 0, size)',
+    ],
+)
+def test_other_messages_are_not(source):
+    assert count_message_lines(source) == []

@@ -226,7 +226,8 @@ class TestKeptRows:
     @pytest.mark.parametrize("rows", [0, -1, True, 8.0, np.float64(8.0), "8", None], ids=repr)
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
     def test_rows_must_be_an_integer_of_at_least_one(self, prefill, rows):
-        with pytest.raises(ValueError, match=f"^rows must be an integer >= 1, got {re.escape(repr(rows))}$"):
+        rule = ">= 1" if type(rows) is int else "an integer"
+        with pytest.raises(ValueError, match=f"^rows must be {rule}, got {re.escape(repr(rows))}$"):
             prefill(ToyModelConfig(), rows=rows)
 
     @settings(max_examples=40, deadline=None)
@@ -257,20 +258,6 @@ class TestKeptRows:
 
 
 class TestTraceExport:
-    def test_dump_load_process_interop(self, tmp_path):
-        config = ToyModelConfig(layers=3, heads=2, model_dim=10, proj_dim=5, seq_len=16, seed=13)
-        result = mini_prefill(config, rows=config.seq_len)
-        trace = result.attention_trace()
-        trace.validate()
-        path = tmp_path / "toy.bin"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        settings = ProcSettings(ows=4, pool_size=3)
-        from_memory = process_trace(trace, settings)
-        from_disk = process_trace(loaded, settings)
-        for a, b in zip(from_memory, from_disk):
-            assert np.array_equal(a.scores, b.scores)
-
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
     def test_a_prefill_scores_as_its_trace_and_its_file(self, tmp_path, prefill):
         # Sizes measured on a prefill are reused for other tasks of its type, so
@@ -308,13 +295,6 @@ class TestTraceExport:
         weights[0, 0, 0, 1] = np.nan
         with pytest.raises(TraceFormatError, match="non-finite weight at layer 0, head 0, row 1"):
             PrefillResult(weights)
-
-    def test_whole_prefill_saves_as_its_float32_trace(self, tmp_path):
-        config = ToyModelConfig(layers=3, heads=2, model_dim=10, proj_dim=5, seq_len=16, seed=13)
-        result = full_prefill(config, rows=config.seq_len)
-        save_trace(result, tmp_path / "prefill.bin")
-        save_trace(result.attention_trace(), tmp_path / "copy.bin")
-        assert (tmp_path / "prefill.bin").read_bytes() == (tmp_path / "copy.bin").read_bytes()
 
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
     def test_windowed_prefill_not_saved(self, tmp_path, prefill):
@@ -397,6 +377,12 @@ class TestWeights:
         assert not any(a.flags.writeable for lw in weights.layers for a in lw.values())
         with pytest.raises(ValueError):
             weights.layers[0]["wq"][0, 0, 0] = 1.0
+
+    def test_only_the_last_configs_set_is_kept(self):
+        # A process runs one config at a time; an earlier seed's weights are let go.
+        for seed in range(3):
+            full_prefill(ToyModelConfig(seed=seed))
+        assert _Weights.cache_info().currsize == 1
 
 
 def prefill_bytes(result: PrefillResult) -> list[bytes]:

@@ -418,7 +418,7 @@ class TestHeaderFieldTypes:
     def test_built_header_refuses_a_non_integer_by_name(self, field, value):
         # The message from_json_line gives for the same field in a file.
         shape = {"layers": 1, "heads": 1, "seq_len": 4, field: value}
-        message = f"^trace header field '{field}' must be an integer, got {re.escape(repr(value))}$"
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(TraceFormatError, match=message):
             TraceHeader(**shape)
 
@@ -588,9 +588,10 @@ class TestReadWindow:
 
     @pytest.mark.parametrize("ows", [0, -3, True, 2.5, None])
     def test_a_window_size_below_one_or_not_an_integer_is_refused(self, path, ows):
-        with pytest.raises(ValueError, match=rf"^ows must be an integer >= 1, got {re.escape(repr(ows))}$"):
+        rule = ">= 1" if type(ows) is int else "an integer"
+        with pytest.raises(ValueError, match=rf"^ows must be {rule}, got {re.escape(repr(ows))}$"):
             read_window(path, ows)
-        with pytest.raises(ValueError, match="ows must be an integer"):
+        with pytest.raises(ValueError, match=f"^ows must be {rule}, "):
             read_window(path.parent / "missing.bin", ows)  # refused before the file is opened
 
     def test_window_scores_equal_trace_scores(self, path):
@@ -823,8 +824,8 @@ class TestTraceWindow:
     @pytest.mark.parametrize(
         "shape,message",
         [
-            ((0, 2, 1, 3), "layers and heads must be >= 1, got 0x2"),
-            ((1, 0, 1, 3), "layers and heads must be >= 1, got 1x0"),
+            ((0, 2, 1, 3), "layers must be >= 1, got 0"),
+            ((1, 0, 1, 3), "heads must be >= 1, got 0"),
             ((1, 2, 1, 1), "seq_len must be >= 2, got 1"),
         ],
     )
