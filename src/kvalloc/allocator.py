@@ -149,6 +149,8 @@ def allocation_r_avg(
     scores: Sequence[ScoreVector | np.ndarray], allocation: AllocationList
 ) -> float:
     """Average retention achieved by an allocation on the given scores."""
+    if not isinstance(allocation, AllocationList):
+        raise ValueError(f"allocation must be an AllocationList, got {type(allocation).__name__}")
     curves = [metrics.retention_curve(w) for w in scores]
     if len(allocation) != len(curves):
         raise ValueError(f"allocation has {len(allocation)} layers, scores have {len(curves)}")

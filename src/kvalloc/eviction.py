@@ -116,6 +116,8 @@ def simulate_task(
     (a full prefill's cache overrides it with the real width); it must be an
     integer >= 1 either way.
     """
+    if not isinstance(allocation, AllocationList):
+        raise ValueError(f"allocation must be an AllocationList, got {type(allocation).__name__}")
     proj_dim = checked_integer("proj_dim", proj_dim, 1)
     vectors = process_trace(source, settings)
     l, h, t = source.header.layers, source.header.heads, source.header.seq_len

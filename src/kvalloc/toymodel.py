@@ -13,24 +13,24 @@ evicted as any trace is.
 
 Weights are a pure function of the seed, drawn once per config in float64,
 rounded to float32 and read-only: identical configs give bit-identical
-results under one BLAS thread setting (the matrix products' last bits can
-change with numpy's BLAS pool, which the benchmark pins to one thread). All
-arithmetic is float32, as in a real prefill: the input is cast once, and
-each head computes its whole attention matrix in a ``(seq_len, seq_len)``
-float32 scratch of the thread running it, with
-``attnproc._causal_softmax_inplace``, then copies out the kept rows and
-reads the context ``attn @ v`` from it: a prefill holds one square per
-thread, not one per (layer, head). A prefill runs on ``min(heads, CPUs)``
-threads (CPUs as ``os.sched_getaffinity`` counts them) once ``seq_len`` is
-256 or more, where a layer's work outweighs the threads' overhead, and on
-the calling thread below that. The threads start once per call and go
-through the layers in lockstep: each runs its share of a layer's heads,
-waits for the others, runs its band of rows through the output projection,
-the MLP and the next layer's norm, and waits again. A head writes only its
-own slots of the attention, the cache and one context array, and every step
-after the heads is row-wise, with the same arithmetic on any thread, so the
-bits do not depend on the prefill's thread count. The caller's input is
-only read, and no thread outlives a call.
+results under one BLAS thread setting (the benchmark pins BLAS to one
+thread). All arithmetic is float32. A head's attention is computed one
+128-row band at a time, bands anchored at row 0, in one contiguous buffer per
+thread holding the band for all its heads: the band's rows of ``q @ k.T`` up
+to its last column (``q`` scaled by ``1/sqrt(proj_dim)``), masked, shifted by
+the row max and exponentiated in place. The kept rows are those divided by
+their row sums, and the contexts ``(exp @ v) / sums``, normalized after the
+product. The last layer computes only the bands holding the kept rows and the
+last two rows, and runs only the last row's band through the MLP, for the
+logits. A prefill runs on ``min(heads, CPUs)`` threads (CPUs as
+``os.sched_getaffinity`` counts them) once ``seq_len`` is 256 or more, and on
+the calling thread below that. The threads start once per call and go through
+the layers in lockstep: each runs its heads' bands, waits for the others,
+runs its share of whole row bands through the output projection, the MLP and
+the next layer's norm, and waits again. Every product has the same shape
+whatever the thread count and ``rows`` (BLAS can give a row other last bits
+in a product of another height), so neither changes a bit. The caller's input
+is only read, and no thread outlives a call.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attnproc import DEFAULT_OWS, _causal_softmax_inplace
+from .attnproc import DEFAULT_OWS
 from .trace import AttentionTrace, checked_integer, set_integers
 
 
@@ -144,11 +144,14 @@ def _allocated(what: str, nbytes: int, make):
         raise ValueError(f"a {nbytes}-byte toy {what} cannot be allocated") from exc
 
 
-# Below this sequence length a layer's numpy calls are too short to pay for
-# handing the GIL between threads. Prefills at 8 layers, 4 heads, d=64, p=16 on
-# 2 CPUs, threaded/single time (full, mini; medians of 6 noisy runs, 0.58-1.55
-# each): 1.08, 1.31 at t=192; 1.02, 0.96 at t=224; 0.90, 0.95 at t=256; 0.74 at t=512.
+# Below this sequence length a layer's numpy calls are too short to pay for handing the GIL between threads.
+# Banded prefills at 8 layers, 4 heads, d=64, p=16 on 2 CPUs took 1.13-1.19x as long threaded in process
+# (full and mini at t=192-320, 1.05-1.08x at 512), but toy_task_stream at t=512 ran faster threaded in 6 of 6
+# pairs. The two disagree, so this stays where float32 threads first won; README gives the numbers.
 _THREADED_SEQ_LEN = 256
+
+_BAND = 128
+_ABOVE_DIAGONAL = ~np.tri(_BAND, dtype=bool)
 
 
 def _head_workers(heads: int, seq_len: int) -> int:
@@ -195,16 +198,24 @@ def _in_lockstep(body, workers: int) -> None:
         raise errors[0]
 
 
+def _band_weights(e: np.ndarray) -> np.ndarray:
+    """Make a band of logits, its diagonal square last, causal ``exp(logit - row max)`` in place; return row sums."""
+    n = e.shape[-2]
+    np.copyto(e[..., -n:], -np.inf, where=_ABOVE_DIAGONAL[:n, :n])
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return e.sum(axis=-1, keepdims=True)
+
+
 def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: int) -> PrefillResult:
     """Run the layers; a full pass writes each head's K and V into one cache array, a mini one stops early.
 
-    Every array is float32. The scratch, one ``(t, t)`` square per thread, comes first, so a shape too
-    large fails before anything is drawn; the K/V cache (full pass only) comes after the weight set.
-    The input is the pass's own copy, and its rows become the residual stream.
+    Every array is float32. A ``(t, t)`` square per thread, never touched, is allocated first: a guard that
+    refuses a shape too large to run before anything is drawn. The input is the pass's own copy.
     """
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
     r, workers = min(checked_integer("rows", rows, 1), t), _head_workers(h, t)
-    scratch = _allocated("attention scratch", workers * t * t * 4, lambda: np.empty((workers, t, t), np.float32))
+    _allocated("attention scratch", workers * t * t * 4, lambda: np.empty((workers, t, t), np.float32))
     attention = _allocated("attention array", l * h * r * t * 4, lambda: np.empty((l, h, r, t), "<f4"))
     x = _allocated("input", t * d * 4, lambda: default_input(config)) if x is None else _check_input(config, x)
     weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 4, lambda: _Weights(config))
@@ -212,34 +223,44 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
     # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
     contexts = np.empty((t, h * p), np.float32)
     xn = _rms_normalize(x)
+    # The last layer's result reads the kept rows and the last row; the last row's MLP band starts by row t - 2.
+    last_first, last_band = (t - max(r, 2)) // _BAND * _BAND, (t - 2) // _BAND * _BAND
 
     def layers(worker: int, sync) -> None:
-        # Every step after the heads is row-wise, so no bit depends on how the rows are split as long
-        # as no band is one row: numpy runs a one-row product as a matrix-vector product, with other bits.
-        bands = min(workers, t // 2)
-        band = slice(worker * t // bands, (worker + 1) * t // bands) if worker < bands else slice(0)
+        mine = slice(worker, h, workers)  # this thread's heads; each array below holds them all, in order
+        n_mine = len(range(h)[mine])
+        band = np.empty(n_mine * _BAND * t, np.float32)
+        own_kv = None if full else np.empty((2, n_mine, t, p), np.float32)  # a mini pass keeps no K/V
+        head_contexts = contexts.reshape(t, h, p).transpose(1, 0, 2)[mine]
         for layer_idx, lw in enumerate(weights.layers):
             stop = not full and layer_idx == l - 1
-            for head in range(worker, h, workers):
-                # Writes only this head's slots, so the bits do not depend on which thread runs it.
-                q = xn @ lw["wq"][head]
-                k = xn @ lw["wk"][head]
-                attn = np.matmul(q, k.T, out=scratch[worker])
-                _causal_softmax_inplace(attn, np.sqrt(p))
-                attention[layer_idx, head] = attn[t - r :]
-                if stop:
-                    continue
-                v = xn @ lw["wv"][head]
-                if full:
-                    kv[layer_idx, 0, head], kv[layer_idx, 1, head] = k, v
-                contexts[:, head * p : (head + 1) * p] = attn @ v
+            first = last_first if layer_idx == l - 1 else 0
+            k, v = kv[layer_idx, :, mine] if full else own_kv
+            np.matmul(xn, lw["wk"][mine], out=k)
+            np.matmul(xn, lw["wv"][mine], out=v)
+            q = (xn @ lw["wq"][mine]) / float(np.sqrt(p))  # the (t, p) projection is scaled, not the logits
+            for i0 in range(first, t, _BAND):
+                i1 = min(i0 + _BAND, t)
+                e = band[: n_mine * (i1 - i0) * i1].reshape(n_mine, i1 - i0, i1)
+                sums = _band_weights(np.matmul(q[:, i0:i1], k[:, :i1].transpose(0, 2, 1), out=e))
+                if (kept := max(i0, t - r)) < i1:
+                    kept_rows = attention[layer_idx, mine, kept - (t - r) : i1 - (t - r)]
+                    np.divide(e[:, kept - i0 :], sums[:, kept - i0 :], out=kept_rows[..., :i1])
+                    kept_rows[..., i1:] = 0.0
+                if not stop:  # normalized after the product: an (n, p) divide, not an (n, i1) one
+                    np.divide(e @ v[:, :i1], sums, out=head_contexts[:, i0:i1])
             if stop:
                 return  # all attention statistics exist; the rest of the layer is dead weight for scoring
             sync()  # every head has read xn and written its context columns
-            out = x[band]
-            out += contexts[band] @ lw["wo"]
-            out += np.tanh(_rms_normalize(out) @ lw["w1"]) @ lw["w2"]
-            xn[band] = _rms_normalize(out)
+            # Every step after the heads is row-wise, but BLAS can give a row other last bits in a product of
+            # another height. So they run band by band, a lone last row joining the band before it (a one-row
+            # product is a matrix-vector one), and the bits depend on neither the thread count nor ``rows``.
+            edges = [*range(last_band if layer_idx == l - 1 else 0, t - 1, _BAND), t]
+            for i0, i1 in [*zip(edges, edges[1:])][worker::workers]:
+                out = x[i0:i1]
+                out += contexts[i0:i1] @ lw["wo"]
+                out += np.tanh(_rms_normalize(out) @ lw["w1"]) @ lw["w2"]
+                xn[i0:i1] = _rms_normalize(out)
             sync()  # xn is the next layer's input, or after the last the logits'
 
     _in_lockstep(layers, workers)

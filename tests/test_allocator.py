@@ -566,3 +566,8 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^layer 1: n_i must be in \[0, 3\], got 4$"):
             allocation_r_avg([W2, W1], AllocationList((3, 4)))
         assert allocation_r_avg([W2, W1], AllocationList((3, 3))) == 1.0
+
+    @pytest.mark.parametrize("allocation", [(1,), [1], np.array([1]), None], ids=repr)
+    def test_allocation_r_avg_takes_only_an_allocation_list(self, allocation):
+        with pytest.raises(ValueError, match="^allocation must be an AllocationList, got "):
+            allocation_r_avg([[1.0, 2.0]], allocation)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from kvalloc.allocator import Constraint, allocate
-from kvalloc.attnproc import ProcSettings, ScoreVector, process_trace, score_window, smooth
+from kvalloc.attnproc import ProcSettings, ScoreVector, _causal_softmax_inplace, process_trace, score_window, smooth
 from kvalloc.metrics import retention_curve
-from kvalloc.toymodel import ToyModelConfig, _causal_softmax_inplace, full_prefill, mini_prefill
+from kvalloc.toymodel import ToyModelConfig, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace
 
 from conftest import where_exp_softmax

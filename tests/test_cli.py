@@ -230,10 +230,10 @@ class TestSimulate:
         assert code == 0
         assert out == (
             "method,layer,n,retained,r\n"
-            "personalized,0,5,21,0.3464019488410346\n"
-            "personalized,1,5,21,0.3382444074566094\n"
-            "uniform,0,5,21,0.3464019488410346\n"
-            "uniform,1,5,21,0.3382444074566094\n"
+            "personalized,0,5,21,0.34640194667441804\n"
+            "personalized,1,5,21,0.33824440511504295\n"
+            "uniform,0,5,21,0.34640194667441804\n"
+            "uniform,1,5,21,0.33824440511504295\n"
         )
         summary = (
             "compression ratio 65.6% (memory reduction 34.4%), r_avg 0.3423, 5376 of 8192 bytes retained; "

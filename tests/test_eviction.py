@@ -277,6 +277,12 @@ class TestSimulateTask:
         with pytest.raises(ValueError, match=r"^layer 0: n_i must be in \[0, 6\], got 7$"):
             simulate_task(trace, AllocationList(sizes=(7,)), ProcSettings(ows=2, pool_size=1))
 
+    @pytest.mark.parametrize("allocation", [(3, 4), [3], np.array([3]), None], ids=repr)
+    def test_allocation_must_be_an_allocation_list(self, allocation):
+        trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=8, sparsity=0.5, seed=0))
+        with pytest.raises(ValueError, match="^allocation must be an AllocationList, got "):
+            simulate_task(trace, allocation, ProcSettings(ows=2, pool_size=1))
+
 
 class TestReportKeepsCounts:
     def test_fields_are_what_was_counted_or_given(self):

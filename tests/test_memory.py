@@ -23,15 +23,19 @@ So the CLI's peak resident size is measured too, on a 1 x 1 x 4096 trace, a
 of a piped trace followed by 64 MiB it does not promise, whose tail is counted
 through the chunk buffer, must stay within 16 MiB of the latter.
 
-A prefill keeps only the last rows of each head's attention. Each head
-computes its logits and softmax in place in a (t, t) float32 scratch owned
-by its worker thread, so beyond its kept rows a prefill holds one square per
-thread, per-layer activations, the K/V cache and a few row vectors: not a
-t x t temporary per step, nor a square per (layer, head). One bound is a
-multiple of the whole (layers, heads, t, t) float32 array a prefill would
-hold; the other doubles the layers of a default prefill, which may add only
-their K/V and kept rows, 4 bytes a weight as a trace stores them, where a
-square per (layer, head) would add 1 MiB.
+A prefill keeps only the last rows of each head's attention. Each worker
+thread computes its heads' logits and softmax 128 rows at a time, in place in
+one float32 band buffer, so beyond its kept rows a prefill holds one band
+buffer per thread, per-layer activations, the K/V cache and a few row
+vectors: not a t x t temporary per step, nor a square per (layer, head). One
+bound is a multiple of the whole (layers, heads, t, t) float32 array a prefill
+would hold; the other doubles the layers of a default prefill, which may add
+only their K/V and kept rows, 4 bytes a weight as a trace stores them, where a
+square per (layer, head) would add 1 MiB. The prefill still allocates a
+(t, t) square per thread first, as a guard that the shape fits, and never
+touches it, as ``read_window`` does its block: ``simulate --toy`` at 1 x 1 x
+4096, where a square is 64 MiB, must peak within 8 MiB of a process that
+imports ``kvalloc.cli`` and draws from numpy's generator.
 
 A retention table keeps its ratios in one float64 array and builds each
 ``RetentionPoint`` when it is read, so what it returns is bounded per point
@@ -152,6 +156,17 @@ def test_cli_touches_one_chunk_of_a_large_matrix(tmp_path):
     allocate = peak_rss_kib("-m", "kvalloc.cli", "allocate", path, "--budget", "100")
     assert gen < generator + 3 * 1024, (generator, gen)
     assert allocate < baseline + 3 * 1024, (baseline, allocate)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_a_long_toy_prefill_touches_no_square():
+    # At 4096 tokens a (t, t) float32 square is 64 MiB; the prefill's band buffer is 2 MiB.
+    generator = peak_rss_kib("-c", "import kvalloc.cli, numpy; numpy.random.default_rng(0)")
+    toy = peak_rss_kib(
+        "-m", "kvalloc.cli", "simulate", "--toy", "--layers", "1", "--heads", "1", "--seq-len", "4096",
+        "--auto", "--budget", "10",
+    )
+    assert toy < generator + 8 * 1024, (generator, toy)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")

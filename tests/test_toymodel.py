@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvalloc.attnproc import ProcSettings, process_trace
+from kvalloc.attnproc import ProcSettings, _causal_softmax_inplace, process_trace
 from kvalloc import toymodel
 from kvalloc.eviction import evict_layer
 from kvalloc.toymodel import (
@@ -30,36 +30,41 @@ from conftest import where_exp_softmax
 
 
 def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillResult:
-    """Reference forward in float32: each head's scaled logits and softmax are new
-    arrays, copied into the attention array afterwards. Only the weights are shared."""
+    """Reference forward in float32, one head and one 128-row band at a time: each band's logits,
+    masked with np.where, its exponentials, their row sums, weights and contexts are new arrays,
+    copied into the attention and context arrays afterwards. The contexts are the band's
+    ``exp @ v`` divided by its row sums. Every matrix is whole, and every layer runs all its
+    rows through the MLP, the last one's included, band by band with a lone last row joining
+    the band before it. Only the weights are shared."""
 
     def rms(v):
         return v / np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6)
 
     weights = _Weights(config)
     t, p, h = config.seq_len, config.proj_dim, config.heads
-    x = np.asarray(x, dtype=np.float32)
-    attention = np.empty((config.layers, h, t, t), dtype=np.float32)
+    x = np.array(x, dtype=np.float32)  # a copy: its rows are updated band by band
+    attention = np.zeros((config.layers, h, t, t), dtype=np.float32)
     kv_pairs = []
     for layer_idx, lw in enumerate(weights.layers):
-        stop = not full and layer_idx == config.layers - 1
         xn = rms(x)
         keys, values, contexts = (np.empty((h, t, p), dtype=np.float32) for _ in range(3))
         for head in range(h):
-            q = xn @ lw["wq"][head]
-            k = xn @ lw["wk"][head]
-            attn = where_exp_softmax(q @ k.T / float(np.sqrt(p)))
-            attention[layer_idx, head] = attn
-            if stop:
-                continue
-            v = xn @ lw["wv"][head]
-            keys[head], values[head] = k, v
-            contexts[head] = attn @ v
-        if stop:
+            q = (xn @ lw["wq"][head]) / float(np.sqrt(p))
+            keys[head], values[head] = xn @ lw["wk"][head], xn @ lw["wv"][head]
+            for i0 in range(0, t, 128):
+                i1 = min(i0 + 128, t)
+                logits = np.where(np.tri(i1 - i0, i1, k=i0, dtype=bool), q[i0:i1] @ keys[head, :i1].T, -np.inf)
+                e = np.exp(logits - logits.max(axis=1, keepdims=True))
+                sums = e.sum(axis=1, keepdims=True)
+                attention[layer_idx, head, i0:i1, :i1] = e / sums
+                contexts[head, i0:i1] = (e @ values[head, :i1]) / sums
+        if not full and layer_idx == config.layers - 1:
             return PrefillResult(attention)
         kv_pairs.append((keys, values))
-        x = x + contexts.transpose(1, 0, 2).reshape(t, h * p) @ lw["wo"]
-        x = x + np.tanh(rms(x) @ lw["w1"]) @ lw["w2"]
+        mixed, edges = contexts.transpose(1, 0, 2).reshape(t, h * p), [*range(0, t - 1, 128), t]
+        for i0, i1 in zip(edges, edges[1:]):
+            x[i0:i1] = x[i0:i1] + mixed[i0:i1] @ lw["wo"]
+            x[i0:i1] = x[i0:i1] + np.tanh(rms(x[i0:i1]) @ lw["w1"]) @ lw["w2"]
     logits = rms(x)[-1] @ weights.unembed
     return PrefillResult(attention, kv_pairs=np.array(kv_pairs), first_token_logits=logits)
 
@@ -232,8 +237,10 @@ class TestKeptRows:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        # Both sides of the length where heads move onto threads.
-        seq_len=st.one_of(st.integers(2, 40), st.integers(THREADED - 3, THREADED + 5)),
+        # Both sides of the length where heads move onto threads, and of the first two 128-row bands' ends.
+        seq_len=st.one_of(
+            st.integers(2, 40), st.integers(THREADED - 3, THREADED + 5), st.integers(126, 130), st.integers(383, 385)
+        ),
         layers=st.integers(1, 3),
         heads=st.integers(1, 4),
         proj_dim=st.integers(1, 6),
@@ -241,13 +248,18 @@ class TestKeptRows:
         seed=st.integers(0, 99),
     )
     @example(seq_len=THREADED, layers=2, heads=3, proj_dim=4, workers=3, seed=0)
+    @example(seq_len=129, layers=2, heads=2, proj_dim=3, workers=1, seed=1)  # a one-row last band
+    @example(seq_len=385, layers=2, heads=3, proj_dim=4, workers=2, seed=2)  # the same, on threads
+    @example(seq_len=384, layers=1, heads=1, proj_dim=2, workers=3, seed=3)  # more threads than heads
     def test_kept_rows_are_the_last_rows_of_the_whole_matrices(self, seq_len, layers, heads, proj_dim, workers, seed):
+        # Kept rows of 127-129 put the window's first row on either side of a band's start, so the last
+        # layer computes one band or two.
         config = ToyModelConfig(layers=layers, heads=heads, model_dim=8, proj_dim=proj_dim, seq_len=seq_len, seed=seed)
         x = default_input(config)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
             whole = full_prefill(config, x, rows=seq_len)
-            for rows in (1, ProcSettings().ows, seq_len, seq_len + 1):
+            for rows in (1, ProcSettings().ows, 127, 128, 129, seq_len, seq_len + 1):
                 full, mini = full_prefill(config, x, rows=rows), mini_prefill(config, x, rows=rows)
                 kept = whole.per_layer_attention[:, :, seq_len - min(rows, seq_len) :]
                 assert full.per_layer_attention.shape == kept.shape
@@ -309,7 +321,7 @@ class TestTraceExport:
 
 
 class TestMatchesWhereExpReference:
-    """The in-place softmax and forward give the reference's exact bits."""
+    """Eviction's in-place softmax gives the where/exp reference's exact bits, and the banded forward its reference's."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -326,21 +338,21 @@ class TestMatchesWhereExpReference:
     @example(t=512, r_share=0.02, magnitude=1.0, seed=5)  # the default window of a T=512 head
     def test_causal_softmax_bit_equal(self, t, r_share, magnitude, seed):
         r = max(1, round(r_share * t))
-        # float32 is the toy model's arithmetic, float64 eviction's recomputed windows.
+        # float64 is eviction's recomputed windows; a float32 block stays float32.
         for dtype in (np.float32, np.float64):
             logits = (np.random.default_rng(seed).normal(size=(r, t)) * magnitude).astype(dtype)
             weights = logits.copy()
-            toymodel._causal_softmax_inplace(weights)
+            _causal_softmax_inplace(weights)
             assert weights.dtype == dtype
             assert weights.tobytes() == where_exp_softmax(logits).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_numpy_float64_scale_keeps_the_block_dtype(self, dtype):
-        # The toy and eviction both pass np.sqrt(p), a numpy float64: a float32 block must still be
-        # divided in float32, by the scale rounded to float32, and a float64 block as before.
+        # Eviction passes np.sqrt(p), a numpy float64: a float32 block must still be divided
+        # in float32, by the scale rounded to float32, and a float64 block as before.
         logits = (np.random.default_rng(6).normal(size=(40, 300)) * 20.0).astype(dtype)
         weights = logits.copy()
-        toymodel._causal_softmax_inplace(weights, np.sqrt(7))
+        _causal_softmax_inplace(weights, np.sqrt(7))
         assert weights.dtype == dtype
         assert weights.tobytes() == where_exp_softmax(logits / float(np.sqrt(7))).tobytes()
 
@@ -418,6 +430,23 @@ class TestHeadsOnThreads:
             reference = per_head_forward(config, x, full=prefill is full_prefill)
             assert results[1] == prefill_bytes(reference)
 
+    @pytest.mark.parametrize(
+        "layers, heads, model_dim, proj_dim, seq_len", [(2, 2, 17, 4, 383), (2, 4, 55, 4, 273), (3, 3, 65, 15, 511)]
+    )
+    def test_bit_equal_for_any_worker_count_where_blas_rows_depend_on_the_height(
+        self, monkeypatch, layers, heads, model_dim, proj_dim, seq_len
+    ):
+        # At these widths BLAS gives some rows other last bits in a product of another height, so rows
+        # split evenly among the threads would make the bits depend on how many there are.
+        config = ToyModelConfig(layers, heads, model_dim, proj_dim, seq_len, seed=1)
+        x = default_input(config)
+        results = []
+        for n in (1, 2, 3, 4):
+            self.cpus(monkeypatch, n)
+            results.append(prefill_bytes(full_prefill(config, x, rows=seq_len)))
+        assert results[1:] == results[:1] * 3
+        assert results[0] == prefill_bytes(per_head_forward(config, x, full=True))
+
     def test_bit_equal_with_more_workers_than_pairs_of_rows(self, monkeypatch):
         # A one-row product runs as a matrix-vector product, whose bits differ from a matrix product's.
         monkeypatch.setattr(toymodel, "_THREADED_SEQ_LEN", 2)
@@ -445,13 +474,13 @@ class TestHeadsOnThreads:
     @staticmethod
     def threads_used(monkeypatch, heads: int, seq_len: int = toymodel._THREADED_SEQ_LEN) -> int:
         """How many threads run the heads of a one-layer prefill."""
-        seen, inner = set(), toymodel._causal_softmax_inplace
+        seen, inner = set(), toymodel._band_weights
 
         def record(*args):
             seen.add(threading.current_thread())  # the object: a finished thread's id is reused
-            inner(*args)
+            return inner(*args)
 
-        monkeypatch.setattr(toymodel, "_causal_softmax_inplace", record)
+        monkeypatch.setattr(toymodel, "_band_weights", record)
         mini_prefill(ToyModelConfig(layers=1, heads=heads, model_dim=8, proj_dim=4, seq_len=seq_len, seed=1))
         return len(seen)
 
@@ -476,8 +505,8 @@ class TestHeadsOnThreads:
         prefill(ToyModelConfig(layers=3, heads=5, model_dim=8, proj_dim=4, seq_len=256, seed=2))
         assert threading.active_count() == before
 
-    # A head's softmax, or the residual rows' norm after the heads.
-    @pytest.mark.parametrize("step", ["_causal_softmax_inplace", "_rms_normalize"])
+    # A band's softmax, or the residual rows' norm after the heads.
+    @pytest.mark.parametrize("step", ["_band_weights", "_rms_normalize"])
     def test_a_head_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, step):
         self.cpus(monkeypatch, 2)
         caller, inner = threading.current_thread(), getattr(toymodel, step)
