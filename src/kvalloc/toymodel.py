@@ -12,32 +12,25 @@ the cheap pass apply to the real one. Both return a ``PrefillResult``, an
 evicted as any trace is.
 
 Weights are a pure function of the seed, drawn once per config in float64,
-rounded to float32 and read-only: identical configs give bit-identical
-results under one BLAS thread setting (the benchmark pins BLAS to one
-thread). All arithmetic is float32. A head's attention is computed one
-128-row band at a time, bands anchored at row 0, in one contiguous buffer per
-thread holding the band for all its heads: the band's rows of ``q @ k.T`` up
-to its last column (``q`` scaled by ``1/sqrt(proj_dim)``), masked, shifted by
-the row max and exponentiated in place. The kept rows are those divided by
-their row sums, and the contexts ``(exp @ v) / sums``, normalized after the
-product. The last layer computes only the bands holding the kept rows and the
-last two rows, and runs only the last row's band through the MLP, for the
-logits. A prefill runs on ``min(heads, CPUs)`` threads (CPUs as
-``os.sched_getaffinity`` counts them) once ``seq_len`` is 256 or more, and on
-the calling thread below that. The threads start once per call and go through
-the layers in lockstep: each runs its heads' bands, waits for the others,
-runs its share of whole row bands through the output projection, the MLP and
-the next layer's norm, and waits again. Every product has the same shape
-whatever the thread count and ``rows`` (BLAS can give a row other last bits
-in a product of another height), so neither changes a bit. The caller's input
-is only read, and no thread outlives a call.
+rounded to float32 and read-only: identical configs give bit-identical results
+under one BLAS thread setting (the benchmark pins BLAS to one thread). All
+arithmetic is float32. A head's attention is computed one 128-row band at a
+time, bands anchored at row 0, in one contiguous buffer holding the band for
+all heads: the band's rows of ``q @ k.T`` up to its last column (``q`` scaled
+by ``1/sqrt(proj_dim)``), masked, shifted by the row max and exponentiated in
+place. The kept rows are those divided by their row sums, and the contexts
+``(exp @ v) / sums``, normalized after the product. The last layer computes
+only the bands holding the kept rows and the last two rows, and runs only the
+last row's band through the MLP, for the logits. The steps after the heads
+(output projection, MLP and the next layer's norm) run band by band too, so
+every product has the same shape whatever ``rows`` is (BLAS can give a row
+other last bits in a product of another height), and ``rows`` changes no bit.
+A prefill runs on the calling thread, and the caller's input is only read.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,58 +137,8 @@ def _allocated(what: str, nbytes: int, make):
         raise ValueError(f"a {nbytes}-byte toy {what} cannot be allocated") from exc
 
 
-# Below this sequence length a layer's numpy calls are too short to pay for handing the GIL between threads.
-# Banded prefills at 8 layers, 4 heads, d=64, p=16 on 2 CPUs took 1.13-1.19x as long threaded in process
-# (full and mini at t=192-320, 1.05-1.08x at 512), but toy_task_stream at t=512 ran faster threaded in 6 of 6
-# pairs. The two disagree, so this stays where float32 threads first won; README gives the numbers.
-_THREADED_SEQ_LEN = 256
-
 _BAND = 128
 _ABOVE_DIAGONAL = ~np.tri(_BAND, dtype=bool)
-
-
-def _head_workers(heads: int, seq_len: int) -> int:
-    """``min(heads, CPUs)`` from ``_THREADED_SEQ_LEN`` tokens on, else 1."""
-    if seq_len < _THREADED_SEQ_LEN:
-        return 1
-    # sched_getaffinity, which counts only the CPUs this process may run on, is Linux-only.
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    return min(heads, len(cpus))
-
-
-def _in_lockstep(body, workers: int) -> None:
-    """Call ``body(worker, sync)`` on ``workers`` threads, this one included; ``sync()`` waits for all of them.
-
-    numpy releases the GIL in the matmuls, ufuncs and reductions, so the
-    threads overlap. All are joined before this returns, and the first
-    exception any raised is raised here; it breaks ``sync`` so that the
-    others leave at their next call instead of waiting for it.
-    """
-    barrier, errors = threading.Barrier(workers), []
-
-    def run(worker: int) -> None:
-        try:
-            body(worker, barrier.wait)
-        except BaseException as exc:  # raised again below, in the calling thread
-            errors.append(exc)
-            barrier.abort()
-
-    started: list[threading.Thread] = []
-    try:
-        for i in range(1, workers):
-            started.append(threading.Thread(target=run, args=(i,)))
-            started[-1].start()
-        run(0)  # raises nothing: it keeps what it catches
-    except BaseException:
-        barrier.abort()  # a thread failed to start: the started ones would wait for it at the barrier
-        raise
-    finally:
-        # Also when a thread cannot be started: the ones that were still write to the arrays.
-        for thread in started:
-            if thread.is_alive():
-                thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _band_weights(e: np.ndarray) -> np.ndarray:
@@ -210,60 +153,52 @@ def _band_weights(e: np.ndarray) -> np.ndarray:
 def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: int) -> PrefillResult:
     """Run the layers; a full pass writes each head's K and V into one cache array, a mini one stops early.
 
-    Every array is float32. A ``(t, t)`` square per thread, never touched, is allocated first: a guard that
-    refuses a shape too large to run before anything is drawn. The input is the pass's own copy.
+    Every array is float32. A ``(t, t)`` square, never touched, is allocated first: a guard that refuses a
+    shape too large to run before anything is drawn. The input is the pass's own copy.
     """
     l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
-    r, workers = min(checked_integer("rows", rows, 1), t), _head_workers(h, t)
-    _allocated("attention scratch", workers * t * t * 4, lambda: np.empty((workers, t, t), np.float32))
+    r = min(checked_integer("rows", rows, 1), t)
+    _allocated("attention scratch", t * t * 4, lambda: np.empty((t, t), np.float32))
     attention = _allocated("attention array", l * h * r * t * 4, lambda: np.empty((l, h, r, t), "<f4"))
     x = _allocated("input", t * d * 4, lambda: default_input(config)) if x is None else _check_input(config, x)
     weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 4, lambda: _Weights(config))
     kv = _allocated("K/V cache", l * 2 * h * t * p * 4, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
+    mini_kv = None if full else np.empty((2, h, t, p), np.float32)  # a mini pass keeps no K/V
+    band = np.empty(h * _BAND * t, np.float32)
     # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
     contexts = np.empty((t, h * p), np.float32)
+    head_contexts = contexts.reshape(t, h, p).transpose(1, 0, 2)
     xn = _rms_normalize(x)
     # The last layer's result reads the kept rows and the last row; the last row's MLP band starts by row t - 2.
     last_first, last_band = (t - max(r, 2)) // _BAND * _BAND, (t - 2) // _BAND * _BAND
-
-    def layers(worker: int, sync) -> None:
-        mine = slice(worker, h, workers)  # this thread's heads; each array below holds them all, in order
-        n_mine = len(range(h)[mine])
-        band = np.empty(n_mine * _BAND * t, np.float32)
-        own_kv = None if full else np.empty((2, n_mine, t, p), np.float32)  # a mini pass keeps no K/V
-        head_contexts = contexts.reshape(t, h, p).transpose(1, 0, 2)[mine]
-        for layer_idx, lw in enumerate(weights.layers):
-            stop = not full and layer_idx == l - 1
-            first = last_first if layer_idx == l - 1 else 0
-            k, v = kv[layer_idx, :, mine] if full else own_kv
-            np.matmul(xn, lw["wk"][mine], out=k)
-            np.matmul(xn, lw["wv"][mine], out=v)
-            q = (xn @ lw["wq"][mine]) / float(np.sqrt(p))  # the (t, p) projection is scaled, not the logits
-            for i0 in range(first, t, _BAND):
-                i1 = min(i0 + _BAND, t)
-                e = band[: n_mine * (i1 - i0) * i1].reshape(n_mine, i1 - i0, i1)
-                sums = _band_weights(np.matmul(q[:, i0:i1], k[:, :i1].transpose(0, 2, 1), out=e))
-                if (kept := max(i0, t - r)) < i1:
-                    kept_rows = attention[layer_idx, mine, kept - (t - r) : i1 - (t - r)]
-                    np.divide(e[:, kept - i0 :], sums[:, kept - i0 :], out=kept_rows[..., :i1])
-                    kept_rows[..., i1:] = 0.0
-                if not stop:  # normalized after the product: an (n, p) divide, not an (n, i1) one
-                    np.divide(e @ v[:, :i1], sums, out=head_contexts[:, i0:i1])
-            if stop:
-                return  # all attention statistics exist; the rest of the layer is dead weight for scoring
-            sync()  # every head has read xn and written its context columns
-            # Every step after the heads is row-wise, but BLAS can give a row other last bits in a product of
-            # another height. So they run band by band, a lone last row joining the band before it (a one-row
-            # product is a matrix-vector one), and the bits depend on neither the thread count nor ``rows``.
-            edges = [*range(last_band if layer_idx == l - 1 else 0, t - 1, _BAND), t]
-            for i0, i1 in [*zip(edges, edges[1:])][worker::workers]:
-                out = x[i0:i1]
-                out += contexts[i0:i1] @ lw["wo"]
-                out += np.tanh(_rms_normalize(out) @ lw["w1"]) @ lw["w2"]
-                xn[i0:i1] = _rms_normalize(out)
-            sync()  # xn is the next layer's input, or after the last the logits'
-
-    _in_lockstep(layers, workers)
+    for layer_idx, lw in enumerate(weights.layers):
+        stop = not full and layer_idx == l - 1
+        first = last_first if layer_idx == l - 1 else 0
+        k, v = kv[layer_idx] if full else mini_kv
+        np.matmul(xn, lw["wk"], out=k)
+        np.matmul(xn, lw["wv"], out=v)
+        q = (xn @ lw["wq"]) / float(np.sqrt(p))  # the (t, p) projection is scaled, not the logits
+        for i0 in range(first, t, _BAND):
+            i1 = min(i0 + _BAND, t)
+            e = band[: h * (i1 - i0) * i1].reshape(h, i1 - i0, i1)
+            sums = _band_weights(np.matmul(q[:, i0:i1], k[:, :i1].transpose(0, 2, 1), out=e))
+            if (kept := max(i0, t - r)) < i1:
+                kept_rows = attention[layer_idx, :, kept - (t - r) : i1 - (t - r)]
+                np.divide(e[:, kept - i0 :], sums[:, kept - i0 :], out=kept_rows[..., :i1])
+                kept_rows[..., i1:] = 0.0
+            if not stop:  # normalized after the product: an (n, p) divide, not an (n, i1) one
+                np.divide(e @ v[:, :i1], sums, out=head_contexts[:, i0:i1])
+        if stop:
+            break  # all attention statistics exist; the rest of the layer is dead weight for scoring
+        # Every step after the heads is row-wise, but BLAS can give a row other last bits in a product of
+        # another height. So they run band by band, a lone last row joining the band before it (a one-row
+        # product is a matrix-vector one), and the bits do not depend on ``rows``.
+        edges = [*range(last_band if layer_idx == l - 1 else 0, t - 1, _BAND), t]
+        for i0, i1 in zip(edges, edges[1:]):
+            out = x[i0:i1]
+            out += contexts[i0:i1] @ lw["wo"]
+            out += np.tanh(_rms_normalize(out) @ lw["w1"]) @ lw["w2"]
+            xn[i0:i1] = _rms_normalize(out)
     logits = xn[-1] @ weights.unembed if full else None
     return PrefillResult(attention, kv_pairs=kv, first_token_logits=logits)
 
@@ -272,8 +207,7 @@ def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: i
     """Run every layer, keeping the last ``rows`` attention rows per head, the K/V cache, and logits.
 
     ``rows`` is an integer >= 1; from ``seq_len`` on every row is kept. The
-    cache and logits do not depend on it, and no bit depends on how many
-    threads run the heads.
+    cache and logits do not depend on it.
     """
     return _forward(config, x, full=True, rows=rows)
 

@@ -254,11 +254,16 @@ class TestSimulate:
             "12288 of 32000 bytes retained; observation window retained in addition to per-layer budget\n"
         )
 
-    # A 1x1xT toy prefill's one worker thread needs a T x T float32 attention scratch: 4 and 36 TB here.
-    @pytest.mark.parametrize("seq_len, nbytes", [("1000000", 4 * 10**12), ("3000000", 36 * 10**12)])
-    def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, seq_len, nbytes):
+    # A toy prefill of T tokens first asks for one T x T float32 attention scratch, whatever its heads:
+    # 4 TB at a million tokens, 36 TB at three million.
+    @pytest.mark.parametrize(
+        "heads, seq_len, nbytes",
+        [("1", "1000000", 4 * 10**12), ("1", "3000000", 36 * 10**12), ("4", "1000000", 4 * 10**12)],
+    )
+    def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, heads, seq_len, nbytes):
         code, out, err = run(
-            capsys, "simulate", "--toy", "--auto", "--budget", "5", "--layers", "1", "--seq-len", seq_len,
+            capsys, "simulate", "--toy", "--auto", "--budget", "5", "--layers", "1", "--heads", heads,
+            "--seq-len", seq_len,
         )
         assert code == 2
         assert out == ""

@@ -23,19 +23,19 @@ So the CLI's peak resident size is measured too, on a 1 x 1 x 4096 trace, a
 of a piped trace followed by 64 MiB it does not promise, whose tail is counted
 through the chunk buffer, must stay within 16 MiB of the latter.
 
-A prefill keeps only the last rows of each head's attention. Each worker
-thread computes its heads' logits and softmax 128 rows at a time, in place in
-one float32 band buffer, so beyond its kept rows a prefill holds one band
-buffer per thread, per-layer activations, the K/V cache and a few row
-vectors: not a t x t temporary per step, nor a square per (layer, head). One
-bound is a multiple of the whole (layers, heads, t, t) float32 array a prefill
-would hold; the other doubles the layers of a default prefill, which may add
-only their K/V and kept rows, 4 bytes a weight as a trace stores them, where a
-square per (layer, head) would add 1 MiB. The prefill still allocates a
-(t, t) square per thread first, as a guard that the shape fits, and never
-touches it, as ``read_window`` does its block: ``simulate --toy`` at 1 x 1 x
-4096, where a square is 64 MiB, must peak within 8 MiB of a process that
-imports ``kvalloc.cli`` and draws from numpy's generator.
+A prefill keeps only the last rows of each head's attention. It computes
+every head's logits and softmax 128 rows at a time, in place in one float32
+band buffer, so beyond its kept rows a prefill holds that band buffer,
+per-layer activations, the K/V cache and a few row vectors: not a t x t
+temporary per step, nor a square per (layer, head). One bound is a multiple
+of the whole (layers, heads, t, t) float32 array a prefill would hold; the
+other doubles the layers of a default prefill, which may add only their K/V
+and kept rows, 4 bytes a weight as a trace stores them, where a square per
+(layer, head) would add 1 MiB. The prefill still allocates one (t, t) square
+first, as a guard that the shape fits, and never touches it, as
+``read_window`` does its block: ``simulate --toy`` at 1 x 1 x 4096, where the
+square is 64 MiB, must peak within 8 MiB of a process that imports
+``kvalloc.cli`` and draws from numpy's generator.
 
 A retention table keeps its ratios in one float64 array and builds each
 ``RetentionPoint`` when it is read, so what it returns is bounded per point
@@ -203,21 +203,33 @@ def test_prefill_holds_little_beyond_its_attention(prefill):
     assert peak_bytes(prefill, TOY, x) / ATTENTION <= 1.5
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
-def test_prefill_peak_does_not_grow_with_its_squares(monkeypatch, prefill, workers):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+def test_prefill_peak_does_not_grow_with_its_squares(prefill):
     deep = ToyModelConfig(**{**vars(TOY), "layers": 2 * TOY.layers})
     x = default_input(TOY)
     peaks = []
     for config in (TOY, deep):
         prefill(config, x)  # draws and caches the weight set, which also grows with the layers
-        # On one thread the peak repeats to the byte. With two, how the heads'
-        # temporaries overlap moves it by up to ~20 KiB, and some runs by ~200 KiB.
         peaks.append(min(peak_bytes(prefill, config, x) for _ in range(5)))
     kv_per_token = 2 * TOY.proj_dim * 4 if prefill is full_prefill else 0
     added = TOY.layers * TOY.heads * TOY.seq_len * (DEFAULT_OWS * 4 + kv_per_token)
     assert peaks[1] - peaks[0] <= added + 64 * 1024, (peaks, added)
+
+
+@pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+def test_prefill_peak_grows_by_one_band_per_head(prefill):
+    # At 1024 tokens a head's 128-row band is 512 KiB and its (t, t) square 4 MiB. Each added head may
+    # cost its band, its kept rows, its K/V (one layer's for a mini pass) and a few (t, p) vectors.
+    t, p, layers = 1024, 8, 2
+    configs = [ToyModelConfig(layers=layers, heads=heads, model_dim=16, proj_dim=p, seq_len=t) for heads in (4, 8)]
+    peaks = []
+    for config in configs:
+        x = default_input(config)
+        prefill(config, x)  # draws and caches the weight set
+        peaks.append(min(peak_bytes(prefill, config, x) for _ in range(3)))
+    kv_layers = layers if prefill is full_prefill else 1
+    per_head = 128 * t * 4 + layers * DEFAULT_OWS * t * 4 + kv_layers * 2 * t * p * 4 + 8 * t * p * 4
+    assert (peaks[1] - peaks[0]) / 4 <= per_head, (peaks, per_head)
 
 
 def test_retention_table_holds_one_array():

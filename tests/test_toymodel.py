@@ -82,6 +82,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             ToyModelConfig(**{field: value})
 
+    # The guard is one (t, t) float32 square whatever the heads: 4 TB at a million tokens.
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_a_shape_too_large_is_refused_before_anything_is_drawn(self, prefill, heads):
+        config = ToyModelConfig(layers=1, heads=heads, model_dim=4, proj_dim=2, seq_len=10**6)
+        drawn = _Weights.cache_info().misses
+        with pytest.raises(ValueError, match="^a 4000000000000-byte toy attention scratch cannot be allocated$"):
+            prefill(config)
+        assert _Weights.cache_info().misses == drawn
+
     def test_single_token_refused_by_name(self):
         # A one-token prefill is no trace (TraceHeader needs seq_len >= 2) and has nothing to score.
         with pytest.raises(ValueError, match="^seq_len must be >= 2, got 1$"):
@@ -215,9 +225,6 @@ class TestMiniPrefill:
         assert np.array_equal(implicit.per_layer_attention, explicit.per_layer_attention)
 
 
-THREADED = toymodel._THREADED_SEQ_LEN
-
-
 class TestKeptRows:
     """A prefill keeps the last ``rows`` rows of each head's attention, with the whole matrix's bits."""
 
@@ -237,36 +244,31 @@ class TestKeptRows:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        # Both sides of the length where heads move onto threads, and of the first two 128-row bands' ends.
-        seq_len=st.one_of(
-            st.integers(2, 40), st.integers(THREADED - 3, THREADED + 5), st.integers(126, 130), st.integers(383, 385)
-        ),
+        # Short sequences, and both sides of the first and the third 128-row bands' ends.
+        seq_len=st.one_of(st.integers(2, 40), st.integers(126, 130), st.integers(383, 385)),
         layers=st.integers(1, 3),
         heads=st.integers(1, 4),
         proj_dim=st.integers(1, 6),
-        workers=st.sampled_from([1, 2, 3]),
         seed=st.integers(0, 99),
     )
-    @example(seq_len=THREADED, layers=2, heads=3, proj_dim=4, workers=3, seed=0)
-    @example(seq_len=129, layers=2, heads=2, proj_dim=3, workers=1, seed=1)  # a one-row last band
-    @example(seq_len=385, layers=2, heads=3, proj_dim=4, workers=2, seed=2)  # the same, on threads
-    @example(seq_len=384, layers=1, heads=1, proj_dim=2, workers=3, seed=3)  # more threads than heads
-    def test_kept_rows_are_the_last_rows_of_the_whole_matrices(self, seq_len, layers, heads, proj_dim, workers, seed):
+    @example(seq_len=256, layers=2, heads=3, proj_dim=4, seed=0)  # whole bands only
+    @example(seq_len=129, layers=2, heads=2, proj_dim=3, seed=1)  # a one-row last band
+    @example(seq_len=385, layers=2, heads=3, proj_dim=4, seed=2)  # the same after two whole bands
+    @example(seq_len=384, layers=1, heads=1, proj_dim=2, seed=3)  # three whole bands, one head
+    def test_kept_rows_are_the_last_rows_of_the_whole_matrices(self, seq_len, layers, heads, proj_dim, seed):
         # Kept rows of 127-129 put the window's first row on either side of a band's start, so the last
         # layer computes one band or two.
         config = ToyModelConfig(layers=layers, heads=heads, model_dim=8, proj_dim=proj_dim, seq_len=seq_len, seed=seed)
         x = default_input(config)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
-            whole = full_prefill(config, x, rows=seq_len)
-            for rows in (1, ProcSettings().ows, 127, 128, 129, seq_len, seq_len + 1):
-                full, mini = full_prefill(config, x, rows=rows), mini_prefill(config, x, rows=rows)
-                kept = whole.per_layer_attention[:, :, seq_len - min(rows, seq_len) :]
-                assert full.per_layer_attention.shape == kept.shape
-                assert full.per_layer_attention.tobytes() == kept.tobytes()
-                assert mini.per_layer_attention.tobytes() == kept.tobytes()
-                assert full.kv_pairs.tobytes() == whole.kv_pairs.tobytes()
-                assert full.first_token_logits.tobytes() == whole.first_token_logits.tobytes()
+        whole = full_prefill(config, x, rows=seq_len)
+        for rows in (1, ProcSettings().ows, 127, 128, 129, seq_len, seq_len + 1):
+            full, mini = full_prefill(config, x, rows=rows), mini_prefill(config, x, rows=rows)
+            kept = whole.per_layer_attention[:, :, seq_len - min(rows, seq_len) :]
+            assert full.per_layer_attention.shape == kept.shape
+            assert full.per_layer_attention.tobytes() == kept.tobytes()
+            assert mini.per_layer_attention.tobytes() == kept.tobytes()
+            assert full.kv_pairs.tobytes() == whole.kv_pairs.tobytes()
+            assert full.first_token_logits.tobytes() == whole.first_token_logits.tobytes()
 
 
 class TestTraceExport:
@@ -407,137 +409,67 @@ def prefill_bytes(result: PrefillResult) -> list[bytes]:
     return out
 
 
-class TestHeadsOnThreads:
-    """From 256 tokens on, a prefill runs on min(heads, CPUs) threads; the bits do not depend on how many."""
-
-    @staticmethod
-    def cpus(monkeypatch, n: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+class TestHeadsInOneBuffer:
+    """A prefill runs every head's band in one buffer on the calling thread; the bits are the per-head reference's."""
 
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
-    @pytest.mark.parametrize("heads", [1, 2, 3, 5])
-    def test_bit_equal_for_any_worker_count(self, monkeypatch, prefill, heads):
-        # Threads share one K/V cache and one context array; at proj_dim 1 the
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4, 5, 8])
+    def test_bit_equal_for_any_head_count(self, prefill, heads):
+        # All heads share one band buffer, one K/V cache and one context array; at proj_dim 1 the
         # heads' context columns interleave element by element.
         for proj_dim in (5, 1):
             config = ToyModelConfig(layers=3, heads=heads, model_dim=12, proj_dim=proj_dim, seq_len=260, seed=heads)
             x = default_input(config)
-            results = {}
-            for n in (1, 2, 4):
-                self.cpus(monkeypatch, n)
-                results[n] = prefill_bytes(prefill(config, x, rows=config.seq_len))
-            assert results[2] == results[1] and results[4] == results[1]
-            reference = per_head_forward(config, x, full=prefill is full_prefill)
-            assert results[1] == prefill_bytes(reference)
+            result = prefill_bytes(prefill(config, x, rows=config.seq_len))
+            assert result == prefill_bytes(per_head_forward(config, x, full=prefill is full_prefill))
 
     @pytest.mark.parametrize(
-        "layers, heads, model_dim, proj_dim, seq_len", [(2, 2, 17, 4, 383), (2, 4, 55, 4, 273), (3, 3, 65, 15, 511)]
+        "layers, heads, model_dim, proj_dim, seq_len, seed",
+        [(2, 2, 17, 4, 383, 1), (2, 4, 55, 4, 273, 1), (3, 3, 65, 15, 511, 1), (3, 6, 12, 4, 8, 9)],
     )
-    def test_bit_equal_for_any_worker_count_where_blas_rows_depend_on_the_height(
-        self, monkeypatch, layers, heads, model_dim, proj_dim, seq_len
-    ):
-        # At these widths BLAS gives some rows other last bits in a product of another height, so rows
-        # split evenly among the threads would make the bits depend on how many there are.
-        config = ToyModelConfig(layers, heads, model_dim, proj_dim, seq_len, seed=1)
+    def test_bit_equal_where_blas_rows_depend_on_the_height(self, layers, heads, model_dim, proj_dim, seq_len, seed):
+        # At these widths BLAS gives some rows other last bits in a product of another height, and a one-row
+        # product runs as a matrix-vector one, so the steps after the heads must run the reference's bands.
+        config = ToyModelConfig(layers, heads, model_dim, proj_dim, seq_len, seed)
         x = default_input(config)
-        results = []
-        for n in (1, 2, 3, 4):
-            self.cpus(monkeypatch, n)
-            results.append(prefill_bytes(full_prefill(config, x, rows=seq_len)))
-        assert results[1:] == results[:1] * 3
-        assert results[0] == prefill_bytes(per_head_forward(config, x, full=True))
-
-    def test_bit_equal_with_more_workers_than_pairs_of_rows(self, monkeypatch):
-        # A one-row product runs as a matrix-vector product, whose bits differ from a matrix product's.
-        monkeypatch.setattr(toymodel, "_THREADED_SEQ_LEN", 2)
-        config = ToyModelConfig(layers=3, heads=6, model_dim=12, proj_dim=4, seq_len=8, seed=9)
-        results = []
-        for n in (1, 6):
-            self.cpus(monkeypatch, n)
-            results.append(prefill_bytes(full_prefill(config, rows=config.seq_len)))
-        assert results[1] == results[0]
-
-    def test_bit_equal_under_frequent_thread_switches(self, monkeypatch):
-        # More workers than cores, switching every microsecond: a missing wait lets one read a half-written array.
-        config = ToyModelConfig(layers=4, heads=4, model_dim=12, proj_dim=3, seq_len=256, seed=8)
-        self.cpus(monkeypatch, 1)
-        expected = prefill_bytes(full_prefill(config, rows=8))
-        self.cpus(monkeypatch, 4)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert prefill_bytes(full_prefill(config, rows=8)) == expected
-        finally:
-            sys.setswitchinterval(interval)
-
-    @staticmethod
-    def threads_used(monkeypatch, heads: int, seq_len: int = toymodel._THREADED_SEQ_LEN) -> int:
-        """How many threads run the heads of a one-layer prefill."""
-        seen, inner = set(), toymodel._band_weights
-
-        def record(*args):
-            seen.add(threading.current_thread())  # the object: a finished thread's id is reused
-            return inner(*args)
-
-        monkeypatch.setattr(toymodel, "_band_weights", record)
-        mini_prefill(ToyModelConfig(layers=1, heads=heads, model_dim=8, proj_dim=4, seq_len=seq_len, seed=1))
-        return len(seen)
-
-    @pytest.mark.parametrize("heads,cpus,threads", [(1, 2, 1), (2, 1, 1), (2, 2, 2), (5, 2, 2), (3, 4, 3)])
-    def test_heads_share_min_of_heads_and_cpus_threads(self, monkeypatch, heads, cpus, threads):
-        self.cpus(monkeypatch, cpus)
-        assert self.threads_used(monkeypatch, heads) == threads
-
-    def test_short_sequences_stay_on_the_calling_thread(self, monkeypatch):
-        self.cpus(monkeypatch, 4)
-        assert self.threads_used(monkeypatch, 4, toymodel._THREADED_SEQ_LEN - 1) == 1
-
-    def test_without_an_affinity_call_every_cpu_counts(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert self.threads_used(monkeypatch, 5) == 3
+        assert prefill_bytes(full_prefill(config, x, rows=seq_len)) == prefill_bytes(
+            per_head_forward(config, x, full=True)
+        )
 
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
-    def test_no_thread_outlives_the_call(self, monkeypatch, prefill):
-        self.cpus(monkeypatch, 4)
-        before = threading.active_count()
-        prefill(ToyModelConfig(layers=3, heads=5, model_dim=8, proj_dim=4, seq_len=256, seed=2))
-        assert threading.active_count() == before
-
-    # A band's softmax, or the residual rows' norm after the heads.
-    @pytest.mark.parametrize("step", ["_band_weights", "_rms_normalize"])
-    def test_a_head_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, step):
-        self.cpus(monkeypatch, 2)
-        caller, inner = threading.current_thread(), getattr(toymodel, step)
-
-        def fail_off_the_calling_thread(*args):
-            if threading.current_thread() is not caller:
-                raise MemoryError("head")
-            return inner(*args)
-
-        monkeypatch.setattr(toymodel, step, fail_off_the_calling_thread)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="head"):
-            full_prefill(ToyModelConfig(layers=2, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=3))
-        assert threading.active_count() == before
-
-    def test_threads_start_once_per_call(self, monkeypatch):
-        self.cpus(monkeypatch, 2)
+    def test_a_prefill_starts_no_thread(self, monkeypatch, prefill):
         starts, inner = [], threading.Thread.start
 
-        def count(thread):
+        def count(thread):  # starts it too, so that a threaded prefill fails here rather than hangs
             starts.append(thread)
             inner(thread)
 
         monkeypatch.setattr(threading.Thread, "start", count)
-        full_prefill(ToyModelConfig(layers=3, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=5))
-        assert len(starts) == 1
+        prefill(ToyModelConfig(layers=3, heads=4, model_dim=8, proj_dim=4, seq_len=256, seed=5))
+        assert starts == []
+
+    # A band's softmax mid-layer, or the residual rows' norm after layer 0's heads.
+    @pytest.mark.parametrize("step", ["_band_weights", "_rms_normalize"])
+    @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
+    def test_a_step_error_reaches_the_caller_and_leaves_no_trace(self, monkeypatch, prefill, step):
+        config = ToyModelConfig(layers=2, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=3)
+        expected = prefill_bytes(prefill(config, rows=config.seq_len))
+        calls, inner = [], getattr(toymodel, step)
+
+        def fail_on_the_second_call(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise MemoryError("step")
+            return inner(*args)
+
+        monkeypatch.setattr(toymodel, step, fail_on_the_second_call)
+        with pytest.raises(MemoryError, match="^step$"):  # not wrapped as an allocation refusal
+            prefill(config, rows=config.seq_len)
+        monkeypatch.setattr(toymodel, step, inner)
+        assert prefill_bytes(prefill(config, rows=config.seq_len)) == expected
 
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_the_input_is_only_read(self, monkeypatch, prefill, cpus):
-        self.cpus(monkeypatch, cpus)
+    def test_the_input_is_only_read(self, prefill):
         config = ToyModelConfig(layers=3, heads=2, model_dim=8, proj_dim=4, seq_len=256, seed=6)
         x = default_input(config)
         x.setflags(write=False)
@@ -545,48 +477,6 @@ class TestHeadsOnThreads:
         result = prefill(config, x, rows=config.seq_len)
         assert x.tobytes() == before
         assert prefill_bytes(result) == prefill_bytes(prefill(config, x.copy(), rows=config.seq_len))
-
-    def test_a_thread_that_cannot_start_leaves_none_running(self, monkeypatch):
-        self.cpus(monkeypatch, 4)
-        starts = []
-
-        class SecondStartFails(threading.Thread):
-            def start(self):
-                starts.append(self)
-                if len(starts) == 2:
-                    raise RuntimeError("can't start new thread")
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", SecondStartFails)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            mini_prefill(ToyModelConfig(layers=1, heads=4, model_dim=8, proj_dim=4, seq_len=256, seed=4))
-        assert threading.active_count() == before and not starts[0].is_alive()
-
-    def test_a_thread_that_cannot_start_releases_the_ones_at_a_barrier(self, monkeypatch):
-        # The started thread runs its head of layer 0, then waits at the barrier for the missing one.
-        self.cpus(monkeypatch, 3)
-        starts, raised = [], []
-
-        class SecondStartFails(threading.Thread):
-            def start(self):
-                starts.append(self)
-                if len(starts) == 2:
-                    raise RuntimeError("can't start new thread")
-                super().start()
-
-        def call():
-            try:
-                full_prefill(ToyModelConfig(layers=2, heads=3, model_dim=8, proj_dim=4, seq_len=256, seed=4))
-            except RuntimeError as exc:
-                raised.append(exc)
-
-        caller = threading.Thread(target=call, daemon=True)  # a daemon, so a hang fails this test alone
-        monkeypatch.setattr(threading, "Thread", SecondStartFails)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive() and not starts[0].is_alive()
-        assert [str(exc) for exc in raised] == ["can't start new thread"]
 
     def test_import_loads_no_executor(self):
         env = dict(os.environ)
