@@ -11,10 +11,10 @@ implementation; ``process_trace`` feeds it each layer's window rows of a
 trace, whole or windowed, a toy prefill's included, averaged over heads, and
 the eviction simulator scores through ``process_trace``. The rows are sliced
 out before any float64 cast or head reduction, so no whole-matrix copy is
-made. ``_causal_softmax_inplace`` makes such rows from logits, for the toy
-model's heads and the simulator's recomputed windows. A ``ScoreVector`` is
-the one checked form of scores and holds the one retention curve;
-``metrics`` makes a raw array into one on the way in.
+made. Rows come in already softmaxed: the toy model and the eviction
+simulator each make their own from logits. A ``ScoreVector`` is the one
+checked form of scores and holds the one retention curve; ``metrics`` makes a
+raw array into one on the way in.
 """
 
 from __future__ import annotations
@@ -54,28 +54,6 @@ class ProcSettings:
             raise ValueError(
                 f"pool_size {self.pool_size} exceeds non-window length {seq_len - self.ows}"
             )
-
-
-_BLOCK = 128
-_STRICT_UPPER = ~np.tri(_BLOCK, dtype=bool)
-
-
-def _causal_softmax_inplace(a: np.ndarray, scale: float = 1.0) -> None:
-    # ``a`` holds the last rows of a (t, t) matrix of logits. Each block of
-    # rows touches only the columns its rows see, so exp skips the masked
-    # part. Every step is elementwise or exact and the sum still reduces
-    # whole rows, so the bits equal a where/exp/divide on the square.
-    r, t = a.shape
-    scale = float(scale)  # a numpy float64 scale would run a float32 block through float64
-    for i0 in range(0, r, _BLOCK):
-        i1 = min(i0 + _BLOCK, r)
-        rows, block = a[i0:i1], a[i0:i1, : t - r + i1]
-        block /= scale
-        np.copyto(block[:, t - r + i0 :], -np.inf, where=_STRICT_UPPER[: i1 - i0, : i1 - i0])
-        block -= block.max(axis=1, keepdims=True)
-        np.exp(block, out=block)
-        rows[:, t - r + i1 :] = 0.0
-        block /= rows.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -173,6 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if sum([args.allocation is not None, args.auto, args.profile is not None]) != 1:
         raise ValueError("exactly one of --allocation, --auto, or --profile is required")
     constraint = _constraint(args) if args.auto else None
+    trace.checked_integer("proj_dim", args.proj_dim, 1)
     source = _simulate_source(args)
     if args.allocation is not None:
         with open(args.allocation, "r", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ every report's ``window_policy`` says so.
 Scoring reads only the observation-window rows of each layer:
 ``simulate_task`` scores through ``attnproc.process_trace``, which casts just
 those rows to float64, and ``evict_layer`` computes logits for just the last
-``ows`` queries, softmaxes them in place and scores them with
+``ows`` queries, softmaxes them in place in float64 and scores them with
 ``attnproc.score_window``. A report is data with no text form: ``cli.py``
 formats its stderr line and its JSON.
 """
@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import metrics
-from .attnproc import ProcSettings, ScoreVector, _causal_softmax_inplace, process_trace, score_window
+from .attnproc import ProcSettings, ScoreVector, process_trace, score_window
 from .allocator import AllocationList
 from .trace import AttentionTrace, checked_integer
 
@@ -84,21 +84,33 @@ def evict_layer(
     ``n_i`` of them (ties toward lower index) along with every window row.
     Returns the retained K rows, V rows, and their original indices in
     ascending order; retained rows are bit-equal slices of the inputs.
+    Window logits that are not finite (an infinity or NaN in ``q`` or ``k``,
+    or a product past float64's range) raise ValueError, with no warning first.
     """
     q = np.asarray(q, dtype=np.float64)
     k_arr = np.asarray(k)
     v_arr = np.asarray(v)
-    if q.shape != k_arr.shape or k_arr.shape != v_arr.shape or q.ndim != 2:
+    if q.ndim != 2 or q.shape != k_arr.shape or k_arr.shape != v_arr.shape or q.shape[1] == 0:
         raise ValueError(
-            f"q, k, v must share one (seq_len, proj_dim) shape, got "
+            f"q, k, v must share one (seq_len, proj_dim) shape with proj_dim >= 1, got "
             f"{q.shape}, {k_arr.shape}, {v_arr.shape}"
         )
     t, p = q.shape
+    ows = settings.ows
     settings.check_seq_len(t)
-    n_i = checked_integer("n_i", n_i, 0, t - settings.ows)
-    window = q[t - settings.ows :] @ np.asarray(k_arr, dtype=np.float64).T
-    _causal_softmax_inplace(window, np.sqrt(p))
-    retained = _retained_for_layer(score_window(window, settings), n_i, t, settings.ows)
+    n_i = checked_integer("n_i", n_i, 0, t - ows)
+    # A causal softmax of the window rows, in place: each step elementwise and each sum over a whole row, so
+    # the bits are those of a where/exp/divide on the rows. A difference past float64's range is -inf, weight 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = q[t - ows :] @ np.asarray(k_arr, dtype=np.float64).T
+        if not np.isfinite(window).all():
+            raise ValueError("window logits q @ k.T must be finite: q or k holds an infinity or NaN, or overflows")
+        window /= float(np.sqrt(p))
+        np.copyto(window[:, t - ows :], -np.inf, where=~np.tri(ows, dtype=bool))
+        window -= window.max(axis=1, keepdims=True)
+        np.exp(window, out=window)
+        window /= window.sum(axis=1, keepdims=True)
+    retained = _retained_for_layer(score_window(window, settings), n_i, t, ows)
     return k_arr[retained], v_arr[retained], retained
 
 

@@ -1,13 +1,14 @@
 """A deterministic toy transformer for desk-scale prefill experiments.
 
-Two forward passes share one arithmetic path: ``full_prefill`` runs every
-layer end to end, records the last ``rows`` rows of each head's attention
-weights (by default the ``DEFAULT_OWS`` rows scoring reads), and keeps the
-key/value projections in one K/V cache array (the cache a real inference run
-would hold); ``mini_prefill`` runs the same layers but caches nothing and
-terminates the moment the last layer's attention weights exist. Their rows
-are elementwise equal, which is what lets allocation decisions computed on
-the cheap pass apply to the real one. Both return a ``PrefillResult``, an
+A prefill computes what scoring and eviction read, and stops: the last
+``rows`` rows of each head's attention weights (by default the
+``DEFAULT_OWS`` rows scoring reads) and every layer's key/value projections.
+It ends the moment the last layer's attention rows exist; nothing after
+them (contexts, output projection, MLP, logits) is computed in the last
+layer. ``full_prefill`` keeps the K/V in one cache array (the cache a real
+inference run would hold); ``mini_prefill`` is the same pass keeping none.
+Their rows are bit-equal, which is what lets allocation decisions computed
+on the cheap pass apply to the real one. Both return a ``PrefillResult``, an
 ``AttentionTrace`` of ``<f4`` rows like a trace file's, scored, saved and
 evicted as any trace is.
 
@@ -20,11 +21,10 @@ all heads: the band's rows of ``q @ k.T`` up to its last column (``q`` scaled
 by ``1/sqrt(proj_dim)``), masked, shifted by the row max and exponentiated in
 place. The kept rows are those divided by their row sums, and the contexts
 ``(exp @ v) / sums``, normalized after the product. The last layer computes
-only the bands holding the kept rows and the last two rows, and runs only the
-last row's band through the MLP, for the logits. The steps after the heads
-(output projection, MLP and the next layer's norm) run band by band too, so
-every product has the same shape whatever ``rows`` is (BLAS can give a row
-other last bits in a product of another height), and ``rows`` changes no bit.
+only the bands holding the kept rows. Every other layer runs the steps after
+the heads (output projection, MLP and the next layer's norm) band by band
+too, so every product keeps its shape (BLAS can give a row other last bits
+in a product of another height), and ``rows`` changes no bit.
 A prefill runs on the calling thread, and the caller's input is only read.
 """
 
@@ -59,15 +59,13 @@ class PrefillResult(AttentionTrace):
     """Output of a prefill pass: a trace of the kept attention rows, stored as float32.
 
     ``weights`` is ``(layers, heads, min(rows, seq_len), seq_len)``, checked
-    when built like any trace's. A full prefill also carries the logits for
-    the first output token and the K/V cache, one C-contiguous float32 array
-    of shape ``(layers, 2, heads, seq_len, proj_dim)`` whose ``kv_pairs[layer]``
-    unpacks into keys and values. A mini prefill carries neither: ``kv_pairs``
-    is None, ``kv_bytes`` 0.
+    when built like any trace's. A full prefill also carries the K/V cache,
+    one C-contiguous float32 array of shape ``(layers, 2, heads, seq_len,
+    proj_dim)`` whose ``kv_pairs[layer]`` unpacks into keys and values. A mini
+    prefill carries none: ``kv_pairs`` is None, ``kv_bytes`` 0.
     """
 
     kv_pairs: np.ndarray | None = None
-    first_token_logits: np.ndarray | None = None
 
     @property
     def per_layer_attention(self) -> np.ndarray:
@@ -105,7 +103,6 @@ class _Weights:
 
         shapes = dict(wq=(h, d, p), wk=(h, d, p), wv=(h, d, p), wo=(h * p, d), w1=(d, 4 * d), w2=(4 * d, d))
         self.layers = [{name: draw(*shape) for name, shape in shapes.items()} for _ in range(config.layers)]
-        self.unembed = draw(d, d)
 
 
 def default_input(config: ToyModelConfig) -> np.ndarray:
@@ -151,7 +148,7 @@ def _band_weights(e: np.ndarray) -> np.ndarray:
 
 
 def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: int) -> PrefillResult:
-    """Run the layers; a full pass writes each head's K and V into one cache array, a mini one stops early.
+    """Run the layers up to the last one's attention; a full pass keeps each layer's K and V in one cache array.
 
     Every array is float32. A ``(t, t)`` square, never touched, is allocated first: a guard that refuses a
     shape too large to run before anything is drawn. The input is the pass's own copy.
@@ -161,24 +158,22 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
     _allocated("attention scratch", t * t * 4, lambda: np.empty((t, t), np.float32))
     attention = _allocated("attention array", l * h * r * t * 4, lambda: np.empty((l, h, r, t), "<f4"))
     x = _allocated("input", t * d * 4, lambda: default_input(config)) if x is None else _check_input(config, x)
-    weights = _allocated("weight set", (l * (4 * h * d * p + 8 * d * d) + d * d) * 4, lambda: _Weights(config))
-    kv = _allocated("K/V cache", l * 2 * h * t * p * 4, lambda: np.empty((l, 2, h, t, p), np.float32)) if full else None
-    mini_kv = None if full else np.empty((2, h, t, p), np.float32)  # a mini pass keeps no K/V
+    weights = _allocated("weight set", l * (4 * h * d * p + 8 * d * d) * 4, lambda: _Weights(config))
+    n = l if full else 1  # a mini pass reuses one layer's K/V buffer and keeps none
+    kv = _allocated("K/V buffer", n * 2 * h * t * p * 4, lambda: np.empty((n, 2, h, t, p), np.float32))
     band = np.empty(h * _BAND * t, np.float32)
     # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
     contexts = np.empty((t, h * p), np.float32)
     head_contexts = contexts.reshape(t, h, p).transpose(1, 0, 2)
     xn = _rms_normalize(x)
-    # The last layer's result reads the kept rows and the last row; the last row's MLP band starts by row t - 2.
-    last_first, last_band = (t - max(r, 2)) // _BAND * _BAND, (t - 2) // _BAND * _BAND
     for layer_idx, lw in enumerate(weights.layers):
-        stop = not full and layer_idx == l - 1
-        first = last_first if layer_idx == l - 1 else 0
-        k, v = kv[layer_idx] if full else mini_kv
+        last = layer_idx == l - 1
+        k, v = kv[layer_idx if full else 0]
         np.matmul(xn, lw["wk"], out=k)
         np.matmul(xn, lw["wv"], out=v)
         q = (xn @ lw["wq"]) / float(np.sqrt(p))  # the (t, p) projection is scaled, not the logits
-        for i0 in range(first, t, _BAND):
+        # The last layer computes only the bands holding the kept rows.
+        for i0 in range((t - r) // _BAND * _BAND if last else 0, t, _BAND):
             i1 = min(i0 + _BAND, t)
             e = band[: h * (i1 - i0) * i1].reshape(h, i1 - i0, i1)
             sums = _band_weights(np.matmul(q[:, i0:i1], k[:, :i1].transpose(0, 2, 1), out=e))
@@ -186,37 +181,36 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
                 kept_rows = attention[layer_idx, :, kept - (t - r) : i1 - (t - r)]
                 np.divide(e[:, kept - i0 :], sums[:, kept - i0 :], out=kept_rows[..., :i1])
                 kept_rows[..., i1:] = 0.0
-            if not stop:  # normalized after the product: an (n, p) divide, not an (n, i1) one
+            if not last:  # normalized after the product: an (n, p) divide, not an (n, i1) one
                 np.divide(e @ v[:, :i1], sums, out=head_contexts[:, i0:i1])
-        if stop:
-            break  # all attention statistics exist; the rest of the layer is dead weight for scoring
+        if last:
+            break  # the kept rows and every K/V exist; the rest of the layer feeds nothing they read
         # Every step after the heads is row-wise, but BLAS can give a row other last bits in a product of
-        # another height. So they run band by band, a lone last row joining the band before it (a one-row
-        # product is a matrix-vector one), and the bits do not depend on ``rows``.
-        edges = [*range(last_band if layer_idx == l - 1 else 0, t - 1, _BAND), t]
+        # another height, and those bits reach the next layers' attention and K/V. So the steps run in
+        # 128-row bands, a lone last row joining the band before it (a one-row product is a matrix-vector one).
+        edges = [*range(0, t - 1, _BAND), t]
         for i0, i1 in zip(edges, edges[1:]):
             out = x[i0:i1]
             out += contexts[i0:i1] @ lw["wo"]
             out += np.tanh(_rms_normalize(out) @ lw["w1"]) @ lw["w2"]
             xn[i0:i1] = _rms_normalize(out)
-    logits = xn[-1] @ weights.unembed if full else None
-    return PrefillResult(attention, kv_pairs=kv, first_token_logits=logits)
+    return PrefillResult(attention, kv_pairs=kv if full else None)
 
 
 def full_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: int = DEFAULT_OWS) -> PrefillResult:
-    """Run every layer, keeping the last ``rows`` attention rows per head, the K/V cache, and logits.
+    """Run every layer's attention, keeping the last ``rows`` rows per head and the K/V cache.
 
     ``rows`` is an integer >= 1; from ``seq_len`` on every row is kept. The
-    cache and logits do not depend on it.
+    cache does not depend on it.
     """
     return _forward(config, x, full=True, rows=rows)
 
 
 def mini_prefill(config: ToyModelConfig, x: np.ndarray | None = None, *, rows: int = DEFAULT_OWS) -> PrefillResult:
-    """Run the same layers cache-free, stopping after the last attention.
+    """Run the same layers cache-free: ``full_prefill``'s pass, keeping no K/V.
 
-    The recorded rows equal ``full_prefill``'s at the same ``rows``
-    elementwise; no K/V is ever stored, so the live cache footprint is zero
-    bytes.
+    The recorded rows equal ``full_prefill``'s at the same ``rows`` bit for
+    bit; one layer's K/V buffer is reused and dropped, so the result holds
+    zero cache bytes.
     """
     return _forward(config, x, full=False, rows=rows)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kvalloc.allocator import Constraint, allocate
-from kvalloc.attnproc import ProcSettings, ScoreVector, _causal_softmax_inplace, process_trace, score_window, smooth
+from kvalloc.attnproc import ProcSettings, ScoreVector, process_trace, score_window, smooth
 from kvalloc.metrics import retention_curve
 from kvalloc.toymodel import ToyModelConfig, full_prefill, mini_prefill
 from kvalloc.trace import SyntheticSpec, generate_trace
@@ -217,36 +217,3 @@ class TestScoreVector:
         assert allocate([sv], Constraint.budget(1)).sizes == (1,)
         assert retention_curve(sv).tobytes() == curve
 
-
-def causal_softmax(logits) -> np.ndarray:
-    """The toy model's in-place softmax, run on a float64 copy."""
-    weights = np.array(logits, dtype=np.float64)
-    _causal_softmax_inplace(weights)
-    return weights
-
-
-class TestCausalSoftmax:
-    def test_rows_are_causal_distributions(self):
-        rng = np.random.default_rng(1)
-        weights = causal_softmax(rng.normal(size=(7, 7)) * 50.0)
-        assert np.triu(weights, k=1).max() == 0.0
-        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
-
-    def test_extreme_logits_stay_finite(self):
-        weights = causal_softmax(np.full((4, 4), 1e6))
-        assert np.isfinite(weights).all()
-
-    def test_single_token(self):
-        assert causal_softmax(np.array([[123.0]])).tolist() == [[1.0]]
-
-    def test_last_rows_match_square_reference(self):
-        rng = np.random.default_rng(5)
-        for t in (1, 2, 7, 33):
-            logits = rng.normal(size=(t, t)) * 10.0
-            full = causal_softmax(logits)
-            for r in range(1, t + 1):
-                assert causal_softmax(logits[-r:]).tobytes() == full[-r:].tobytes()
-
-    def test_rectangular_rows_are_causal(self):
-        weights = causal_softmax(np.zeros((2, 5)))
-        assert weights.tolist() == [[0.25, 0.25, 0.25, 0.25, 0.0], [0.2, 0.2, 0.2, 0.2, 0.2]]

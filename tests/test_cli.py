@@ -270,13 +270,13 @@ class TestSimulate:
         assert err.startswith("error: ") and f"{nbytes}-byte" in err
 
     # The input is seq_len x model_dim float32; the weights are
-    # layers x (4 heads model_dim proj_dim + 8 model_dim^2) + model_dim^2 float32.
+    # layers x (4 heads model_dim proj_dim + 8 model_dim^2) float32.
     @pytest.mark.parametrize(
         "flag, value, what, nbytes",
         [
             ("--model-dim", "100000000000", "input", 16 * 10**11 * 4),
-            ("--proj-dim", "100000000000", "weight set", (2 * (4 * 16 * 10**11 + 8 * 256) + 256) * 4),
-            ("--proj-dim", "1000000000000000000", "weight set", (2 * (4 * 16 * 10**18 + 8 * 256) + 256) * 4),
+            ("--proj-dim", "100000000000", "weight set", 2 * (4 * 16 * 10**11 + 8 * 256) * 4),
+            ("--proj-dim", "1000000000000000000", "weight set", 2 * (4 * 16 * 10**18 + 8 * 256) * 4),
         ],
     )
     def test_toy_dimension_too_large_to_allocate_exits_2(self, capsys, flag, value, what, nbytes):
@@ -284,6 +284,26 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == f"error: a {nbytes}-byte toy {what} cannot be allocated\n"
+
+    # A mini pass's K/V buffer, (1, 2, heads, seq_len, proj_dim) float32, is 8 GB here while everything
+    # before it fits in 3 GiB of address space; numpy may reserve that much without touching it, so the
+    # child runs under an address-space limit, which binds that child alone.
+    @pytest.mark.skipif(os.name != "posix", reason="needs resource.setrlimit")
+    def test_toy_kv_buffer_too_large_to_allocate_exits_2(self):
+        import resource
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = "simulate --toy --auto --budget 1 --layers 1 --model-dim 1 --seq-len 1000 --proj-dim 1000000"
+        result = subprocess.run(
+            [sys.executable, "-m", "kvalloc.cli", *argv.split(), "--ows", "8", "--pool-size", "1"],
+            env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: a {2 * 1000 * 10**6 * 4}-byte toy K/V buffer cannot be allocated\n"
 
     def test_toy_negative_seed_exits_2_by_name(self, capsys):
         code, out, err = run(capsys, "simulate", "--toy", "--auto", "--budget", "1", "--seed", "-1")
@@ -677,8 +697,9 @@ class TestUsageErrorsBeforeInput:
             (["simulate", "missing.bin"], "exactly one of --allocation, --auto, or --profile is required"),
             (["simulate", "missing.bin", "--auto"], "exactly one of --budget or --target-ravg is required"),
             (["curves", "missing.bin"], "exactly one of --sizes or --targets is required"),
+            (["simulate", "missing.bin", "--auto", "--budget", "1", "--proj-dim", "0"], "proj_dim must be >= 1, got 0"),
         ],
-        ids=["simulate-no-allocation", "simulate-auto-no-constraint", "curves-no-sizes"],
+        ids=["simulate-no-allocation", "simulate-auto-no-constraint", "curves-no-sizes", "simulate-proj-dim"],
     )
     def test_flag_error_reported_before_the_trace_is_read(self, tmp_path, capsys, argv, message):
         argv = [str(tmp_path / arg) if arg == "missing.bin" else arg for arg in argv]

@@ -2,12 +2,15 @@
 
 import dataclasses
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kvalloc import eviction
 from kvalloc.allocator import AllocationList, Constraint, allocate, uniform_allocation
 from kvalloc.attnproc import ProcSettings, process_trace, score_window
 from kvalloc.eviction import WINDOW_POLICY, EvictionReport, evict_layer, simulate_task
@@ -110,9 +113,71 @@ class TestEvictLayer:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evict_layer(q, k, v, n_i, ProcSettings(ows=2, pool_size=1))
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            evict_layer(np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((4, 2)), 0, ProcSettings(ows=1, pool_size=1))
+    @pytest.mark.parametrize(
+        "shapes",
+        [((4, 2), (4, 3), (4, 2)), ((4, 2), (4, 2), (5, 2)), ((4,), (4,), (4,)), ((4, 0), (4, 0), (4, 0))],
+        ids=["k-width", "v-length", "vectors", "zero-width"],
+    )
+    def test_shape_mismatch_rejected(self, shapes):
+        q, k, v = (np.ones(shape) for shape in shapes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^q, k, v must share one \(seq_len, proj_dim\) shape with proj_dim >= 1"):
+                evict_layer(q, k, v, 0, ProcSettings(ows=1, pool_size=1))
+
+    @pytest.mark.parametrize(
+        "q_value, k_value",
+        [(1.0, np.inf), (1.0, -np.inf), (np.nan, 1.0), (0.0, np.inf), (1e200, 1e200), (1e200, -1e200)],
+        ids=["k-inf", "k-minus-inf", "q-nan", "zero-times-inf", "overflow", "overflow-negative"],
+    )
+    def test_non_finite_window_logits_rejected_by_name(self, q_value, k_value):
+        q, k, v = np.random.default_rng(97).normal(size=(3, 8, 4))
+        q[-1], k[2] = q_value, k_value  # one window query, one key
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^window logits q @ k\.T must be finite: q or k holds"):
+                evict_layer(q, k, v, 2, ProcSettings(ows=2, pool_size=1))
+
+    def test_finite_logits_whose_differences_overflow_run_clean(self):
+        # Logits of +-1e308 are finite, but a row's shift by its max overflows to -inf: a weight of 0.
+        q = np.array([[1.0], [1.0], [1.0]])
+        k = np.array([[-1.7e308], [1.7e308], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, retained = evict_layer(q, k, k, 1, ProcSettings(ows=1, pool_size=1))
+        assert retained.tolist() == [1, 2]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        t=st.integers(2, 300),
+        ows_share=st.floats(0.0, 1.0),
+        p=st.integers(1, 16),
+        magnitude=st.sampled_from([1.0, 50.0, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(t=2, ows_share=1.0, p=1, magnitude=1.0, seed=0)  # the largest window, ows = t - 1 = 1
+    @example(t=300, ows_share=1.0, p=16, magnitude=1e6, seed=2)  # ows = t - 1 > 128
+    @example(t=261, ows_share=0.8, p=5, magnitude=50.0, seed=3)  # ows > 128, t % 128 != 0
+    @example(t=256, ows_share=0.5, p=8, magnitude=1e6, seed=4)  # ows = 128, t = 2 blocks
+    @example(t=512, ows_share=0.0, p=16, magnitude=1.0, seed=5)  # one window row of a T=512 head
+    def test_window_rows_bit_equal_to_the_where_exp_reference(self, t, ows_share, p, magnitude, seed):
+        # The rows handed to score_window, softmaxed in place, have the bits of a where/exp/divide on the
+        # same logits. The logits are the window rows' own product: BLAS may give a row other last bits in
+        # a product of another height.
+        ows = min(max(1, round(ows_share * t)), t - 1)
+        rng = np.random.default_rng(seed)
+        q, k = rng.normal(size=(t, p)) * magnitude, rng.normal(size=(t, p)).astype(np.float32)
+        seen = []
+
+        def capture(rows, settings):
+            seen.append(rows.copy())
+            return score_window(rows, settings)
+
+        with mock.patch.object(eviction, "score_window", capture):
+            evict_layer(q, k, k, 0, ProcSettings(ows=ows, pool_size=1))
+        expected = where_exp_softmax(q[t - ows :] @ k.astype(np.float64).T / np.sqrt(p))
+        assert seen[0].dtype == np.float64
+        assert seen[0].tobytes() == expected.tobytes()
 
     def test_retained_rows_bit_equal(self):
         rng = np.random.default_rng(89)

@@ -56,9 +56,8 @@ def test_other_imports_are_not(line):
     assert toymodel_import_lines(line) == []
 
 
-# Scores reach the allocator through metrics, and metrics reads them through ScoreVector:
-# neither reaches past another module's public names.
-PUBLIC_ONLY = ("metrics.py", "allocator.py")
+# No module of the package reaches past another module's public names.
+MODULES = sorted(path.name for path in SRC.glob("*.py"))
 
 
 def private_names_used(source: str) -> list[str]:
@@ -75,8 +74,8 @@ def private_names_used(source: str) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("name", PUBLIC_ONLY)
-def test_metrics_and_allocator_use_no_private_name_of_another_module(name):
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_uses_a_private_name_of_another_module(name):
     assert private_names_used((SRC / name).read_text(encoding="utf-8")) == []
 
 

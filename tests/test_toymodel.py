@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvalloc.attnproc import ProcSettings, _causal_softmax_inplace, process_trace
+from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc import toymodel
 from kvalloc.eviction import evict_layer
 from kvalloc.toymodel import (
@@ -26,16 +26,14 @@ from kvalloc.toymodel import (
 )
 from kvalloc.trace import AttentionTrace, TraceFormatError, TraceHeader, load_trace, save_trace
 
-from conftest import where_exp_softmax
-
 
 def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> PrefillResult:
     """Reference forward in float32, one head and one 128-row band at a time: each band's logits,
     masked with np.where, its exponentials, their row sums, weights and contexts are new arrays,
     copied into the attention and context arrays afterwards. The contexts are the band's
-    ``exp @ v`` divided by its row sums. Every matrix is whole, and every layer runs all its
-    rows through the MLP, the last one's included, band by band with a lone last row joining
-    the band before it. Only the weights are shared."""
+    ``exp @ v`` divided by its row sums. Every matrix is whole, and every layer but the last
+    runs all its rows through the MLP, band by band with a lone last row joining the band
+    before it. Only the weights are shared."""
 
     def rms(v):
         return v / np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6)
@@ -58,15 +56,13 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
                 sums = e.sum(axis=1, keepdims=True)
                 attention[layer_idx, head, i0:i1, :i1] = e / sums
                 contexts[head, i0:i1] = (e @ values[head, :i1]) / sums
-        if not full and layer_idx == config.layers - 1:
-            return PrefillResult(attention)
         kv_pairs.append((keys, values))
+        if layer_idx == config.layers - 1:
+            return PrefillResult(attention, kv_pairs=np.array(kv_pairs) if full else None)
         mixed, edges = contexts.transpose(1, 0, 2).reshape(t, h * p), [*range(0, t - 1, 128), t]
         for i0, i1 in zip(edges, edges[1:]):
             x[i0:i1] = x[i0:i1] + mixed[i0:i1] @ lw["wo"]
             x[i0:i1] = x[i0:i1] + np.tanh(rms(x[i0:i1]) @ lw["w1"]) @ lw["w2"]
-    logits = rms(x)[-1] @ weights.unembed
-    return PrefillResult(attention, kv_pairs=np.array(kv_pairs), first_token_logits=logits)
 
 
 class TestConfig:
@@ -115,7 +111,7 @@ class TestConfig:
     @pytest.mark.parametrize("value", [1e30, -1e200, 1e300, np.finfo(np.float64).max])
     @pytest.mark.parametrize("prefill", [full_prefill, mini_prefill])
     def test_input_whose_float32_squares_overflow_rejected(self, prefill, value):
-        # The norm's squares would overflow to inf, and the prefill would return all-zero logits.
+        # The norm's squares would overflow to inf, and the normalized rows would be all zeros.
         config = ToyModelConfig(layers=1, model_dim=2, seq_len=4)
         limit = np.sqrt(float(np.finfo(np.float32).max) / 2)
         with warnings.catch_warnings():
@@ -133,7 +129,7 @@ class TestConfig:
             with pytest.raises(ValueError, match="must be below"):
                 full_prefill(config, np.full((6, model_dim), -limit))
             result = full_prefill(config, np.full((6, model_dim), np.nextafter(limit, 0.0)))
-        assert np.isfinite(result.first_token_logits).all() and np.isfinite(result.weights).all()
+        assert np.isfinite(result.kv_pairs).all() and np.isfinite(result.weights).all()
 
 
 class TestFullPrefill:
@@ -143,7 +139,6 @@ class TestFullPrefill:
         b = full_prefill(config, rows=config.seq_len)
         assert a.per_layer_attention.shape == (3, 2, 12, 12)
         assert a.per_layer_attention.tobytes() == b.per_layer_attention.tobytes()
-        assert a.first_token_logits.tobytes() == b.first_token_logits.tobytes()
         for (ka, va), (kb, vb) in zip(a.kv_pairs, b.kv_pairs):
             assert ka.tobytes() == kb.tobytes() and va.tobytes() == vb.tobytes()
 
@@ -190,10 +185,6 @@ class TestFullPrefill:
         with pytest.raises(ValueError, match="input shape"):
             full_prefill(config, np.zeros((5, 8)))
 
-    def test_logits_shape(self):
-        config = ToyModelConfig(layers=1, heads=1, model_dim=7, proj_dim=3, seq_len=4, seed=3)
-        assert full_prefill(config).first_token_logits.shape == (7,)
-
 
 class TestMiniPrefill:
     def test_attention_equals_full_prefill(self):
@@ -211,7 +202,6 @@ class TestMiniPrefill:
         config = ToyModelConfig(layers=2, heads=1, model_dim=8, proj_dim=4, seq_len=8, seed=9)
         mini = mini_prefill(config)
         assert mini.kv_pairs is None
-        assert mini.first_token_logits is None
         assert mini.kv_bytes == 0
 
     def test_layer_count(self):
@@ -268,7 +258,6 @@ class TestKeptRows:
             assert full.per_layer_attention.tobytes() == kept.tobytes()
             assert mini.per_layer_attention.tobytes() == kept.tobytes()
             assert full.kv_pairs.tobytes() == whole.kv_pairs.tobytes()
-            assert full.first_token_logits.tobytes() == whole.first_token_logits.tobytes()
 
 
 class TestTraceExport:
@@ -323,40 +312,7 @@ class TestTraceExport:
 
 
 class TestMatchesWhereExpReference:
-    """Eviction's in-place softmax gives the where/exp reference's exact bits, and the banded forward its reference's."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        t=st.integers(1, 300),
-        r_share=st.floats(0.0, 1.0),
-        magnitude=st.sampled_from([1.0, 50.0, 1e6]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(t=1, r_share=1.0, magnitude=1.0, seed=0)  # r = t = 1
-    @example(t=200, r_share=0.0, magnitude=1.0, seed=1)  # r = 1
-    @example(t=300, r_share=1.0, magnitude=1e6, seed=2)  # square, r > 128
-    @example(t=261, r_share=0.8, magnitude=50.0, seed=3)  # r > 128, t % 128 != 0
-    @example(t=256, r_share=0.5, magnitude=1e6, seed=4)  # r = 128, t = 2 blocks
-    @example(t=512, r_share=0.02, magnitude=1.0, seed=5)  # the default window of a T=512 head
-    def test_causal_softmax_bit_equal(self, t, r_share, magnitude, seed):
-        r = max(1, round(r_share * t))
-        # float64 is eviction's recomputed windows; a float32 block stays float32.
-        for dtype in (np.float32, np.float64):
-            logits = (np.random.default_rng(seed).normal(size=(r, t)) * magnitude).astype(dtype)
-            weights = logits.copy()
-            _causal_softmax_inplace(weights)
-            assert weights.dtype == dtype
-            assert weights.tobytes() == where_exp_softmax(logits).tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_numpy_float64_scale_keeps_the_block_dtype(self, dtype):
-        # Eviction passes np.sqrt(p), a numpy float64: a float32 block must still be divided
-        # in float32, by the scale rounded to float32, and a float64 block as before.
-        logits = (np.random.default_rng(6).normal(size=(40, 300)) * 20.0).astype(dtype)
-        weights = logits.copy()
-        _causal_softmax_inplace(weights, np.sqrt(7))
-        assert weights.dtype == dtype
-        assert weights.tobytes() == where_exp_softmax(logits / float(np.sqrt(7))).tobytes()
+    """The banded forward gives the exact bits of its where/exp reference, one head and band at a time."""
 
     @pytest.mark.parametrize("seq_len", [2, 127, 128, 129, 200, 300])
     def test_prefills_bit_equal(self, seq_len):
@@ -376,7 +332,6 @@ class TestMatchesWhereExpReference:
             full, mini = full_prefill(config, x, rows=seq_len), mini_prefill(config, x, rows=seq_len)
             assert full.per_layer_attention.tobytes() == ref_full.per_layer_attention.tobytes()
             assert mini.per_layer_attention.tobytes() == ref_mini.per_layer_attention.tobytes()
-            assert full.first_token_logits.tobytes() == ref_full.first_token_logits.tobytes()
             assert full.kv_bytes == ref_full.kv_bytes
             for (k, v), (rk, rv) in zip(full.kv_pairs, ref_full.kv_pairs, strict=True):
                 assert k.tobytes() == rk.tobytes() and v.tobytes() == rv.tobytes()
@@ -387,7 +342,6 @@ class TestWeights:
         config = ToyModelConfig(layers=2, heads=2, model_dim=6, proj_dim=3, seq_len=4, seed=17)
         weights = _Weights(config)
         assert _Weights(ToyModelConfig(**vars(config))) is weights
-        assert not weights.unembed.flags.writeable
         assert not any(a.flags.writeable for lw in weights.layers for a in lw.values())
         with pytest.raises(ValueError):
             weights.layers[0]["wq"][0, 0, 0] = 1.0
@@ -400,12 +354,10 @@ class TestWeights:
 
 
 def prefill_bytes(result: PrefillResult) -> list[bytes]:
-    """Attention, then each layer's K and V, then the logits, as raw bytes."""
+    """Attention, then each layer's K and V, as raw bytes."""
     out = [result.per_layer_attention.tobytes()]
     for k, v in () if result.kv_pairs is None else result.kv_pairs:
         out += [k.tobytes(), v.tobytes()]
-    if result.first_token_logits is not None:
-        out.append(result.first_token_logits.tobytes())
     return out
 
 
