@@ -15,8 +15,6 @@ test suite and ``kvalloc allocate --oracle`` hold the greedy to it.
 
 from __future__ import annotations
 
-import json
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from .attnproc import ScoreVector
-from .trace import checked_integer
+from .trace import checked_integer, checked_real, json_object
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,9 @@ class AllocationList:
         return sum(self.sizes)
 
     @classmethod
-    def from_json(cls, text: str) -> "AllocationList":
-        try:
-            obj = json.loads(text)
-        except RecursionError as exc:  # nesting past the recursion limit
-            raise ValueError(f"malformed allocation JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "sizes" not in obj:
-            raise ValueError('allocation JSON must be an object with a "sizes" key')
-        return cls(sizes=obj["sizes"])
+    def from_json(cls, data: bytes | str) -> "AllocationList":
+        """The sizes of a ``{"sizes": [...]}`` object, as ``trace.json_object`` reads it; other keys are ignored."""
+        return cls(sizes=json_object(data, "allocation JSON", ("sizes",))["sizes"])
 
 
 @dataclass(frozen=True)
@@ -65,15 +58,13 @@ class Constraint:
     value: int | float
 
     def __post_init__(self) -> None:
-        value = self.value
         if self.mode == "budget":
-            object.__setattr__(self, "value", checked_integer("budget", value))
+            value = checked_integer("budget", self.value)
         elif self.mode == "target":
-            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 < value <= 1.0:
-                raise ValueError(f"target average retention must be in (0, 1], got {value!r}")
-            object.__setattr__(self, "value", float(value))
+            value = checked_real("target average retention", self.value, 0.0, 1.0, open_least=True)
         else:
             raise ValueError(f"unknown constraint mode {self.mode!r}")
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def budget(cls, total_size: int) -> "Constraint":
@@ -145,18 +136,22 @@ def _hand_out(above: list[int], at_least: list[int], k: int) -> list[int]:
     return sizes
 
 
+def fitted_sizes(allocation: AllocationList, capacities: Sequence[int]) -> tuple[int, ...]:
+    """``allocation``'s sizes; ValueError unless it is an ``AllocationList``, layer ``i``'s in ``[0, capacities[i]]``."""
+    if not isinstance(allocation, AllocationList):
+        raise ValueError(f"allocation must be an AllocationList, got {type(allocation).__name__}")
+    if len(allocation) != len(capacities):
+        raise ValueError(f"allocation has {len(allocation)} layers, scores have {len(capacities)}")
+    return tuple(checked_integer(f"layer {i}: n_i", n, 0, c) for i, (n, c) in enumerate(zip(allocation.sizes, capacities)))
+
+
 def allocation_r_avg(
     scores: Sequence[ScoreVector | np.ndarray], allocation: AllocationList
 ) -> float:
     """Average retention achieved by an allocation on the given scores."""
-    if not isinstance(allocation, AllocationList):
-        raise ValueError(f"allocation must be an AllocationList, got {type(allocation).__name__}")
     curves = [metrics.retention_curve(w) for w in scores]
-    if len(allocation) != len(curves):
-        raise ValueError(f"allocation has {len(allocation)} layers, scores have {len(curves)}")
-    for i, (curve, n) in enumerate(zip(curves, allocation.sizes)):
-        checked_integer(f"layer {i}: n_i", n, 0, curve.size - 1)
-    return metrics.r_avg(float(curve[n]) for curve, n in zip(curves, allocation.sizes))
+    sizes = fitted_sizes(allocation, [c.size - 1 for c in curves])
+    return metrics.r_avg(float(curve[n]) for curve, n in zip(curves, sizes))
 
 
 def allocate(

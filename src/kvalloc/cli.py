@@ -176,7 +176,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     trace.checked_integer("proj_dim", args.proj_dim, 1)
     source = _simulate_source(args)
     if args.allocation is not None:
-        with open(args.allocation, "r", encoding="utf-8") as fh:
+        with open(args.allocation, "rb") as fh:
             allocation = allocator.AllocationList.from_json(fh.read())
     elif args.profile is not None:
         allocation = sampling.load_profile(args.profile).averaged

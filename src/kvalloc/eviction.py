@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metrics
 from .attnproc import ProcSettings, ScoreVector, process_trace, score_window
-from .allocator import AllocationList
+from .allocator import AllocationList, fitted_sizes
 from .trace import AttentionTrace, checked_integer
 
 ELEMENT_BYTES = 4
@@ -128,29 +128,20 @@ def simulate_task(
     (a full prefill's cache overrides it with the real width); it must be an
     integer >= 1 either way.
     """
-    if not isinstance(allocation, AllocationList):
-        raise ValueError(f"allocation must be an AllocationList, got {type(allocation).__name__}")
     proj_dim = checked_integer("proj_dim", proj_dim, 1)
     vectors = process_trace(source, settings)
     l, h, t = source.header.layers, source.header.heads, source.header.seq_len
     if getattr(source, "kv_pairs", None) is not None:
         proj_dim = source.kv_pairs.shape[-1]
-    if len(allocation) != l:
-        raise ValueError(f"allocation has {len(allocation)} layers, source has {l}")
-    cap = t - settings.ows
-    retained_indices = []
-    per_layer_r = []
-    for sv, n in zip(vectors, allocation.sizes):
-        checked_integer(f"layer {sv.layer}: n_i", n, 0, cap)
-        retained_indices.append(tuple(int(i) for i in _retained_for_layer(sv, n, t, settings.ows)))
-        per_layer_r.append(metrics.retention(sv, n))
-
+    sizes = fitted_sizes(allocation, [t - settings.ows] * l)
     per_token = 2 * h * proj_dim * ELEMENT_BYTES
     return EvictionReport(
-        sizes=allocation.sizes,
+        sizes=sizes,
         ows=settings.ows,
-        retained_indices=tuple(retained_indices),
+        retained_indices=tuple(
+            tuple(_retained_for_layer(sv, n, t, settings.ows).tolist()) for sv, n in zip(vectors, sizes)
+        ),
         bytes_before=l * t * per_token,
-        bytes_after=sum((n + settings.ows) * per_token for n in allocation.sizes),
-        per_layer_r=tuple(per_layer_r),
+        bytes_after=sum((n + settings.ows) * per_token for n in sizes),
+        per_layer_r=tuple(metrics.retention(sv, n) for sv, n in zip(vectors, sizes)),
     )

@@ -13,16 +13,13 @@ that shared array; a raw array's is as read-only, and built afresh per call.
 
 from __future__ import annotations
 
-import csv
-import io
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .attnproc import ScoreVector
-from .trace import checked_integer
+from .trace import checked_integer, checked_real
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,16 +102,11 @@ def retention_table(score_vectors: list[ScoreVector], sizes: Iterable[int]) -> S
 
 
 def min_size_table_csv(score_vectors: list[ScoreVector], targets: Iterable[float]) -> str:
-    """``layer,r_target,n_min`` CSV: minimal cache size reaching each target."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer", "r_target", "n_min"])
-    targets = list(targets)
-    for target in targets:
-        if not isinstance(target, numbers.Real) or isinstance(target, bool) or not 0 <= target <= 1:
-            raise ValueError(f"target retention must be in [0, 1], got {target!r}")
+    """``layer,r_target,n_min`` CSV: minimal cache size reaching each target (no field needs quoting)."""
+    targets = [checked_real("target retention", t, 0.0, 1.0) for t in targets]
+    lines = ["layer,r_target,n_min\n"]
     for sv in score_vectors:
         # A curve never decreases and ends at 1.0: the left insertion point is the smallest size reaching a target.
         curve = retention_curve(sv)
-        writer.writerows([sv.layer, repr(float(t)), int(np.searchsorted(curve, t, side="left"))] for t in targets)
-    return buf.getvalue()
+        lines += [f"{sv.layer},{t!r},{int(np.searchsorted(curve, t, side='left'))}\n" for t in targets]
+    return "".join(lines)

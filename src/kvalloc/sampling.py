@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .allocator import AllocationList
+from .trace import json_object
 
 # Share of a task stream a caller samples to build a profile (the paper's 10%).
 DEFAULT_SAMPLE_RATIO = 0.10
@@ -109,13 +110,7 @@ def save_profile(profile: AllocationProfile, path: str | Path) -> None:
 
 def load_profile(path: str | Path) -> AllocationProfile:
     """Read a profile file, whose ``averaged`` must be its samples' average; other keys are ignored."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError as exc:  # nesting past the recursion limit
-        raise ValueError(f"malformed profile file: {exc}") from exc
-    missing = {"task_type", "samples", "averaged"} - (obj.keys() if isinstance(obj, dict) else set())
-    if missing:
-        raise ValueError(f"profile file missing keys: {sorted(missing)}")
+    obj = json_object(Path(path).read_bytes(), "profile file", ("task_type", "samples", "averaged"))
     if not isinstance(obj["samples"], list):
         raise ValueError("profile samples must be a list of allocations")
     samples = tuple(AllocationList(sizes=s) for s in obj["samples"])

@@ -22,9 +22,8 @@ by ``1/sqrt(proj_dim)``), masked, shifted by the row max and exponentiated in
 place. The kept rows are those divided by their row sums, and the contexts
 ``(exp @ v) / sums``, normalized after the product. The last layer computes
 only the bands holding the kept rows. Every other layer runs the steps after
-the heads (output projection, MLP and the next layer's norm) band by band
-too, so every product keeps its shape (BLAS can give a row other last bits
-in a product of another height), and ``rows`` changes no bit.
+the heads (output projection, MLP and the next layer's norm) on all its rows,
+band by band too, which bounds the MLP's scratch and keeps the pinned bits.
 A prefill runs on the calling thread, and the caller's input is only read.
 """
 
@@ -185,9 +184,9 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
                 np.divide(e @ v[:, :i1], sums, out=head_contexts[:, i0:i1])
         if last:
             break  # the kept rows and every K/V exist; the rest of the layer feeds nothing they read
-        # Every step after the heads is row-wise, but BLAS can give a row other last bits in a product of
-        # another height, and those bits reach the next layers' attention and K/V. So the steps run in
-        # 128-row bands, a lone last row joining the band before it (a one-row product is a matrix-vector one).
+        # Row-wise steps on every row, in 128-row bands (a lone last row joins the band before it, as a one-row
+        # product is a matrix-vector one): the MLP's scratch is (band, 4 * d), and the bits stay the pinned ones,
+        # where a whole-matrix product can give a row other last bits at some shapes.
         edges = [*range(0, t - 1, _BAND), t]
         for i0, i1 in zip(edges, edges[1:]):
             out = x[i0:i1]

@@ -28,6 +28,7 @@ is ``read_window`` keeping every row; it and ``save_trace`` hold one payload arr
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import stat
 import sys
@@ -69,6 +70,40 @@ def checked_integer(name: str, value: object, least: int = 0, most: int | None =
     return int(value)
 
 
+def checked_real(
+    name: str, value: object, least: float = 0.0, most: float | None = None, *, open_least: bool = False
+) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a ``numbers.Real``, never a bool, whose float is in
+    ``[least, most]`` (``(least, most]`` if ``open_least``, no top if no ``most``). NaN is in no range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:  # an int or a Fraction past float's range is an infinity
+        real = np.inf if value > 0 else -np.inf
+    if not (least < real if open_least else least <= real) or (most is not None and not real <= most):
+        if most is None:
+            raise ValueError(f"{name} must be {'>' if open_least else '>='} {least:g}, got {value!r}")
+        raise ValueError(f"{name} must be in {'(' if open_least else '['}{least:g}, {most:g}], got {value!r}")
+    return real
+
+
+def json_object(data: bytes | str, what: str, keys: tuple[str, ...], error: type[ValueError] = ValueError) -> dict:
+    """The JSON object in ``data``, bytes decoded as strict UTF-8 (never UTF-16), if it has every one of ``keys``.
+
+    Else ``error``: ``malformed {what}: ...`` for a decode or parse error, nesting past the recursion limit
+    included, or a non-object, and ``{what} missing keys: [...]``."""
+    try:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"malformed {what}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise error(f"malformed {what}: not a JSON object")
+    if missing := set(keys) - obj.keys():
+        raise error(f"{what} missing keys: {sorted(missing)}")
+    return obj
+
+
 def set_integers(obj: object, **least: int) -> None:
     """Store each named field of the frozen dataclass ``obj`` as a ``checked_integer`` of at least its given least."""
     for name, low in least.items():
@@ -105,16 +140,7 @@ class TraceHeader:
 
     @classmethod
     def from_json_line(cls, line: bytes) -> "TraceHeader":
-        # Also an integer past Python's digit limit, or nesting past the recursion limit.
-        try:
-            obj = json.loads(line.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise TraceFormatError(f"malformed trace header: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise TraceFormatError("malformed trace header: not a JSON object")
-        missing = {"version", "layers", "heads", "seq_len", "dtype"} - obj.keys()
-        if missing:
-            raise TraceFormatError(f"trace header missing keys: {sorted(missing)}")
+        obj = json_object(line, "trace header", ("version", "layers", "heads", "seq_len", "dtype"), TraceFormatError)
         # The shape fields are checked by the constructor.
         if not is_integer(obj["version"]) or obj["version"] != HEADER_VERSION:
             raise TraceFormatError(f"unsupported trace version {obj['version']!r}")
@@ -229,11 +255,11 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         set_integers(self, layers=1, heads=1, seq_len=2, seed=0)
-        if not (0.0 < self.sparsity <= 1.0):
-            raise ValueError(f"sparsity must be in (0, 1], got {self.sparsity}")
-        # NaN fails >= 0; the last layer shifts by (layers - 1) * layer_skew.
-        if not (self.layer_skew >= 0.0 and np.isfinite(self.layer_skew * max(1, self.layers - 1))):
-            raise ValueError(f"layer_skew must be >= 0 with a finite (layers - 1) * layer_skew, got {self.layer_skew}")
+        object.__setattr__(self, "sparsity", checked_real("sparsity", self.sparsity, 0.0, 1.0, open_least=True))
+        skew = checked_real("layer_skew", self.layer_skew)
+        if not np.isfinite(skew * max(1, self.layers - 1)):  # the last layer's shift
+            raise ValueError(f"layer_skew must be >= 0 with a finite (layers - 1) * layer_skew, got {self.layer_skew!r}")
+        object.__setattr__(self, "layer_skew", skew)
 
 
 def _head_profiles(spec: SyntheticSpec):

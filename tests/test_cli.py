@@ -476,6 +476,20 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error: malformed ") and "maximum recursion depth exceeded" in err
 
+    @pytest.mark.parametrize(
+        "flag, what, text",
+        [
+            ("--allocation", "allocation JSON", '{"sizes":[1,1]}'),
+            ("--profile", "profile file", '{"task_type":"qa","samples":[[1,1]],"averaged":[1,1]}'),
+        ],
+    )
+    def test_utf16_file_exits_2(self, fixture_trace_path, tmp_path, capsys, flag, what, text):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(text.encode("utf-16"))
+        code, out, err = run(capsys, "simulate", fixture_trace_path, flag, str(path), "--ows", "2", "--pool-size", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed {what}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
     def test_profile_with_non_string_task_type_exits_2(self, fixture_trace_path, tmp_path, capsys):
         profile_path = tmp_path / "profile.json"
         profile_path.write_text('{"task_type":["x"],"samples":[[1,2]],"averaged":[1,2]}', encoding="utf-8")

@@ -148,26 +148,27 @@ def test_other_names_are_not(source):
     assert terminal_use_lines(source) == []
 
 
-# What a valid count is, and how a bad one is reported, is decided in one place: trace.checked_integer.
-COUNT_CHECKERS = {"trace.py"}
-COUNT_MESSAGES = ("must be an integer", "must be >=", "must be in [")
-# A real-valued range, not a count.
-REAL_RANGES = {"target retention must be in [0, 1], got "}
+# What a valid input is, and how a bad one is reported, is decided in one place: a count by trace.checked_integer,
+# a real in a range by trace.checked_real and a JSON object with its keys by trace.json_object.
+CHECKERS = {"trace.py"}
+CHECK_MESSAGES = (
+    "must be an integer", "must be a real number", "must be >", "must be in [", "must be in (", "malformed ", "missing keys"
+)
 
 
-def count_message_lines(source: str) -> list[int]:
-    """Line numbers of the strings, f-string parts included, that word a count check's message."""
+def check_message_lines(source: str) -> list[int]:
+    """Line numbers of the strings, f-string parts included, that word an input check's message."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value not in REAL_RANGES:
-            lines += [node.lineno] if any(m in node.value for m in COUNT_MESSAGES) else []
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            lines += [node.lineno] if any(m in node.value for m in CHECK_MESSAGES) else []
     return sorted(lines)
 
 
-def test_only_trace_words_a_count_check():
-    found = {path.name: count_message_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
-    assert all(found[name] for name in COUNT_CHECKERS)
-    assert {name: lines for name, lines in found.items() if lines and name not in COUNT_CHECKERS} == {}
+def test_only_trace_words_an_input_check():
+    found = {path.name: check_message_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    assert all(found[name] for name in CHECKERS)
+    assert {name: lines for name, lines in found.items() if lines and name not in CHECKERS} == {}
 
 
 @pytest.mark.parametrize(
@@ -179,20 +180,28 @@ def test_only_trace_words_a_count_check():
         'raise ValueError(f"n must be in [0, {size}], got {n!r}")',
         'message = "budget must be in [0, 6]"',
         'raise ValueError(f"retention target must be in [0, 1], got {target!r}")',
+        'raise ValueError(f"target retention must be in [0, 1], got {target!r}")',
+        'raise ValueError(f"sparsity must be in (0, 1], got {s}")',
+        'raise ValueError(f"layer_skew must be > 0, got {skew}")',
+        'raise ValueError(f"target must be a real number, got {value!r}")',
+        'raise ValueError(f"malformed profile file: {exc}")',
+        'raise ValueError("malformed allocation JSON: not a JSON object")',
+        'raise ValueError(f"profile file missing keys: {sorted(missing)}")',
     ],
 )
-def test_every_count_message_is_seen(source):
-    assert count_message_lines(source) == [1]
+def test_every_check_message_is_seen(source):
+    assert check_message_lines(source) == [1]
 
 
 @pytest.mark.parametrize(
     "source",
     [
-        'raise ValueError(f"target retention must be in [0, 1], got {target!r}")',
-        'raise ValueError(f"sparsity must be in (0, 1], got {s}")',
         'raise ValueError(f"pool_size must be odd, got {p}")',
+        'raise ValueError(f"allocation has {n} layers, scores have {m}")',
         'n = checked_integer("n", n, 0, size)',
+        'sparsity = checked_real("sparsity", sparsity, 0.0, 1.0, open_least=True)',
+        'obj = json_object(data, "profile file", ("task_type", "samples", "averaged"))',
     ],
 )
 def test_other_messages_are_not(source):
-    assert count_message_lines(source) == []
+    assert check_message_lines(source) == []

@@ -236,7 +236,7 @@ class TestCompressionRatio:
 
     def test_empty_rejected(self):
         trace = generate_trace(SyntheticSpec(layers=1, heads=1, seq_len=10))
-        with pytest.raises(ValueError, match="allocation has 0 layers, source has 1"):
+        with pytest.raises(ValueError, match="^allocation has 0 layers, scores have 1$"):
             simulate_task(trace, AllocationList(sizes=()), ProcSettings(ows=2, pool_size=1))
 
     def test_numpy_integer_lengths_accepted(self):

@@ -32,8 +32,9 @@ def per_head_forward(config: ToyModelConfig, x: np.ndarray, *, full: bool) -> Pr
     masked with np.where, its exponentials, their row sums, weights and contexts are new arrays,
     copied into the attention and context arrays afterwards. The contexts are the band's
     ``exp @ v`` divided by its row sums. Every matrix is whole, and every layer but the last
-    runs all its rows through the MLP, band by band with a lone last row joining the band
-    before it. Only the weights are shared."""
+    runs all its rows through the MLP, whatever rows are kept, band by band with a lone last
+    row joining the band before it, as the prefill does: a whole-matrix MLP gives other bits
+    at some shapes. Only the weights are shared."""
 
     def rms(v):
         return v / np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + 1e-6)

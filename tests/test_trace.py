@@ -5,6 +5,8 @@ import os
 import re
 import struct
 import threading
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,13 +18,16 @@ from kvalloc.allocator import AllocationList
 from kvalloc.attnproc import ProcSettings, process_trace
 from kvalloc.eviction import simulate_task
 from kvalloc.metrics import retention_curve
+from kvalloc.sampling import load_profile
 from kvalloc.toymodel import ToyModelConfig, mini_prefill
 from kvalloc.trace import (
     AttentionTrace,
     SyntheticSpec,
     TraceFormatError,
     TraceHeader,
+    checked_real,
     generate_trace,
+    json_object,
     load_trace,
     read_window,
     save_trace,
@@ -280,6 +285,12 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SyntheticSpec(**{"layers": 1, "heads": 1, "seq_len": 8, **kwargs})
 
+    @pytest.mark.parametrize("field", ["sparsity", "layer_skew"])
+    @pytest.mark.parametrize("value", [True, np.True_, "0.5", None], ids=repr)
+    def test_non_real_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+            SyntheticSpec(layers=2, heads=1, seq_len=8, **{field: value})
+
     @pytest.mark.parametrize(
         "layers, skew", [(1, float("nan")), (2, float("nan")), (1, float("inf")), (3, 1e308)]
     )
@@ -434,6 +445,122 @@ class TestHeaderFieldTypes:
         loaded = load_trace(path)
         assert loaded.header == header
         assert loaded.weights.tobytes() == trace.weights.tobytes()
+
+
+class TestCheckedReal:
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats(), open_least=st.booleans())
+    @example(value=0.0, open_least=False)
+    @example(value=0.0, open_least=True)
+    @example(value=1.0, open_least=True)
+    @example(value=float("nan"), open_least=False)
+    @example(value=float("inf"), open_least=False)
+    @example(value=float("-inf"), open_least=True)
+    def test_a_float_is_kept_exactly_when_in_the_range(self, value, open_least):
+        inside = (0.0 < value if open_least else 0.0 <= value) and value <= 1.0
+        if inside:
+            got = checked_real("x", value, 0.0, 1.0, open_least=open_least)
+            assert type(got) is float and got == value
+        else:
+            interval = "(0, 1]" if open_least else "[0, 1]"
+            with pytest.raises(ValueError, match=f"^x must be in {re.escape(interval)}, got {re.escape(repr(value))}$"):
+                checked_real("x", value, 0.0, 1.0, open_least=open_least)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats(), least=st.floats(-10.0, 10.0), open_least=st.booleans())
+    @example(value=float("inf"), least=0.0, open_least=False)
+    @example(value=float("-inf"), least=0.0, open_least=False)
+    @example(value=float("nan"), least=0.0, open_least=False)
+    @example(value=2.5, least=2.5, open_least=True)
+    def test_with_no_most_the_range_has_no_top(self, value, least, open_least):
+        if least < value if open_least else least <= value:
+            assert checked_real("x", value, least, open_least=open_least) == value
+        else:
+            sign = ">" if open_least else ">="
+            with pytest.raises(ValueError, match=f"^x must be {sign} {least:g}, got {re.escape(repr(value))}$"):
+                checked_real("x", value, least, open_least=open_least)
+
+    @pytest.mark.parametrize(
+        "value", [1, 0, np.int64(1), np.uint8(0), np.float32(0.5), np.float64(0.25), Fraction(1, 3)], ids=repr
+    )
+    def test_every_real_type_is_a_float(self, value):
+        got = checked_real("x", value, 0.0, 1.0)
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, np.False_, Decimal("0.5"), "0.5", None, 0.5j, [0.5]], ids=repr
+    )
+    def test_a_bool_or_a_non_real_is_refused_by_name(self, value):
+        with pytest.raises(ValueError, match=f"^x must be a real number, got {re.escape(repr(value))}$"):
+            checked_real("x", value, 0.0, 1.0)
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "Fraction"])
+    def test_past_the_float_range_is_an_infinity(self, value):
+        assert checked_real("x", value) == float("inf")
+        with pytest.raises(ValueError, match="^x must be in \\[0, 1\\], got "):
+            checked_real("x", value, 0.0, 1.0)
+        with pytest.raises(ValueError, match="^x must be >= 0, got "):
+            checked_real("x", -value)
+
+
+def read_json_profile(tmp_path, data: bytes):
+    path = tmp_path / "profile.json"
+    path.write_bytes(data)
+    return load_profile(path)
+
+
+# Each reader of a JSON object: what it calls the object, its keys, a valid object, and the read.
+JSON_READERS = {
+    "trace header": (
+        ["dtype", "heads", "layers", "seq_len", "version"],
+        HEADER_2TOK[:-1],
+        lambda tmp_path, data: TraceHeader.from_json_line(data),
+    ),
+    "allocation JSON": (["sizes"], b'{"sizes":[1,2]}', lambda tmp_path, data: AllocationList.from_json(data)),
+    "profile file": (
+        ["averaged", "samples", "task_type"],
+        b'{"task_type":"qa","samples":[[1,2]],"averaged":[1,2]}',
+        read_json_profile,
+    ),
+}
+
+
+class TestJsonObject:
+    @pytest.mark.parametrize(
+        "data, obj",
+        [(b'{"a":1}', {"a": 1}), ('{"a":1,"b":[]}', {"a": 1, "b": []}), ('{"a":"\u00e9"}'.encode(), {"a": "\u00e9"})],
+    )
+    def test_an_object_with_its_keys_is_returned(self, data, obj):
+        assert json_object(data, "x", ["a"]) == obj
+
+    @pytest.mark.parametrize("what", JSON_READERS)
+    def test_every_reader_reads_a_valid_object(self, tmp_path, what):
+        _, valid, read = JSON_READERS[what]
+        read(tmp_path, valid)
+
+    @pytest.mark.parametrize("what", JSON_READERS)
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("bad UTF-8", "malformed {what}: 'utf-8' codec can't decode byte 0xff in position"),
+            ("UTF-16 BOM", "malformed {what}: 'utf-8' codec can't decode byte 0xff in position 0"),
+            ("deep nesting", "malformed {what}: maximum recursion depth exceeded"),
+            ("not an object", "malformed {what}: not a JSON object"),
+            ("missing key", "{what} missing keys: {missing}"),
+        ],
+    )
+    def test_every_reader_refuses_a_bad_object_by_what_it_is(self, tmp_path, what, case, message):
+        keys, valid, read = JSON_READERS[what]
+        data = {
+            "bad UTF-8": valid[:-1] + b"\xff}",
+            "UTF-16 BOM": valid.decode("utf-8").encode("utf-16"),
+            "deep nesting": b"[" * 100_000 + b"]" * 100_000,
+            "not an object": b"[1, 2]",
+            "missing key": b"{}",
+        }[case]
+        error = TraceFormatError if what == "trace header" else ValueError
+        with pytest.raises(error, match="^" + re.escape(message.format(what=what, missing=keys))):
+            read(tmp_path, data)
 
 
 def two_head_payload(rows_head1: list[list[float]]) -> bytes:
