@@ -154,6 +154,16 @@ def allocation_r_avg(
     return metrics.r_avg(float(curve[n]) for curve, n in zip(curves, sizes))
 
 
+def _curves(scores: Sequence[ScoreVector | np.ndarray], constraint: Constraint) -> list[np.ndarray]:
+    """Each layer's retention curve; ValueError if there are none, or a budget is more than their slots."""
+    curves = [metrics.retention_curve(w) for w in scores]
+    if not curves:
+        raise ValueError("need at least one layer of scores")
+    if constraint.mode == "budget":
+        checked_integer("budget", constraint.value, 0, sum(c.size - 1 for c in curves))
+    return curves
+
+
 def allocate(
     scores: Sequence[ScoreVector | np.ndarray], constraint: Constraint
 ) -> AllocationList:
@@ -166,11 +176,9 @@ def allocate(
     target. Per-layer normalization makes the outcome invariant to rescaling
     any layer's scores.
     """
-    curves = [metrics.retention_curve(w) for w in scores]
-    if not curves:
-        raise ValueError("need at least one layer of scores")
+    curves = _curves(scores, constraint)
     if constraint.mode == "budget":
-        total_size = checked_integer("budget", constraint.value, 0, sum(c.size - 1 for c in curves))
+        total_size = constraint.value
 
         def enough(sizes: list[int]) -> bool:
             return sum(sizes) >= total_size
@@ -208,14 +216,9 @@ def oracle_allocate(
     each layer, from the last, takes the most slots. It costs
     ``O(layers * total * tokens)``.
     """
-    curves = [metrics.retention_curve(w) for w in scores]
-    if not curves:
-        raise ValueError("need at least one layer of scores")
-    capacity = sum(c.size - 1 for c in curves)
-    if constraint.mode == "budget":
-        checked_integer("budget", constraint.value, 0, capacity)
+    curves = _curves(scores, constraint)
     # Budget mode never reads a total above N.
-    width = int(constraint.value) + 1 if constraint.mode == "budget" else capacity + 1
+    width = (constraint.value if constraint.mode == "budget" else sum(c.size - 1 for c in curves)) + 1
 
     best, picks = curves[0][:width], []
     for curve in curves[1:]:

@@ -14,7 +14,9 @@ them in a whole trace, as the file's ``<f4`` values, a toy prefill (a subclass)
 included. Its header is read off the rows' shape, and it is valid by
 construction: building one checks every row once, so saving and scoring need
 not check again. ``_find_defect`` is the one check, over any run of rows of one
-(layer, head) matrix, and ``_check_block`` raises what it finds.
+(layer, head) matrix, and ``_check_block`` raises what it finds. A trace's defect
+is its first bad row in file order (layer, head, row), under the first check it
+fails: causality, finiteness, sign, row sum.
 
 The CLI streams traces in row chunks through one ``(n, t)`` float32 buffer of
 ``CHUNK_BYTES``: ``read_window`` reads a chunk, checks its rows before the
@@ -193,47 +195,45 @@ _LOWER = np.tri(_BAND)
 _ABOVE = _LOWER == 0
 
 
-def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> tuple[tuple, str] | None:
-    """The first defect in rows ``first_row`` onward of one (layer, head) matrix, as ``(key, message)``.
+def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> str | None:
+    """The message for the first defective row of rows ``first_row`` onward of one (layer, head) matrix, or None.
 
     ``rows`` is ``(r, t)``; its row ``i`` is row ``first_row + i`` of the
-    ``t x t`` matrix. Causality is checked a 128-row band at a time, building
-    no ``t x t`` mask unless it fails, then finiteness, sign and row sums over
-    all the rows. The key is the matrix's place in a file, the rank of the
-    check and, for a row-sum defect (the row of largest deviation), that
-    deviation negated. Of runs of rows read in file order, the least key, or
-    the earlier run on a tie, is what one check of them all reports. None if
-    the rows are sound.
+    ``t x t`` matrix. A row is reported under the first check it fails:
+    causality, finiteness, sign, row sum. Sound rows pay only for float64 row
+    sums, causality by 128-row band with no ``t x t`` mask, and ``rows.min()``.
     """
-    where = f"layer {layer}, head {head}"
     # Summed first, the rows are in cache for the causality check. A NaN or
     # infinity anywhere in a row makes its sum non-finite.
     sums = rows.sum(axis=1, dtype=np.float64)
+    off = np.abs(sums - 1.0)
     # Above each band's diagonal: the rest of its square, and every later column.
     for start in range(0, len(rows), _BAND):
         band = rows[start : start + _BAND]
         k, col = len(band), first_row + start
         if band[:, col + k :].any() or np.logical_and(band[:, col : col + k], _ABOVE[:k, :k]).any():
-            row, col = np.argwhere((rows != 0) & ~np.tri(*rows.shape, k=first_row, dtype=bool))[0]
-            return (layer, head, 0, 0.0), f"causality violation at {where}, row {first_row + row}: nonzero weight in column {col}"
-    finite = np.isfinite(sums)
-    if not finite.all():
-        return (layer, head, 1, 0.0), f"non-finite weight at {where}, row {first_row + int(finite.argmin())}"
-    if rows.min() < 0:
-        row, col = np.argwhere(rows < 0)[0]
-        return (layer, head, 2, 0.0), f"negative weight at {where}, row {first_row + row}: {float(rows[row, col]):g} in column {col}"
-    off = np.abs(sums - 1.0)
-    row = int(off.argmax())
-    if off[row] > ROW_SUM_ATOL:
-        message = f"sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
-        return (layer, head, 3, -float(off[row])), f"row-sum violation at {where}, row {first_row + row}: {message}"
-    return None
+            break
+    else:  # causal: the rest of the whole-run tests
+        if np.isfinite(sums).all() and rows.min() >= 0 and off.max() <= ROW_SUM_ATOL:
+            return None
+    above = (rows != 0) & ~np.tri(*rows.shape, k=first_row, dtype=bool)
+    fails = above.any(axis=1), ~np.isfinite(sums), (rows < 0).any(axis=1), off > ROW_SUM_ATOL
+    row = int(np.logical_or.reduce(fails).argmax())
+    where = f"at layer {layer}, head {head}, row {first_row + row}"
+    if fails[0][row]:
+        return f"causality violation {where}: nonzero weight in column {above[row].argmax()}"
+    if fails[1][row]:
+        return f"non-finite weight {where}"
+    if fails[2][row]:
+        col = int((rows[row] < 0).argmax())
+        return f"negative weight {where}: {float(rows[row, col]):g} in column {col}"
+    return f"row-sum violation {where}: sum {sums[row]:.6f} deviates beyond {ROW_SUM_ATOL:g}"
 
 
 def _check_block(rows: np.ndarray, layer: int, head: int, first_row: int) -> None:
     """Raise TraceFormatError with ``_find_defect``'s message, if it finds a defect in these rows."""
-    if (defect := _find_defect(rows, layer, head, first_row)) is not None:
-        raise TraceFormatError(defect[1])
+    if (message := _find_defect(rows, layer, head, first_row)) is not None:
+        raise TraceFormatError(message)
 
 
 @dataclass(frozen=True)
@@ -407,16 +407,15 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
     """Read a trace file in row chunks, keeping the last ``min(ows, seq_len)`` rows of each matrix.
 
     Each chunk is read into one ``_chunk_buffer``, its rows before the window
-    checked there, as one check of all of them would report, and its window
-    rows kept, which building the result checks. So every row of a sound file
-    is checked once and this accepts and rejects what ``load_trace`` does. Of
-    several defects, the first in this order is reported: the rows before the
-    window, matrix by matrix, then the window rows; no matrix after the first
-    defect's is checked. A file or a pipe is read to its end before any of
-    them: a wrong payload length comes first. Only a piped header promising
-    more than memory, whose ``(t, t)`` guard block (never touched) and window
-    rows fit, reports its payload length where ``load_trace`` says it cannot be
-    allocated. An ``ows`` below 1 or not an integer is a ValueError.
+    checked there and its window rows kept, which building the result checks,
+    so every row of a sound file is checked once. No chunk after the first
+    defect is checked, but every earlier matrix's window rows are, so any
+    ``ows`` reports the first defective row in file order, as ``load_trace``
+    does. A file or a pipe is read to its end first: a wrong payload length
+    comes before any defect. Only a piped header promising more than memory,
+    whose ``(t, t)`` guard block (never touched) and window rows fit, reports
+    its payload length where ``load_trace`` says it cannot be allocated. An
+    ``ows`` below 1 or not an integer is a ValueError.
     """
     ows = checked_integer("ows", ows, 1)
     with open(path, "rb") as fh:
@@ -435,15 +434,16 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
             end = first + len(rows)
             if end > lo:
                 window[layer, head, max(first - lo, 0) : end - lo] = rows[max(lo - first, 0) :]
-            # A later matrix's key is never the lesser; a later chunk of the same matrix's can be.
-            checked = first < lo and (defect is None or (layer, head) <= defect[0][:2])
-            found = _find_defect(rows[: lo - first], layer, head, first) if checked else None
-            if found is not None and (defect is None or found[0] < defect[0]):
-                defect = found
+            if defect is None and first < lo and (found := _find_defect(rows[: lo - first], layer, head, first)):
+                defect = layer * header.heads + head, found
         # Bytes past the promised payload are counted through the chunk buffer, never held.
         while n := fh.readinto(buffer.data):
             got += n
         _check_payload_length(got, header)
     if defect is not None:
-        raise TraceFormatError(defect[1])
+        matrix, message = defect
+        # The window rows of every earlier matrix come before the defect in the file.
+        for i, rows in enumerate(window.reshape(-1, w, t)[:matrix]):
+            _check_block(rows, *divmod(i, header.heads), lo)
+        raise TraceFormatError(message)
     return AttentionTrace(window)

@@ -149,10 +149,12 @@ def test_other_names_are_not(source):
 
 
 # What a valid input is, and how a bad one is reported, is decided in one place: a count by trace.checked_integer,
-# a real in a range by trace.checked_real and a JSON object with its keys by trace.json_object.
+# a real in a range by trace.checked_real, a JSON object with its keys by trace.json_object and a trace's row
+# defect by trace._find_defect.
 CHECKERS = {"trace.py"}
 CHECK_MESSAGES = (
-    "must be an integer", "must be a real number", "must be >", "must be in [", "must be in (", "malformed ", "missing keys"
+    "must be an integer", "must be a real number", "must be >", "must be in [", "must be in (", "malformed ", "missing keys",
+    "causality violation", "non-finite weight", "negative weight", "row-sum violation",
 )
 
 
@@ -187,6 +189,10 @@ def test_only_trace_words_an_input_check():
         'raise ValueError(f"malformed profile file: {exc}")',
         'raise ValueError("malformed allocation JSON: not a JSON object")',
         'raise ValueError(f"profile file missing keys: {sorted(missing)}")',
+        'return f"causality violation {where}: nonzero weight in column {col}"',
+        'raise TraceFormatError(f"non-finite weight at layer {layer}, head {head}, row {row}")',
+        'return f"negative weight {where}: {value:g} in column {col}"',
+        'message = f"row-sum violation at {where}: sum {s:.6f} deviates beyond {atol:g}"',
     ],
 )
 def test_every_check_message_is_seen(source):

@@ -87,6 +87,20 @@ def feed_pipe(tmp_path, data: bytes, read):
         assert not writer.is_alive()
 
 
+def assert_every_reader_says(tmp_path, path, message: str) -> None:
+    """``load_trace``, ``read_window`` at ows 8, a pipe of it and a trace built of the payload all raise ``message``."""
+    data = path.read_bytes()
+    line_end = data.index(b"\n")
+    header = TraceHeader.from_json_line(data[:line_end])
+    weights = np.frombuffer(data, "<f4", offset=line_end + 1).reshape(header.layers, header.heads, header.seq_len, -1)
+    reads = [load_trace, lambda p: read_window(p, 8), lambda p: AttentionTrace(weights)]
+    if hasattr(os, "mkfifo"):
+        reads.append(lambda p: feed_pipe(tmp_path, data, lambda fifo: read_window(fifo, 8)))
+    for read in reads:
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            read(path)
+
+
 class TestHeader:
     def test_json_line_is_canonical(self):
         header = TraceHeader(layers=1, heads=1, seq_len=2)
@@ -764,45 +778,32 @@ class TestReadWindow:
             feed_pipe(tmp_path, data, lambda p: read_window(p, 8))
 
     @pytest.mark.parametrize(
-        "defects,loader_says,window_says",
+        "defects,message",
         [
-            # A window row of block (0, 0), then row 0 of block (2, 1): rows
-            # before the window are read, and checked, before any window row.
+            # A window row of block (0, 0), then row 0 of block (2, 1): the
+            # reader holds the later one, then checks the earlier window rows.
             (
                 [((0, 0), 39, 0, float("nan")), ((2, 1), 0, 0, -1.0)],
                 "non-finite weight at layer 0, head 0, row 39",
-                "negative weight at layer 2, head 1, row 0: -1 in column 0",
             ),
-            # Both in block (1, 0): the loader checks causality over every row
-            # before the sign; the reader checks row 0 before the window.
+            # Both in block (1, 0): row 0 comes before row 35.
             (
                 [((1, 0), 0, 0, -1.0), ((1, 0), 35, 39, 0.5)],
-                "causality violation at layer 1, head 0, row 35: nonzero weight in column 39",
                 "negative weight at layer 1, head 0, row 0: -1 in column 0",
             ),
-            # Two rows before the window: the same message as the loader.
-            (
-                [((1, 1), 3, 0, float("inf")), ((2, 0), 1, 0, -1.0)],
-                "non-finite weight at layer 1, head 1, row 3",
-                "non-finite weight at layer 1, head 1, row 3",
-            ),
+            # Two rows before the window.
+            ([((1, 1), 3, 0, float("inf")), ((2, 0), 1, 0, -1.0)], "non-finite weight at layer 1, head 1, row 3"),
         ],
         ids=["across-blocks", "one-block", "both-before-the-window"],
     )
-    def test_two_defects_report_the_first_in_read_order(self, tmp_path, path, defects, loader_says, window_says):
+    def test_two_defects_report_the_first_in_file_order(self, tmp_path, path, defects, message):
         data = bytearray(path.read_bytes())
         start = data.index(b"\n") + 1
         for (layer, head), row, col, value in defects:
             offset = start + (((layer * 2 + head) * 40 + row) * 40 + col) * 4
             data[offset : offset + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(data))
-        with pytest.raises(TraceFormatError, match=f"^{re.escape(loader_says)}$"):
-            load_trace(path)
-        with pytest.raises(TraceFormatError, match=f"^{re.escape(window_says)}$"):
-            read_window(path, 8)
-        if hasattr(os, "mkfifo"):
-            with pytest.raises(TraceFormatError, match=f"^{re.escape(window_says)}$"):
-                feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
+        assert_every_reader_says(tmp_path, path, message)
 
     def test_each_row_is_checked_once(self, path, monkeypatch):
         # The reader checks a chunk's rows before the window with _find_defect,
@@ -827,9 +828,8 @@ class TestReadWindow:
         chunks = [(first, min(3, 32 - first)) for first in range(0, 32, 3)]
         assert checked == [(*b, *c) for b in blocks for c in chunks] + [(*b, 32, 8) for b in blocks]
 
-    def test_no_matrix_after_a_held_defect_is_checked(self, path, monkeypatch):
-        # A later matrix's defect can never be reported before one held already,
-        # but the later chunks of the same matrix still can.
+    def test_no_chunk_after_a_held_defect_is_checked(self, path, monkeypatch):
+        # A defect in a later chunk comes after the one held already in the file.
         data = bytearray(path.read_bytes())
         offset = data.index(b"\n") + 1 + 4 * 40 * 4  # layer 0, head 0, row 4
         data[offset : offset + 4] = struct.pack("<f", -1.0)
@@ -844,34 +844,43 @@ class TestReadWindow:
         monkeypatch.setattr(trace_module, "CHUNK_BYTES", 3 * 40 * 4)
         with pytest.raises(TraceFormatError, match=r"^negative weight at layer 0, head 0, row 4: -1 in column 0$"):
             read_window(path, 8)
-        assert checked == [(0, 0, first, min(3, 32 - first)) for first in range(0, 32, 3)]
+        assert checked == [(0, 0, 0, 3), (0, 0, 3, 3)]
 
     @pytest.mark.parametrize(
         "defects,message",
         [
-            # A NaN in chunk 1 and a causality defect in chunk 3: causality wins.
-            (
-                [(2, 0, float("nan")), (18, 30, 0.5)],
-                "causality violation at layer 1, head 0, row 18: nonzero weight in column 30",
-            ),
-            # A negative weight in chunk 1 and an infinity in chunk 2: non-finite wins.
-            ([(3, 0, -1.0), (10, 1, float("inf"))], "non-finite weight at layer 1, head 0, row 10"),
-            # Two negative weights: the earlier chunk wins.
+            # A NaN in chunk 1 and a causality defect in chunk 3.
+            ([(2, 0, float("nan")), (18, 30, 0.5)], "non-finite weight at layer 1, head 0, row 2"),
+            # A negative weight in chunk 1 and an infinity in chunk 2.
+            ([(3, 0, -1.0), (10, 1, float("inf"))], "negative weight at layer 1, head 0, row 3: -1 in column 0"),
+            # Two negative weights.
             ([(4, 1, -2.0), (20, 0, -1.0)], "negative weight at layer 1, head 0, row 4: -2 in column 1"),
-            # Two row sums off, the later one further: the later row wins.
+            # Two row sums off, the later one further.
             (
                 [(5, None, 1.5), (25, None, 1.75)],
-                "row-sum violation at layer 1, head 0, row 25: sum 1.750000 deviates beyond 0.001",
+                "row-sum violation at layer 1, head 0, row 5: sum 1.500000 deviates beyond 0.001",
             ),
-            # Two row sums off by the same amount: the earlier row wins.
+            # Two row sums off by the same amount.
             (
                 [(6, None, 1.5), (29, None, 1.5)],
                 "row-sum violation at layer 1, head 0, row 6: sum 1.500000 deviates beyond 0.001",
             ),
+            # A row sum off, then a causality defect, in chunk 2.
+            (
+                [(9, None, 1.5), (12, 30, 0.5)],
+                "row-sum violation at layer 1, head 0, row 9: sum 1.500000 deviates beyond 0.001",
+            ),
         ],
-        ids=["causality-wins", "non-finite-wins", "earlier-negative", "larger-row-sum", "row-sum-tie"],
+        ids=[
+            "non-finite-before-causality",
+            "negative-before-non-finite",
+            "earlier-negative",
+            "earlier-smaller-row-sum",
+            "row-sum-tie",
+            "row-sum-before-causality-in-one-chunk",
+        ],
     )
-    def test_chunks_report_what_one_check_of_the_block_does(self, tmp_path, path, monkeypatch, defects, message):
+    def test_chunks_report_the_first_defective_row(self, tmp_path, path, monkeypatch, defects, message):
         # Chunks of 8 rows: with ows 8, rows 0-31 come before the window in chunks 1-4.
         monkeypatch.setattr(trace_module, "CHUNK_BYTES", 8 * 40 * 4)
         data = bytearray(path.read_bytes())
@@ -882,14 +891,7 @@ class TestReadWindow:
             offset = start + (row * 40 + (col or 0)) * 4
             data[offset : offset + 4 * len(values)] = struct.pack(f"<{len(values)}f", *values)
         path.write_bytes(bytes(data))
-        exact = f"^{re.escape(message)}$"
-        with pytest.raises(TraceFormatError, match=exact):
-            load_trace(path)
-        with pytest.raises(TraceFormatError, match=exact):
-            read_window(path, 8)
-        if hasattr(os, "mkfifo"):
-            with pytest.raises(TraceFormatError, match=exact):
-                feed_pipe(tmp_path, bytes(data), lambda p: read_window(p, 8))
+        assert_every_reader_says(tmp_path, path, message)
 
     @pytest.mark.parametrize("t,rows", [(2, 2), (256, 256), (257, 255), (2048, 32), (4099, 15)])
     def test_chunk_rows(self, t, rows):
@@ -1030,8 +1032,37 @@ def fuzzed_trace_files(draw) -> bytes:
     return line + b"\n" + draw(st.one_of(st.just(payload), st.binary(max_size=300)))
 
 
+@st.composite
+def defective_weights(draw) -> np.ndarray:
+    """A whole trace of uniform causal rows with one to four weights overwritten."""
+    layers, heads, t = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(2, 9))
+    rows = np.tri(t, dtype="<f4") / np.arange(1, t + 1, dtype="<f4")[:, None]
+    weights = np.broadcast_to(rows, (layers, heads, t, t)).copy()
+    flat = weights.reshape(-1)
+    for _ in range(draw(st.integers(1, 4))):
+        flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 0.5, 2.0]))
+    return weights
+
+
+def first_bad_row(weights: np.ndarray) -> str | None:
+    """The defect rule written out a row at a time: the first row in file order that fails a check, under the first
+    check it fails (causality, finiteness, sign, row sum); None if every row passes."""
+    for layer, head, row in np.ndindex(weights.shape[:3]):
+        values, where = weights[layer, head, row], f"at layer {layer}, head {head}, row {row}"
+        if (later := np.flatnonzero(values[row + 1 :])).size:
+            return f"causality violation {where}: nonzero weight in column {row + 1 + later[0]}"
+        if not np.isfinite(values).all():
+            return f"non-finite weight {where}"
+        if (negative := np.flatnonzero(values < 0)).size:
+            return f"negative weight {where}: {float(values[negative[0]]):g} in column {negative[0]}"
+        if abs((total := values.sum(dtype=np.float64)) - 1.0) > 1e-3:
+            return f"row-sum violation {where}: sum {total:.6f} deviates beyond 0.001"
+    return None
+
+
 # A row-sum defect in the window row of head 0 and a negative weight before
-# the window in head 1: the loader and a one-row window report different ones.
+# the window in head 1: a one-row window reads head 1's defect first, yet the
+# first in the file is head 0's.
 TWO_DEFECTS = b'{"version":1,"layers":1,"heads":2,"seq_len":3,"dtype":"f32le"}\n' + struct.pack(
     "<18f", 1, 0, 0, 0.5, 0.5, 0, 0, 0, 2, -1, 0, 0, 0.5, 0.5, 0, 0.2, 0.3, 0.5
 )
@@ -1063,37 +1094,21 @@ class TestLoaderFuzz:
         except TraceFormatError as exc:
             return "error", str(exc)
 
+    @classmethod
+    def windowed_outcomes(cls, read):
+        """``outcome(read)`` at the default ``CHUNK_BYTES`` and at one-row chunks, so a matrix is split."""
+        with pytest.MonkeyPatch.context() as mp:
+            default = cls.outcome(read)
+            mp.setattr(trace_module, "CHUNK_BYTES", 1)
+            return default, cls.outcome(read)
+
     @staticmethod
-    def read_order_message(data: bytes, loaded_message: str, ows: int) -> str:
-        """The message ``read_window`` gives for a file ``load_trace`` refuses.
-
-        Header and length errors come first in both. Row defects are taken in
-        read order: the rows before the window, block by block, then the
-        window rows, block by block; with one defect that is the loader's.
-        """
-        if not loaded_message.startswith(("causality", "non-finite", "negative", "row-sum")):
-            return loaded_message
-        line_end = data.index(b"\n")
-        header = TraceHeader.from_json_line(data[:line_end])
-        t = header.seq_len
-        w = min(ows, t)
-        weights = np.frombuffer(data, "<f4", offset=line_end + 1).reshape(header.layers, header.heads, t, t)
-        blocks = list(np.ndindex(header.layers, header.heads))
-        try:
-            for layer, head in blocks if w < t else []:
-                trace_module._check_block(weights[layer, head, : t - w], layer, head, 0)
-            for layer, head in blocks:
-                trace_module._check_block(weights[layer, head, t - w :], layer, head, t - w)
-        except TraceFormatError as exc:
-            return str(exc)
-        raise AssertionError(f"no defect found in read order for {loaded_message!r}")
-
-    def assert_window_agrees(self, data, loaded, windowed, ows):
-        assert loaded[0] == windowed[0], (loaded, windowed)
+    def assert_window_agrees(loaded, windowed, ows):
         if loaded[0] == "error":
-            assert windowed[1] == self.read_order_message(data, loaded[1], ows)
+            assert windowed == loaded
         else:
             t = loaded[1].header.seq_len
+            assert windowed[0] == "ok", windowed
             assert windowed[1].header == loaded[1].header
             assert windowed[1].weights.tobytes() == loaded[1].weights[:, :, t - min(ows, t) :].tobytes()
 
@@ -1107,7 +1122,18 @@ class TestLoaderFuzz:
         path = tmp_path / "fuzz.bin"
         path.write_bytes(data)
         loaded = self.outcome(lambda: load_trace(path))
-        self.assert_window_agrees(data, loaded, self.outcome(lambda: read_window(path, ows)), ows)
+        for windowed in self.windowed_outcomes(lambda: read_window(path, ows)):
+            self.assert_window_agrees(loaded, windowed, ows)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(defective_weights(), st.integers(1, 10))
+    def test_the_defect_is_the_first_bad_row_in_file_order(self, tmp_path, weights, ows):
+        path = tmp_path / "defects.bin"
+        path.write_bytes(TraceHeader(*weights.shape[:2], seq_len=weights.shape[3]).to_json_line() + weights.tobytes())
+        expected = first_bad_row(weights)
+        built, loaded = self.outcome(lambda: AttentionTrace(weights)), self.outcome(lambda: load_trace(path))
+        for outcome in (built, loaded, *self.windowed_outcomes(lambda: read_window(path, ows))):
+            assert (outcome[0] == "ok") if expected is None else (outcome == ("error", expected))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1116,5 +1142,5 @@ class TestLoaderFuzz:
     @example(TWO_DEFECTS, 1)
     def test_window_reader_agrees_with_the_loader_on_a_pipe(self, tmp_path, data, ows):
         loaded = self.outcome(lambda: feed_pipe(tmp_path, data, load_trace))
-        windowed = self.outcome(lambda: feed_pipe(tmp_path, data, lambda p: read_window(p, ows)))
-        self.assert_window_agrees(data, loaded, windowed, ows)
+        for windowed in self.windowed_outcomes(lambda: feed_pipe(tmp_path, data, lambda p: read_window(p, ows))):
+            self.assert_window_agrees(loaded, windowed, ows)
