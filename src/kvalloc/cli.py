@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -78,14 +79,7 @@ def _settings(args: argparse.Namespace) -> attnproc.ProcSettings:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = trace.SyntheticSpec(
-        layers=args.layers,
-        heads=args.heads,
-        seq_len=args.seq_len,
-        sparsity=args.sparsity,
-        seed=args.seed,
-        layer_skew=args.layer_skew,
-    )
+    spec = trace.SyntheticSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(trace.SyntheticSpec)})
     trace.write_synthetic(spec, args.output)
     _note(f"wrote {args.output}")
     return 0
@@ -154,12 +148,7 @@ def _simulate_source(args: argparse.Namespace) -> trace.AttentionTrace:
         if args.trace is not None:
             raise ValueError("a trace path and --toy are mutually exclusive")
         config = toymodel.ToyModelConfig(
-            layers=args.layers,
-            heads=args.heads,
-            model_dim=args.model_dim,
-            proj_dim=args.proj_dim,
-            seq_len=args.seq_len,
-            seed=args.seed,
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(toymodel.ToyModelConfig)}
         )
         return toymodel.mini_prefill(config, rows=args.ows)
     if args.trace is None:
@@ -273,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="simulate eviction for one task and report")
     sim.add_argument("trace", nargs="?", default=None)
     sim.add_argument("--toy", action="store_true", help="drive a seeded toy-model run instead of a trace")
-    for name in ("layers", "heads", "model_dim", "proj_dim", "seq_len", "seed"):
-        sim.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(toymodel.ToyModelConfig(), name))
+    for f in dataclasses.fields(toymodel.ToyModelConfig):
+        sim.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
     sim.add_argument("--allocation", default=None, help="allocation JSON file")
     sim.add_argument("--auto", action="store_true", help="run the allocator inline")
     sim.add_argument("--profile", default=None, help="reuse the averaged allocation of a profile")

@@ -26,6 +26,14 @@ from .trace import json_object
 DEFAULT_SAMPLE_RATIO = 0.10
 
 
+def _layer_count(samples: Sequence[AllocationList]) -> int:
+    """The layer count every sample shares; raises ValueError if they disagree."""
+    lengths = {len(s) for s in samples}
+    if len(lengths) != 1:
+        raise ValueError(f"samples disagree on layer count: {sorted(lengths)}")
+    return lengths.pop()
+
+
 def average_allocations(samples: Sequence[AllocationList]) -> AllocationList:
     """Per-layer mean allocation, total-preserving.
 
@@ -35,11 +43,8 @@ def average_allocations(samples: Sequence[AllocationList]) -> AllocationList:
     """
     if not len(samples):
         raise ValueError("need at least one allocation sample")
-    lengths = {len(s) for s in samples}
-    if len(lengths) != 1:
-        raise ValueError(f"samples disagree on layer count: {sorted(lengths)}")
     count = len(samples)
-    layer_sums = [sum(s.sizes[i] for s in samples) for i in range(lengths.pop())]
+    layer_sums = [sum(s.sizes[i] for s in samples) for i in range(_layer_count(samples))]
     # round-half-up of (sum of totals) / count, kept in integers
     grand_total = sum(layer_sums)
     target_total = (2 * grand_total + count) // (2 * count)
@@ -61,10 +66,8 @@ def profile_similarity(samples: Sequence[AllocationList]) -> float:
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples to measure similarity")
+    _layer_count(samples)
     vectors = [np.asarray(s.sizes, dtype=np.float64) for s in samples]
-    lengths = {v.size for v in vectors}
-    if len(lengths) != 1:
-        raise ValueError(f"samples disagree on layer count: {sorted(lengths)}")
     for idx, v in enumerate(vectors):
         if np.ptp(v) == 0:
             raise ValueError(f"sample {idx} is constant across layers; correlation undefined")

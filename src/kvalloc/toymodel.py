@@ -110,6 +110,7 @@ def default_input(config: ToyModelConfig) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(config.seq_len, config.model_dim)).astype(np.float32)
 
 
+@np.errstate(invalid="ignore")  # casting a float32 signalling NaN flags an invalid operation
 def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (config.seq_len, config.model_dim):
@@ -124,13 +125,6 @@ def _check_input(config: ToyModelConfig, x: np.ndarray) -> np.ndarray:
     if np.abs(x).max() >= limit:
         raise ValueError(f"toy input x must be below {limit:.6g} in magnitude, so its float32 squares stay finite")
     return x.astype(np.float32)
-
-
-def _allocated(what: str, nbytes: int, make):
-    try:
-        return make()
-    except (MemoryError, ValueError) as exc:
-        raise ValueError(f"a {nbytes}-byte toy {what} cannot be allocated") from exc
 
 
 _BAND = 128
@@ -149,20 +143,26 @@ def _band_weights(e: np.ndarray) -> np.ndarray:
 def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: int) -> PrefillResult:
     """Run the layers up to the last one's attention; a full pass keeps each layer's K and V in one cache array.
 
-    Every array is float32. A ``(t, t)`` square, never touched, is allocated first: a guard that refuses a
-    shape too large to run before anything is drawn. The input is the pass's own copy.
+    Every array is float32. The caller's input is checked first; the pass runs on its own copy. Then every
+    buffer the pass needs is allocated before its first layer, first a ``(t, t)`` square, never touched: a
+    guard that refuses a shape too large to run before anything is drawn. Whichever buffer cannot be
+    allocated, the pass raises one ValueError naming the config, followed by numpy's own size, shape and dtype.
     """
-    l, t, d, p, h = config.layers, config.seq_len, config.model_dim, config.proj_dim, config.heads
+    l, t, p, h = config.layers, config.seq_len, config.proj_dim, config.heads
     r = min(checked_integer("rows", rows, 1), t)
-    _allocated("attention scratch", t * t * 4, lambda: np.empty((t, t), np.float32))
-    attention = _allocated("attention array", l * h * r * t * 4, lambda: np.empty((l, h, r, t), "<f4"))
-    x = _allocated("input", t * d * 4, lambda: default_input(config)) if x is None else _check_input(config, x)
-    weights = _allocated("weight set", l * (4 * h * d * p + 8 * d * d) * 4, lambda: _Weights(config))
+    x = None if x is None else _check_input(config, x)
     n = l if full else 1  # a mini pass reuses one layer's K/V buffer and keeps none
-    kv = _allocated("K/V buffer", n * 2 * h * t * p * 4, lambda: np.empty((n, 2, h, t, p), np.float32))
-    band = np.empty(h * _BAND * t, np.float32)
-    # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
-    contexts = np.empty((t, h * p), np.float32)
+    try:
+        np.empty((t, t), np.float32)
+        attention = np.empty((l, h, r, t), "<f4")
+        x = default_input(config) if x is None else x
+        weights = _Weights(config)
+        kv = np.empty((n, 2, h, t, p), np.float32)
+        band = np.empty(h * _BAND * t, np.float32)
+        # Head i's context fills columns [i*p, (i+1)*p): the heads side by side, as the output projection reads them.
+        contexts = np.empty((t, h * p), np.float32)
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError: a shape whose size overflows
+        raise ValueError(f"a toy pass of {config!r} cannot be allocated: {exc}") from exc
     head_contexts = contexts.reshape(t, h, p).transpose(1, 0, 2)
     xn = _rms_normalize(x)
     for layer_idx, lw in enumerate(weights.layers):
@@ -185,8 +185,8 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
         if last:
             break  # the kept rows and every K/V exist; the rest of the layer feeds nothing they read
         # Row-wise steps on every row, in 128-row bands (a lone last row joins the band before it, as a one-row
-        # product is a matrix-vector one): the MLP's scratch is (band, 4 * d), and the bits stay the pinned ones,
-        # where a whole-matrix product can give a row other last bits at some shapes.
+        # product is a matrix-vector one): the MLP's scratch is (band, 4 * model_dim), and the bits stay the
+        # pinned ones, where a whole-matrix product can give a row other last bits at some shapes.
         edges = [*range(0, t - 1, _BAND), t]
         for i0, i1 in zip(edges, edges[1:]):
             out = x[i0:i1]

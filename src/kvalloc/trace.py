@@ -195,6 +195,7 @@ _LOWER = np.tri(_BAND)
 _ABOVE = _LOWER == 0
 
 
+@np.errstate(invalid="ignore")  # inf + -inf, and any test of a signalling NaN, flag an invalid operation
 def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> str | None:
     """The message for the first defective row of rows ``first_row`` onward of one (layer, head) matrix, or None.
 
@@ -202,6 +203,7 @@ def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> str
     ``t x t`` matrix. A row is reported under the first check it fails:
     causality, finiteness, sign, row sum. Sound rows pay only for float64 row
     sums, causality by 128-row band with no ``t x t`` mask, and ``rows.min()``.
+    No check warns.
     """
     # Summed first, the rows are in cache for the causality check. A NaN or
     # infinity anywhere in a row makes its sum non-finite.

@@ -522,6 +522,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             allocate([], Constraint.budget(0))
 
+    def test_empty_layer_rejected(self):
+        with pytest.raises(ValueError, match="^empty score vector$"):
+            allocate([np.array([])], Constraint.budget(0))
+
     def test_zero_sum_layer_gets_no_slots(self):
         # An all-zero layer keeps everything at size 0, and no slot gains anything there.
         zero = [0.0, 0.0]

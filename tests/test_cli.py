@@ -8,12 +8,16 @@ import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kvalloc.cli import main
+from kvalloc.toymodel import ToyModelConfig
 from kvalloc.trace import AttentionTrace, SyntheticSpec, TraceFormatError, generate_trace, load_trace, save_trace
 
 from conftest import TWO_LAYER_ROWS, make_trace
@@ -256,40 +260,42 @@ class TestSimulate:
 
     # A toy prefill of T tokens first asks for one T x T float32 attention scratch, whatever its heads:
     # 4 TB at a million tokens, 36 TB at three million.
-    @pytest.mark.parametrize(
-        "heads, seq_len, nbytes",
-        [("1", "1000000", 4 * 10**12), ("1", "3000000", 36 * 10**12), ("4", "1000000", 4 * 10**12)],
-    )
-    def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, heads, seq_len, nbytes):
+    @pytest.mark.parametrize("heads, seq_len", [("1", "1000000"), ("1", "3000000"), ("4", "1000000")])
+    def test_toy_shape_too_large_to_allocate_exits_2(self, capsys, heads, seq_len):
         code, out, err = run(
             capsys, "simulate", "--toy", "--auto", "--budget", "5", "--layers", "1", "--heads", heads,
             "--seq-len", seq_len,
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and f"{nbytes}-byte" in err
+        config = f"ToyModelConfig(layers=1, heads={heads}, model_dim=16, proj_dim=8, seq_len={seq_len}, seed=0)"
+        assert err.startswith(f"error: a toy pass of {config} cannot be allocated: ") and err.count("\n") == 1
+        assert err.endswith(f" shape ({seq_len}, {seq_len}) and data type float32\n")
 
-    # The input is seq_len x model_dim float32; the weights are
-    # layers x (4 heads model_dim proj_dim + 8 model_dim^2) float32.
+    # The input is drawn as a seq_len x model_dim float64 array, and each weight as a
+    # heads x model_dim x proj_dim one, before either is rounded to float32.
     @pytest.mark.parametrize(
-        "flag, value, what, nbytes",
+        "flag, value, numpy_says",
         [
-            ("--model-dim", "100000000000", "input", 16 * 10**11 * 4),
-            ("--proj-dim", "100000000000", "weight set", 2 * (4 * 16 * 10**11 + 8 * 256) * 4),
-            ("--proj-dim", "1000000000000000000", "weight set", 2 * (4 * 16 * 10**18 + 8 * 256) * 4),
+            ("--model-dim", "100000000000", " shape (16, 100000000000) and data type float64\n"),
+            ("--proj-dim", "100000000000", " shape (1, 16, 100000000000) and data type float64\n"),
+            ("--proj-dim", "1000000000000000000", "array is too big"),
         ],
     )
-    def test_toy_dimension_too_large_to_allocate_exits_2(self, capsys, flag, value, what, nbytes):
+    def test_toy_dimension_too_large_to_allocate_exits_2(self, capsys, flag, value, numpy_says):
         code, out, err = run(capsys, "simulate", "--toy", "--auto", "--budget", "1", flag, value)
         assert code == 2
         assert out == ""
-        assert err == f"error: a {nbytes}-byte toy {what} cannot be allocated\n"
+        config = ToyModelConfig(**{flag[2:].replace("-", "_"): int(value)})
+        assert err.startswith(f"error: a toy pass of {config!r} cannot be allocated: ") and err.count("\n") == 1
+        assert numpy_says in err
 
-    # A mini pass's K/V buffer, (1, 2, heads, seq_len, proj_dim) float32, is 8 GB here while everything
-    # before it fits in 3 GiB of address space; numpy may reserve that much without touching it, so the
-    # child runs under an address-space limit, which binds that child alone.
-    @pytest.mark.skipif(os.name != "posix", reason="needs resource.setrlimit")
-    def test_toy_kv_buffer_too_large_to_allocate_exits_2(self):
+    @staticmethod
+    def toy_pass_in_3_gib(flags: str) -> subprocess.CompletedProcess:
+        """Run a one-layer ``simulate --toy`` in a child limited to 3 GiB of address space, which binds it alone.
+
+        numpy may reserve a buffer of many GB without touching it, so a refusal is only certain under a limit.
+        """
         import resource
 
         def limit_address_space():
@@ -297,13 +303,32 @@ class TestSimulate:
 
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        argv = "simulate --toy --auto --budget 1 --layers 1 --model-dim 1 --seq-len 1000 --proj-dim 1000000"
-        result = subprocess.run(
-            [sys.executable, "-m", "kvalloc.cli", *argv.split(), "--ows", "8", "--pool-size", "1"],
+        return subprocess.run(
+            [sys.executable, "-m", "kvalloc.cli", *"simulate --toy --auto --budget 1 --layers 1".split(), *flags.split(),
+             "--ows", "8", "--pool-size", "1"],
             env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
         )
+
+    # A mini pass's K/V buffer, (1, 2, heads, seq_len, proj_dim) float32, is 8 GB here while everything
+    # before it fits in 3 GiB of address space.
+    @pytest.mark.skipif(os.name != "posix", reason="needs resource.setrlimit")
+    def test_toy_kv_buffer_too_large_to_allocate_exits_2(self):
+        result = self.toy_pass_in_3_gib("--model-dim 1 --seq-len 1000 --proj-dim 1000000")
         assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == f"error: a {2 * 1000 * 10**6 * 4}-byte toy K/V buffer cannot be allocated\n"
+        config = "ToyModelConfig(layers=1, heads=1, model_dim=1, proj_dim=1000000, seq_len=1000, seed=0)"
+        assert result.stderr.startswith(f"error: a toy pass of {config} cannot be allocated: ")
+        assert result.stderr.endswith(" shape (1, 2, 1, 1000, 1000000) and data type float32\n")
+        assert result.stderr.count("\n") == 1
+
+    # The band buffer, heads x 128 x seq_len float32, is 8 GB here, while the kept rows and the K/V buffer
+    # allocated before it fit in 3 GiB.
+    @pytest.mark.skipif(os.name != "posix", reason="needs resource.setrlimit")
+    def test_toy_band_buffer_too_large_to_allocate_exits_2(self):
+        result = self.toy_pass_in_3_gib("--heads 7630 --seq-len 2048 --model-dim 1 --proj-dim 1")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: a toy pass of ToyModelConfig(layers=1, heads=7630")
+        assert result.stderr.endswith(f" shape ({7630 * 128 * 2048},) and data type float32\n")
+        assert result.stderr.count("\n") == 1
 
     def test_toy_negative_seed_exits_2_by_name(self, capsys):
         code, out, err = run(capsys, "simulate", "--toy", "--auto", "--budget", "1", "--seed", "-1")
@@ -667,6 +692,18 @@ class TestMalformedTraceFiles:
         assert code == 2
         assert "non-finite weight at layer 0, head 0, row 1" in err
 
+    # An [inf, -inf] row and a signalling NaN (bits 0x7f800001) each make numpy flag an invalid operation.
+    @pytest.mark.parametrize(
+        "payload, row",
+        [(struct.pack("<4f", 1, 0, float("inf"), float("-inf")), 1), (struct.pack("<4I", 0x7F800001, 0, 0, 0x3F800000), 0)],
+        ids=["inf-minus-inf", "signalling-nan"],
+    )
+    def test_invalid_operation_rows_exit_2_with_one_line(self, tmp_path, capsys, payload, row):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b'{"version":1,"layers":1,"heads":1,"seq_len":2,"dtype":"f32le"}\n' + payload)
+        code, out, err = run(capsys, "scores", str(path), "--ows", "1", "--pool-size", "1")
+        assert (code, out, err) == (2, "", f"error: non-finite weight at layer 0, head 0, row {row}\n")
+
 
     # One defect outside the observation window, in the last (layer, head)
     # block: scoring never reads that row, but every row a file holds is
@@ -885,3 +922,97 @@ class TestClosedStderr:
         command = command.replace("MISSING", shlex.quote(str(tmp_path / "missing.bin")))
         result = self.shell(command.replace("OUT", shlex.quote(str(tmp_path / "t.bin"))), "2>&-")
         assert (result.returncode, result.stdout) == (2, b"")
+
+
+BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), -1.0, 1e38]
+
+
+@st.composite
+def damaged_trace_files(draw) -> bytes:
+    """A seeded 1-3 x 1-2 x 8-40 trace file with up to three bytes flipped, floats overwritten, or bytes cut or added."""
+    spec = SyntheticSpec(
+        layers=draw(st.integers(1, 3)), heads=draw(st.integers(1, 2)), seq_len=draw(st.integers(8, 40)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    data = bytearray(generate_trace(spec).weights.tobytes())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["flip", "float", "inf-pair", "cut", "append"]))
+        if kind == "flip":
+            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        elif kind in ("float", "inf-pair"):
+            values = [draw(st.sampled_from(BAD_FLOATS))] if kind == "float" else [float("inf"), float("-inf")]
+            at = 4 * draw(st.integers(0, len(data) // 4 - len(values)))
+            data[at : at + 4 * len(values)] = struct.pack(f"<{len(values)}f", *values)
+        elif kind == "cut":
+            del data[len(data) - draw(st.integers(1, 8)) :]
+        else:
+            data += draw(st.binary(min_size=1, max_size=8))
+    header = b'{"version":1,"layers":%d,"heads":%d,"seq_len":%d,"dtype":"f32le"}\n'
+    return header % (spec.layers, spec.heads, spec.seq_len) + bytes(data)
+
+
+# Each flag's values: those a command runs with, then some it must refuse.
+FLAG_VALUES = {
+    "--ows": ([1, 2, 8], [-1, 0, 41]),
+    "--pool-size": ([1, 3, 7], [-1, 0, 2]),
+    "--budget": ([0, 4, 100, 10**6], [-1]),
+    "--target-ravg": ([0.5, 1.0], [0.0, 1.5, *BAD_FLOATS]),
+    "--sizes": (["0,1", "4"], ["-1", "100", "x"]),
+    "--targets": (["0.5,1"], ["0", "1.5", "nan"]),
+    "--layers": ([1, 3], [0]),
+    "--heads": ([1, 2], [0]),
+    "--seq-len": ([16, 40], [1]),
+    "--model-dim": ([1, 8], [0]),
+    "--proj-dim": ([1, 4], [0]),
+    "--seed": ([0, 7], [-1]),
+    "--sparsity": ([0.1, 1.0], [0.0, *BAD_FLOATS]),
+    "--layer-skew": ([0.0, 2.5, 1e308], BAD_FLOATS),
+}
+PROC = ("--ows", "--pool-size")
+TOY = ("--layers", "--heads", "--seq-len", "--model-dim", "--proj-dim", "--seed")
+COMMANDS = {
+    "scores": (["scores", "TRACE"], PROC),
+    "curves --sizes": (["curves", "TRACE"], (*PROC, "--sizes")),
+    "curves --targets": (["curves", "TRACE"], (*PROC, "--targets")),
+    "allocate": (["allocate", "TRACE"], (*PROC, "CONSTRAINT")),
+    "simulate": (["simulate", "TRACE", "--auto", "--compare-uniform"], (*PROC, "CONSTRAINT")),
+    "simulate --toy": (["simulate", "--toy", "--auto"], (*TOY, *PROC, "CONSTRAINT")),
+    "profile": (["profile", "TRACE", "TRACE", "--task-type", "t"], (*PROC, "CONSTRAINT")),
+    "gen": (["gen", "--layers", "2", "--seq-len", "8", "-o", "OUT"], ("--sparsity", "--layer-skew")),
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """One command on the trace ``TRACE`` or the toy model, with up to two of its flags given again, out of range.
+
+    Values go in as ``--flag=value``, since argparse would take a lone ``-inf`` for a flag, and the
+    last of a flag's values is the one it keeps.
+    """
+    argv, flags = COMMANDS[draw(st.sampled_from(sorted(COMMANDS)))]
+    constraint = draw(st.sampled_from(["--budget", "--target-ravg"]))
+    flags = [constraint if flag == "CONSTRAINT" else flag for flag in flags]
+    good = [f"{flag}={draw(st.sampled_from(FLAG_VALUES[flag][0]))}" for flag in flags]
+    bad = [f"{flag}={draw(st.sampled_from(FLAG_VALUES[flag][1]))}" for flag in draw(st.lists(st.sampled_from(flags), max_size=2))]
+    return [*argv, *good, *bad]
+
+
+class TestFuzz:
+    # Toy dimensions stay small here: a huge buffer that numpy maps lazily could be
+    # filled for hours, so huge toy sizes are tried only in the limited children above.
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(damaged_trace_files(), command_lines())
+    def test_exit_0_or_one_error_line(self, tmp_path, capsys, data, argv):
+        path = tmp_path / "fuzz.bin"
+        path.write_bytes(data)
+        argv = [str(path) if a == "TRACE" else str(tmp_path / "out.bin") if a == "OUT" else a for a in argv]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -81,6 +81,10 @@ class TestRetention:
         assert retention([0.0, 0.0], 0) == 1.0
         assert min_size([0.0, 0.0], 1.0) == 0
 
+    def test_empty_vector_has_no_curve(self):
+        with pytest.raises(ValueError, match="^empty score vector$"):
+            retention_curve([])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             retention([0.5, 0.5], 3)

@@ -86,6 +86,10 @@ class TestProfileSimilarity:
         with pytest.raises(ValueError):
             profile_similarity([alloc(1, 2)])
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^samples disagree on layer count: \[2, 3\]$"):
+            profile_similarity([alloc(1, 2), alloc(1, 2, 3)])
+
     def test_same_family_tasks_correlate(self):
         # empirical threshold on the generator, not a modelling claim
         settings = ProcSettings(ows=8, pool_size=7)

@@ -88,14 +88,16 @@ def feed_pipe(tmp_path, data: bytes, read):
 
 
 def assert_every_reader_says(tmp_path, path, message: str) -> None:
-    """``load_trace``, ``read_window`` at ows 8, a pipe of it and a trace built of the payload all raise ``message``."""
+    """``load_trace``, ``read_window`` at ows 1 and 8, a pipe of each, and a built trace all raise ``message``."""
     data = path.read_bytes()
     line_end = data.index(b"\n")
     header = TraceHeader.from_json_line(data[:line_end])
     weights = np.frombuffer(data, "<f4", offset=line_end + 1).reshape(header.layers, header.heads, header.seq_len, -1)
-    reads = [load_trace, lambda p: read_window(p, 8), lambda p: AttentionTrace(weights)]
-    if hasattr(os, "mkfifo"):
-        reads.append(lambda p: feed_pipe(tmp_path, data, lambda fifo: read_window(fifo, 8)))
+    reads = [load_trace, lambda p: AttentionTrace(weights)]
+    for ows in (1, 8):
+        reads.append(lambda p, ows=ows: read_window(p, ows))
+        if hasattr(os, "mkfifo"):
+            reads.append(lambda p, ows=ows: feed_pipe(tmp_path, data, lambda fifo: read_window(fifo, ows)))
     for read in reads:
         with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
             read(path)
@@ -607,6 +609,18 @@ class TestNonFiniteAndNegativeWeights:
         with pytest.raises(TraceFormatError) as built:
             AttentionTrace(weights.reshape(1, 2, 3, 3))
         assert str(built.value) == str(loaded.value)
+
+    # Either makes numpy flag an invalid operation: inf + -inf is NaN, and a signalling NaN
+    # (bits 0x7f800001) flags any test of it. No reader warns; each names the row.
+    @pytest.mark.parametrize(
+        "payload, row",
+        [(struct.pack("<4f", 1, 0, float("inf"), float("-inf")), 1), (struct.pack("<4I", 0x7F800001, 0, 0, 0x3F800000), 0)],
+        ids=["inf-minus-inf", "signalling-nan"],
+    )
+    def test_rows_that_flag_invalid_operations_are_non_finite_without_a_warning(self, tmp_path, payload, row):
+        path = tmp_path / "t.bin"
+        path.write_bytes(HEADER_2TOK + payload)
+        assert_every_reader_says(tmp_path, path, f"non-finite weight at layer 0, head 0, row {row}")
 
     def test_nan_above_diagonal_is_a_causality_violation(self, tmp_path):
         path = tmp_path / "t.bin"
