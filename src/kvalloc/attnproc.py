@@ -70,7 +70,8 @@ class ScoreVector:
     scores: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        s = np.array(self.scores, dtype=np.float64, ndmin=1)
+        with np.errstate(invalid="ignore"):  # casting a signalling NaN flags an invalid operation
+            s = np.array(self.scores, dtype=np.float64, ndmin=1)
         if s.ndim != 1:
             raise ValueError(f"scores must be a vector, got shape {s.shape}")
         if s.size and not s.min() >= 0:

@@ -102,8 +102,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     if (args.sizes is None) == (args.targets is None):
         raise ValueError("exactly one of --sizes or --targets is required")
     settings = _settings(args)
-    sizes = None if args.sizes is None else [int(x) for x in args.sizes.split(",") if x]
-    targets = None if args.targets is None else [float(x) for x in args.targets.split(",") if x]
+    sizes = None if args.sizes is None else [trace.checked_integer("n", int(x)) for x in args.sizes.split(",") if x]
+    targets = None if args.targets is None else [
+        trace.checked_real("target retention", float(x), 0.0, 1.0) for x in args.targets.split(",") if x
+    ]
     vectors = attnproc.process_trace(trace.read_window(args.trace, args.ows), settings)
     if sizes is not None:
         points = metrics.retention_table(vectors, sizes)

@@ -145,8 +145,8 @@ def _forward(config: ToyModelConfig, x: np.ndarray | None, *, full: bool, rows: 
 
     Every array is float32. The caller's input is checked first; the pass runs on its own copy. Then every
     buffer the pass needs is allocated before its first layer, first a ``(t, t)`` square, never touched: a
-    guard that refuses a shape too large to run before anything is drawn. Whichever buffer cannot be
-    allocated, the pass raises one ValueError naming the config, followed by numpy's own size, shape and dtype.
+    size limit, not memory the pass needs, so a shape too large to run is refused before anything is drawn.
+    Whichever buffer cannot be allocated, the pass raises one ValueError naming the config and numpy's reason.
     """
     l, t, p, h = config.layers, config.seq_len, config.proj_dim, config.heads
     r = min(checked_integer("rows", rows, 1), t)

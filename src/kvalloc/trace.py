@@ -21,10 +21,10 @@ fails: causality, finiteness, sign, row sum.
 The CLI streams traces in row chunks through one ``(n, t)`` float32 buffer of
 ``CHUNK_BYTES``: ``read_window`` reads a chunk, checks its rows before the
 window and keeps its window rows, which building the result checks, and
-``write_synthetic`` fills, checks and writes one. Their ``(t, t)`` block is
-never touched, only a guard that the shape fits in memory. Neither holds the
-payload, so traces larger than memory can be written and scored. ``load_trace``
-is ``read_window`` keeping every row; it and ``save_trace`` hold one payload array.
+``write_synthetic`` fills, checks and writes one. ``read_window`` holds nothing
+else; ``write_synthetic``'s untouched ``(t, t)`` block is only a size limit.
+Neither holds the payload, so traces larger than memory can be written and
+scored. ``load_trace`` is ``read_window`` keeping every row; it and ``save_trace`` hold one payload array.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ ROW_SUM_ATOL = 1e-3
 # The streaming chunk buffer: this many bytes of rows, at least one, a whole matrix
 # up to seq_len 256 (32 rows at 2048); below numpy's 4 MiB huge-page threshold.
 CHUNK_BYTES = 256 << 10
+
+# ``to_json_line`` writes under 100 bytes; a file with no newline in this many is refused, the rest unread.
+HEADER_BYTES = 1 << 20
 
 
 class TraceFormatError(ValueError):
@@ -342,8 +345,8 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
     layer index, so layers differ both in where the mass sits and in how
     hard it is to retain. With ``layer_skew == 0`` all layers are identical.
     """
-    t = spec.seq_len
-    weights = np.empty((spec.layers, spec.heads, t, t), dtype=np.float32)
+    l, h, t = spec.layers, spec.heads, spec.seq_len
+    weights = _empty((l, h, t, t), f"{spec!r} needs a {l * h * t * t * 4}-byte payload")
     for layer, head, profile in _head_profiles(spec):
         _fill_rows(weights[layer, head], profile, 0)
     return AttentionTrace(weights)
@@ -352,8 +355,9 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
 def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
     """Write ``save_trace(generate_trace(spec), path)``'s bytes, one checked chunk of rows at a time.
 
-    Rows go through one ``_chunk_buffer``. An untouched ``(t, t)`` block is allocated before
-    ``path`` is opened, so a shape too large for memory raises TraceFormatError and writes nothing.
+    Rows go through one ``_chunk_buffer``. An untouched ``(t, t)`` block is allocated before ``path``
+    is opened, as a size limit, not memory the writer needs: a shape whose one matrix could not be held
+    raises TraceFormatError and writes nothing, not a file that would fill the disk.
     """
     t = spec.seq_len
     header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
@@ -389,10 +393,10 @@ def _check_payload_length(size: int, header: TraceHeader) -> None:
 
 
 def _read_header(fh) -> TraceHeader:
-    """Parse the header line; check a regular file's payload size before any allocation."""
-    line = fh.readline()
+    """Parse the header line, read no further than ``HEADER_BYTES``; check a regular file's payload size."""
+    line = fh.readline(HEADER_BYTES)
     if not line.endswith(b"\n"):
-        raise TraceFormatError("malformed trace file: missing header line")
+        raise TraceFormatError(f"malformed trace file: no header line in its first {HEADER_BYTES} bytes")
     header = TraceHeader.from_json_line(line[:-1])
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
@@ -414,19 +418,16 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
     defect is checked, but every earlier matrix's window rows are, so any
     ``ows`` reports the first defective row in file order, as ``load_trace``
     does. A file or a pipe is read to its end first: a wrong payload length
-    comes before any defect. Only a piped header promising more than memory,
-    whose ``(t, t)`` guard block (never touched) and window rows fit, reports
-    its payload length where ``load_trace`` says it cannot be allocated. An
-    ``ows`` below 1 or not an integer is a ValueError.
+    comes before any defect. The reader holds its window rows and the chunk
+    buffer, nothing else, so a piped header whose window rows fit reports its
+    payload length. An ``ows`` below 1 or not an integer is a ValueError.
     """
     ows = checked_integer("ows", ows, 1)
     with open(path, "rb") as fh:
         header = _read_header(fh)
         t, w = header.seq_len, min(ows, header.seq_len)
         lo = t - w  # the first window row
-        promise = f"header promises a {header.payload_bytes}-byte payload"
-        block, window = _empty((t, t), promise), _empty((header.layers, header.heads, w, t), promise)
-        del block  # a guard, never touched: it and the window rows had to fit at once
+        window = _empty((header.layers, header.heads, w, t), f"header promises a {header.payload_bytes}-byte payload")
         buffer, got, defect = _chunk_buffer(t), 0, None
         chunks = ((*matrix, *c) for matrix in np.ndindex(header.layers, header.heads) for c in _chunks(buffer))
         for layer, head, first, rows in chunks:

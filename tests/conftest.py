@@ -1,8 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kvalloc.attnproc import ProcSettings
 from kvalloc.trace import AttentionTrace
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def python_child(*args: str, address_space: int | None = None, stdin=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with ``src`` importable and one BLAS thread, within ``address_space`` bytes if given.
+
+    numpy may reserve a buffer of many GB without touching it, so a refusal to allocate is only certain under
+    an address-space limit. Output is captured as text.
+    """
+
+    def limit_address_space():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdin=stdin, capture_output=True, text=True, timeout=60,
+        preexec_fn=None if address_space is None else limit_address_space,
+    )
 
 
 def where_exp_softmax(logits: np.ndarray) -> np.ndarray:

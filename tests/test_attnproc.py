@@ -196,6 +196,11 @@ class TestScoreVector:
         with pytest.raises(ValueError, match="nonnegative"):
             ScoreVector(layer=0, scores=np.array([0.1, -0.2]))
 
+    def test_a_float32_signalling_nan_is_refused_without_a_warning(self):
+        scores = np.array([0x3F800000, 0x7F800001], dtype=np.uint32).view(np.float32)  # 1.0 and a signalling NaN
+        with pytest.raises(ValueError, match="^scores must be nonnegative$"):
+            ScoreVector(layer=0, scores=scores)
+
     def test_matrix_rejected(self):
         with pytest.raises(ValueError, match="vector"):
             ScoreVector(layer=0, scores=np.zeros((2, 2)))

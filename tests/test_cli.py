@@ -20,7 +20,7 @@ from kvalloc.cli import main
 from kvalloc.toymodel import ToyModelConfig
 from kvalloc.trace import AttentionTrace, SyntheticSpec, TraceFormatError, generate_trace, load_trace, save_trace
 
-from conftest import TWO_LAYER_ROWS, make_trace
+from conftest import TWO_LAYER_ROWS, make_trace, python_child
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -292,21 +292,10 @@ class TestSimulate:
 
     @staticmethod
     def toy_pass_in_3_gib(flags: str) -> subprocess.CompletedProcess:
-        """Run a one-layer ``simulate --toy`` in a child limited to 3 GiB of address space, which binds it alone.
-
-        numpy may reserve a buffer of many GB without touching it, so a refusal is only certain under a limit.
-        """
-        import resource
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "kvalloc.cli", *"simulate --toy --auto --budget 1 --layers 1".split(), *flags.split(),
-             "--ows", "8", "--pool-size", "1"],
-            env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
+        """Run a one-layer ``simulate --toy`` in a child limited to 3 GiB of address space, which binds it alone."""
+        return python_child(
+            "-m", "kvalloc.cli", *"simulate --toy --auto --budget 1 --layers 1".split(), *flags.split(),
+            "--ows", "8", "--pool-size", "1", address_space=3 << 30,
         )
 
     # A mini pass's K/V buffer, (1, 2, heads, seq_len, proj_dim) float32, is 8 GB here while everything
@@ -794,8 +783,11 @@ class TestUsageErrorsBeforeInput:
         [
             (["--sizes", "1,x"], "invalid literal for int() with base 10: 'x'"),
             (["--targets", "0.5,x"], "could not convert string to float: 'x'"),
+            (["--sizes", "4,-1"], "n must be >= 0, got -1"),
+            (["--targets", "0.5,1.5"], "target retention must be in [0, 1], got 1.5"),
+            (["--targets", "nan"], "target retention must be in [0, 1], got nan"),
         ],
-        ids=["sizes", "targets"],
+        ids=["sizes", "targets", "sizes-negative", "targets-above-one", "targets-nan"],
     )
     def test_curves_list_parsed_before_the_trace_is_read(self, tmp_path, capsys, flag, message):
         code, out, err = run(capsys, "curves", str(tmp_path / "missing.bin"), *flag)
@@ -997,6 +989,65 @@ def command_lines(draw) -> list[str]:
     return [*argv, *good, *bad]
 
 
+# JSON values of every type an allocation or profile field may wrongly hold.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.text(max_size=3)
+    | st.sampled_from([10**400, -(10**400), 2**63, 1.5, 1e308, float("nan"), float("inf"), float("-inf")]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def allocation_files(draw) -> tuple[str, bytes]:
+    """``--allocation`` or ``--profile`` and a file for it.
+
+    The file is JSON with the flag's keys, one maybe dropped, holding sizes for the two-layer fixture or
+    values of any type (bools, huge ints, ``NaN`` and ``Infinity`` literals). Then it may be nested past
+    the recursion limit, cut, followed by trailing data, given a byte that is not UTF-8, or UTF-16.
+    """
+    sizes = st.lists(st.integers(0, 3), min_size=2, max_size=2) | JSON_VALUES
+    flag = draw(st.sampled_from(["--allocation", "--profile"]))
+    if flag == "--allocation":
+        obj = {"sizes": draw(sizes)}
+    else:
+        samples = draw(st.lists(sizes, max_size=3) | JSON_VALUES)
+        one = isinstance(samples, list) and len(samples) == 1 and draw(st.booleans())
+        obj = {"task_type": draw(st.text(max_size=3) | JSON_VALUES), "samples": samples,
+               "averaged": samples[0] if one else draw(sizes)}
+    obj.pop(draw(st.sampled_from([None, None, None, *obj])), None)
+    text = json.dumps(obj).encode()
+    kind = draw(st.sampled_from(["as is"] * 4 + ["nested", "cut", "trailing", "not utf-8", "utf-16"]))
+    if kind == "nested" and obj:
+        depth = draw(st.sampled_from([10, 999, 5000]))
+        key = json.dumps(draw(st.sampled_from(sorted(obj)))).encode()
+        text = b"{%s:%s%s}" % (key, b"[" * depth, b"]" * depth)
+    elif kind == "cut":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    elif kind == "trailing":
+        text += draw(st.sampled_from([b" x", b"{}", b"\x00", b"\n\n1", b"]"]))
+    elif kind == "not utf-8":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + text[at:]
+    elif kind == "utf-16":
+        text = text.decode().encode("utf-16")
+    return flag, text
+
+
+def assert_exit_0_or_one_error_line(capsys, argv: list[str]) -> None:
+    """``main(argv)`` warns nothing and exits 0, or exits 2 with nothing on stdout and one ``error: `` line."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
 class TestFuzz:
     # Toy dimensions stay small here: a huge buffer that numpy maps lazily could be
     # filled for hours, so huge toy sizes are tried only in the limited children above.
@@ -1006,13 +1057,15 @@ class TestFuzz:
         path = tmp_path / "fuzz.bin"
         path.write_bytes(data)
         argv = [str(path) if a == "TRACE" else str(tmp_path / "out.bin") if a == "OUT" else a for a in argv]
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
-        out, err = capsys.readouterr()
-        assert [str(w.message) for w in caught] == []
-        assert code in (0, 2), err
-        if code == 2:
-            assert out == ""
-            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert_exit_0_or_one_error_line(capsys, argv)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(allocation_files(), st.booleans())
+    def test_allocation_and_profile_files_exit_0_or_one_error_line(
+        self, fixture_trace_path, tmp_path, capsys, flag_and_file, compare_uniform
+    ):
+        flag, data = flag_and_file
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(data)
+        argv = ["simulate", fixture_trace_path, flag, str(path), "--ows", "2", "--pool-size", "1"]
+        assert_exit_0_or_one_error_line(capsys, argv + ["--compare-uniform"] * compare_uniform)

@@ -3,25 +3,28 @@
 tracemalloc sees numpy's buffers, so a peak here counts every array a call
 allocates. Trace bounds are multiples of the trace payload. Scoring and
 eviction read only the observation-window rows, so they stay far below one
-payload; loading holds one payload-sized array and one (t, t) float32 buffer;
+payload; loading holds one payload-sized array and one chunk buffer;
 saving writes the trace's own buffer. Generation holds the payload plus one
 float64 band of rows, and building the trace checks it one block at a time
 without a second payload. The streaming paths hold no payload at all:
-``read_window`` holds one (t, t) float32 guard block, one chunk buffer and the
-window rows, and ``write_synthetic`` the block, the chunk buffer and one
-float64 band of rows. They are measured at 16 x 2 blocks, so a whole-payload
-copy would read as 1.0.
+``read_window`` holds one chunk buffer and the window rows, nothing else, and
+``write_synthetic`` one (t, t) float32 block, never touched, that limits the
+size it will write, the chunk buffer and one float64 band of rows. They are
+measured at 16 x 2 blocks, so a whole-payload copy would read as 1.0.
 
-tracemalloc counts the (t, t) guard block at its full size, but the streaming
-paths never touch it: rows go through a separate ``CHUNK_BYTES`` buffer, and
-untouched pages are never resident. numpy asks for huge pages on arrays of
-4 MiB or more, so a row touched in the block itself would cost a 2 MiB page.
-So the CLI's peak resident size is measured too, on a 1 x 1 x 4096 trace, a
-64 MiB matrix: ``gen`` must stay within 3 MiB of a process that imports
-``kvalloc.cli`` and draws from numpy's generator, as ``gen`` must, and
-``allocate`` within 3 MiB of one that only imports ``kvalloc.cli``. ``scores``
-of a piped trace followed by 64 MiB it does not promise, whose tail is counted
-through the chunk buffer, must stay within 16 MiB of the latter.
+tracemalloc counts the writer's (t, t) block at its full size, but rows go
+through a separate ``CHUNK_BYTES`` buffer, and untouched pages are never
+resident. numpy asks for huge pages on arrays of 4 MiB or more, so a row
+touched in the block itself would cost a 2 MiB page. So the CLI's peak
+resident size is measured too, on a 1 x 1 x 4096 trace, a 64 MiB matrix:
+``gen`` must stay within 3 MiB of a process that imports ``kvalloc.cli`` and
+draws from numpy's generator, as ``gen`` must, and ``allocate`` within 3 MiB
+of one that only imports ``kvalloc.cli``. ``scores`` of a piped trace followed
+by 64 MiB it does not promise, whose tail is counted through the chunk buffer,
+must stay within 16 MiB of the latter. Whether a trace is read or refused
+depends on its bytes, not on free memory: ``allocate`` reads a 256 MB matrix
+from a named pipe in 200 MB of address space, and a file or pipe with no
+newline in its first ``HEADER_BYTES`` is refused in 300 MB, however long.
 
 A prefill keeps only the last rows of each head's attention. It computes
 every head's logits and softmax 128 rows at a time, in place in one float32
@@ -32,10 +35,10 @@ of the whole (layers, heads, t, t) float32 array a prefill would hold; the
 other doubles the layers of a default prefill, which may add only their K/V
 and kept rows, 4 bytes a weight as a trace stores them, where a square per
 (layer, head) would add 1 MiB. The prefill still allocates one (t, t) square
-first, as a guard that the shape fits, and never touches it, as
-``read_window`` does its block: ``simulate --toy`` at 1 x 1 x 4096, where the
-square is 64 MiB, must peak within 8 MiB of a process that imports
-``kvalloc.cli`` and draws from numpy's generator.
+first, a size limit it never touches, as ``write_synthetic`` does its block:
+``simulate --toy`` at 1 x 1 x 4096, where the square is 64 MiB, must peak
+within 8 MiB of a process that imports ``kvalloc.cli`` and draws from numpy's
+generator.
 
 A retention table keeps its ratios in one float64 array and builds each
 ``RetentionPoint`` when it is read, so what it returns is bounded per point
@@ -44,11 +47,12 @@ point costs about 90 bytes, and a caller that keeps tables, as the benchmark
 keeps every operation's outcome, would grow by that much per point.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,8 +63,10 @@ from kvalloc.eviction import simulate_task
 from kvalloc.metrics import retention_table
 from kvalloc.toymodel import ToyModelConfig, default_input, full_prefill, mini_prefill
 from kvalloc.trace import (
-    SyntheticSpec, generate_trace, load_trace, read_window, save_trace, write_synthetic,
+    HEADER_BYTES, SyntheticSpec, generate_trace, load_trace, read_window, save_trace, write_synthetic,
 )
+
+from conftest import SRC, python_child
 
 SPEC = SyntheticSpec(layers=4, heads=2, seq_len=256, sparsity=0.1, seed=3, layer_skew=1.0)
 SETTINGS = ProcSettings(ows=8, pool_size=7)
@@ -99,7 +105,6 @@ pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def launch(*argv: str, stdin=None) -> tuple[int, int, str]:
@@ -185,6 +190,51 @@ def test_an_over_long_pipe_is_counted_not_held(tmp_path):
     expected = f"payload length {payload + (64 << 20)} bytes does not match header (expected {payload})"
     assert stderr == f"error: {expected}\n"
     assert kib < baseline + 16 * 1024, (baseline, kib)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes and resource.setrlimit")
+def test_a_pipe_longer_than_the_address_space_is_read(tmp_path):
+    # At 8000 tokens one matrix is 256 MB; the CLI runs in under 150 MB of address space.
+    # The trace is written into a named pipe, so no file of that size is made.
+    spec, fifo = SyntheticSpec(layers=1, heads=1, seq_len=8000), tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError):  # a child that stops early closes the pipe
+            write_synthetic(spec, fifo)
+
+    results = []
+    for address_space in (200 << 20, None):
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        results.append(python_child(
+            "-m", "kvalloc.cli", "allocate", str(fifo), "--budget", "100", address_space=address_space
+        ))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    limited, unlimited = results
+    assert (unlimited.returncode, unlimited.stderr) == (0, "")
+    assert (limited.returncode, limited.stdout, limited.stderr) == (0, unlimited.stdout, "")
+
+
+# A sparse 400 MiB file with no newline, as a file and as a pipe: the header is
+# read no further than HEADER_BYTES, so the refusal fits in 300 MB of address space.
+@pytest.mark.skipif(os.name != "posix", reason="needs resource.setrlimit")
+@pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+def test_a_header_with_no_newline_is_refused_unread(tmp_path, piped):
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"{")
+    with open(path, "ab") as fh:
+        fh.truncate(400 << 20)
+    argv = ["-m", "kvalloc.cli", "scores", "/dev/stdin" if piped else str(path)]
+    if piped:
+        with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+            result = python_child(*argv, address_space=300 << 20, stdin=cat.stdout)
+            cat.stdout.close()
+    else:
+        result = python_child(*argv, address_space=300 << 20)
+    message = f"malformed trace file: no header line in its first {HEADER_BYTES} bytes"
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_scoring_reads_only_window_rows(trace):

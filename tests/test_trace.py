@@ -1,5 +1,6 @@
 """Trace data model, binary format, and synthetic generation."""
 
+import contextlib
 import json
 import os
 import re
@@ -33,6 +34,8 @@ from kvalloc.trace import (
     save_trace,
     write_synthetic,
 )
+
+from conftest import python_child
 
 HEADER_2TOK = b'{"version":1,"layers":1,"heads":1,"seq_len":2,"dtype":"f32le"}\n'
 
@@ -72,11 +75,9 @@ def feed_pipe(tmp_path, data: bytes, read):
     os.mkfifo(fifo)
 
     def feed():
-        with open(fifo, "wb") as fh:
-            try:
-                fh.write(data)
-            except BrokenPipeError:
-                pass
+        # A reader that stops early breaks the pipe on a write or on the close that flushes the rest.
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(data)
 
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
@@ -161,6 +162,23 @@ class TestLoadSave:
         path.write_bytes(b"no newline in sight")
         with pytest.raises(TraceFormatError, match="header"):
             load_trace(path)
+
+    # A header line padded with JSON whitespace to HEADER_BYTES, its newline included, is read; one byte more is not.
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_header_line_is_read_up_to_header_bytes(self, tmp_path, extra):
+        path = tmp_path / "t.bin"
+        padding = b" " * (trace_module.HEADER_BYTES - len(HEADER_2TOK) + extra)
+        path.write_bytes(HEADER_2TOK[:-2] + padding + b"}\n" + struct.pack("<4f", 1.0, 0.0, 0.5, 0.5))
+        reads = [load_trace, lambda p: read_window(p, 1)]
+        if hasattr(os, "mkfifo"):
+            reads.append(lambda p: feed_pipe(tmp_path, p.read_bytes(), load_trace))
+        message = f"^malformed trace file: no header line in its first {trace_module.HEADER_BYTES} bytes$"
+        for read in reads:
+            if extra:
+                with pytest.raises(TraceFormatError, match=message):
+                    read(path)
+            else:
+                assert read(path).weights.tolist()[0][0][-1] == [0.5, 0.5]
 
     def test_roundtrip_bit_identical(self, tmp_path):
         spec = SyntheticSpec(layers=3, heads=2, seq_len=32, sparsity=0.2, seed=11, layer_skew=1.0)
@@ -247,6 +265,21 @@ class TestGenerate:
         trace = generate_trace(spec)
         sums = trace.weights.sum(axis=3, dtype=np.float64)
         assert np.abs(sums - 1.0).max() <= 1e-5
+
+    # 256 GiB, and a size past numpy's index range, each asked for in a child limited to 1 GiB of address
+    # space, so the test process never holds an oversized trace.
+    @pytest.mark.skipif(os.name != "posix", reason="needs resource.setrlimit")
+    @pytest.mark.parametrize("shape", [(64, 64, 4096), (10**6, 10**6, 10**6)])
+    def test_a_spec_too_large_to_allocate_is_refused_by_name(self, shape):
+        code = f"""from kvalloc.trace import *
+try:
+    generate_trace(SyntheticSpec(*{shape}))
+except TraceFormatError as exc:
+    print(exc)"""
+        result = python_child("-c", code, address_space=1 << 30)
+        spec, (l, h, t) = SyntheticSpec(*shape), shape
+        message = f"{spec!r} needs a {l * h * t * t * 4}-byte payload, which cannot be allocated"
+        assert (result.returncode, result.stdout, result.stderr) == (0, message + "\n", "")
 
     def test_sparsity_one_skew_zero_gives_near_uniform_rows(self):
         spec = SyntheticSpec(layers=3, heads=1, seq_len=16, sparsity=1.0, seed=5, layer_skew=0.0)
