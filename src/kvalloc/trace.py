@@ -16,15 +16,22 @@ construction: building one checks every row once, so saving and scoring need
 not check again. ``_find_defect`` is the one check, over any run of rows of one
 (layer, head) matrix, and ``_check_block`` raises what it finds. A trace's defect
 is its first bad row in file order (layer, head, row), under the first check it
-fails: causality, finiteness, sign, row sum.
+fails: causality, finiteness, sign, row sum. A certified float32 pass comes
+first and only accepts: rows with ``min() >= 0``, causal, whose float32 sums
+``s`` have ``|s - 1| <= ROW_SUM_ATOL - _sum_slack(t)``, Higham's bound on a
+float32 sum's error. Every other run of rows, and every run from ``t = 16728``
+on, where the slack reaches ``ROW_SUM_ATOL``, is decided by float64 row sums.
 
 The CLI streams traces in row chunks through one ``(n, t)`` float32 buffer of
 ``CHUNK_BYTES``: ``read_window`` reads a chunk, checks its rows before the
 window and keeps its window rows, which building the result checks, and
-``write_synthetic`` fills, checks and writes one. ``read_window`` holds nothing
-else; ``write_synthetic``'s untouched ``(t, t)`` block is only a size limit.
-Neither holds the payload, so traces larger than memory can be written and
-scored. ``load_trace`` is ``read_window`` keeping every row; it and ``save_trace`` hold one payload array.
+``write_synthetic`` fills, checks and writes one. The fill keeps one float64
+band of a chunk's rows per matrix and rewrites only what changes from chunk
+to chunk, so its bits equal a whole-matrix build (``_fill_rows``).
+``read_window`` holds nothing else; ``write_synthetic``'s untouched ``(t, t)``
+block is only a size limit. Neither holds the payload, so traces larger than
+memory can be written and scored. ``load_trace`` is ``read_window`` keeping
+every row; it and ``save_trace`` hold one payload array.
 """
 
 from __future__ import annotations
@@ -192,35 +199,67 @@ class AttentionTrace:
             _check_block(self.weights[layer, head], layer, head, h.seq_len - w)
 
 
-# The causality check and the fill go 128 rows at a time; each band's diagonal is one square.
+# The causality check goes 128 rows at a time, as does ``generate_trace``'s fill;
+# each band's diagonal is one square.
 _BAND = 128
-_LOWER = np.tri(_BAND)
-_ABOVE = _LOWER == 0
+_ABOVE = ~np.tri(_BAND, dtype=bool)
 
 
-@np.errstate(invalid="ignore")  # inf + -inf, and any test of a signalling NaN, flag an invalid operation
+def _sum_slack(t: int) -> float:
+    """How far a float32 sum of ``t`` values ``x >= 0`` within ``ROW_SUM_ATOL`` of 1, added in any order, can be from
+    their float64 row sum: ``(1 + ROW_SUM_ATOL) * g / (1 - g)``, ``g = t*u / (1 - t*u)``, ``u = 2**-24``.
+
+    Higham's bound puts the float32 sum within ``γ_{t-1} * Σx`` of ``Σx`` (Accuracy and Stability of Numerical
+    Algorithms, §4.2); ``g >= γ_{t-1} + u`` also covers the float64 sum's error and the bound's rounding. The slack
+    reaches ``ROW_SUM_ATOL`` at ``t = 16728`` and stays there.
+    """
+    tu = t * 2.0**-24  # binary32's unit roundoff
+    if tu >= ROW_SUM_ATOL:  # the slack is at least tu
+        return ROW_SUM_ATOL
+    g = tu / (1.0 - tu)
+    return (1.0 + ROW_SUM_ATOL) * g / (1.0 - g)
+
+
+def _is_causal(rows: np.ndarray, first_row: int) -> bool:
+    """Whether every weight above the diagonal is zero, ``rows`` being rows ``first_row`` onward of a matrix.
+
+    By 128-row band: the rest of the band's diagonal square, and every later column; no ``t x t`` mask."""
+    for start in range(0, len(rows), _BAND):
+        band = rows[start : start + _BAND]
+        k, col = len(band), first_row + start
+        if band[:, col + k :].any() or np.logical_and(band[:, col : col + k], _ABOVE[:k, :k]).any():
+            return False
+    return True
+
+
+# inf + -inf, and any test of a signalling NaN, flag an invalid operation; a float32 sum of rows of 1e38 overflows.
+@np.errstate(invalid="ignore", over="ignore")
 def _find_defect(rows: np.ndarray, layer: int, head: int, first_row: int) -> str | None:
     """The message for the first defective row of rows ``first_row`` onward of one (layer, head) matrix, or None.
 
     ``rows`` is ``(r, t)``; its row ``i`` is row ``first_row + i`` of the
     ``t x t`` matrix. A row is reported under the first check it fails:
-    causality, finiteness, sign, row sum. Sound rows pay only for float64 row
-    sums, causality by 128-row band with no ``t x t`` mask, and ``rows.min()``.
-    No check warns.
+    causality, finiteness, sign, row sum. No check warns.
+
+    Sound rows pay for ``rows.min()``, causality by 128-row band (``_is_causal``)
+    and one float32 BLAS product ``rows @ ones``. That fast pass accepts the
+    rows only if every float32 sum ``s`` has ``|s - 1| <= ROW_SUM_ATOL -
+    _sum_slack(t)``, compared in float64: as ``min() >= 0`` rules out NaN,
+    negatives and -inf, the slack bounds the float32 sums' error, so the
+    float64 sums would accept the rows too. Anything else (a defect, +inf, a
+    float32 sum that overflows, a row near the bound, and every run from ``t =
+    16728`` on) takes the float64 path, and only it writes messages.
     """
-    # Summed first, the rows are in cache for the causality check. A NaN or
-    # infinity anywhere in a row makes its sum non-finite.
+    t = rows.shape[1]
+    sound = rows.min() >= 0 and _is_causal(rows, first_row)
+    if sound and (bound := ROW_SUM_ATOL - _sum_slack(t)) > 0:
+        if np.abs(np.subtract(rows @ np.ones(t, np.float32), 1.0, dtype=np.float64)).max() <= bound:
+            return None
+    # A NaN or infinity anywhere in a row makes its float64 sum non-finite.
     sums = rows.sum(axis=1, dtype=np.float64)
     off = np.abs(sums - 1.0)
-    # Above each band's diagonal: the rest of its square, and every later column.
-    for start in range(0, len(rows), _BAND):
-        band = rows[start : start + _BAND]
-        k, col = len(band), first_row + start
-        if band[:, col + k :].any() or np.logical_and(band[:, col : col + k], _ABOVE[:k, :k]).any():
-            break
-    else:  # causal: the rest of the whole-run tests
-        if np.isfinite(sums).all() and rows.min() >= 0 and off.max() <= ROW_SUM_ATOL:
-            return None
+    if sound and np.isfinite(sums).all() and off.max() <= ROW_SUM_ATOL:
+        return None
     above = (rows != 0) & ~np.tri(*rows.shape, k=first_row, dtype=bool)
     fails = above.any(axis=1), ~np.isfinite(sums), (rows < 0).any(axis=1), off > ROW_SUM_ATOL
     row = int(np.logical_or.reduce(fails).argmax())
@@ -299,21 +338,24 @@ def _head_profiles(spec: SyntheticSpec):
             yield layer, head, profile if spec.heads == 1 else profile ** (0.9 + 0.2 * head / (spec.heads - 1))
 
 
-def _fill_rows(out: np.ndarray, profile: np.ndarray, first: int) -> None:
+def _fill_rows(out: np.ndarray, band: np.ndarray, profile: np.ndarray, first: int) -> None:
     """Fill the float32 ``out`` with rows ``first`` onward of ``profile``'s causal matrix, normalised.
 
-    Each 128-row band is built in float64: the profile, its diagonal square
-    times one lower triangle, then zeros. Each row is divided by its sum over
-    the whole row straight into ``out``, so the bits equal a whole-matrix build.
+    Rows are built in the float64 ``band``, ``(n, t)`` with ``n >= len(out)``, which carries one matrix's rows
+    from chunk to chunk: call it for one matrix's chunks in order, every chunk but the last ``n`` rows long. At
+    ``first`` 0 it is zeroed; after that only the strip the last chunk built as its diagonal square becomes the
+    full profile, and the new square is written. Each row is divided by its float64 sum over the whole padded
+    row, so the bits equal a whole-matrix build; only the causal columns are divided, the rest zeroed in float32.
     """
-    mat = np.empty((min(_BAND, len(out)), profile.size))
-    for start in range(0, len(out), _BAND):
-        band, col = mat[: len(out) - start], first + start
-        k = len(band)
-        band[:, :col] = profile[:col]
-        np.multiply(_LOWER[:k, :k], profile[col : col + k], out=band[:, col : col + k])
-        band[:, col + k :] = 0.0
-        np.divide(band, band.sum(axis=1, keepdims=True), out=out[start : start + k], casting="unsafe")
+    k, n, stop = len(out), len(band), first + len(out)
+    if first == 0:
+        band.fill(0.0)
+    else:
+        band[:, first - n : first] = profile[first - n : first]
+    np.multiply(np.tri(k), profile[first:stop], out=band[:k, first:stop])
+    rows = band[:k]
+    np.divide(rows[:, :stop], rows.sum(axis=1, keepdims=True), out=out[:, :stop], casting="unsafe")
+    out[:, stop:] = 0.0
 
 
 def _chunk_buffer(t: int) -> np.ndarray:
@@ -347,8 +389,10 @@ def generate_trace(spec: SyntheticSpec) -> AttentionTrace:
     """
     l, h, t = spec.layers, spec.heads, spec.seq_len
     weights = _empty((l, h, t, t), f"{spec!r} needs a {l * h * t * t * 4}-byte payload")
+    band = np.empty((min(_BAND, t), t))
     for layer, head, profile in _head_profiles(spec):
-        _fill_rows(weights[layer, head], profile, 0)
+        for first in range(0, t, _BAND):
+            _fill_rows(weights[layer, head, first : first + _BAND], band, profile, first)
     return AttentionTrace(weights)
 
 
@@ -363,11 +407,12 @@ def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
     header = TraceHeader(layers=spec.layers, heads=spec.heads, seq_len=t)
     _empty((t, t), f"a {spec.layers}x{spec.heads}x{t} trace needs a {t * t * 4}-byte block buffer")
     buffer = _chunk_buffer(t)
+    band = np.empty(buffer.shape)
     with open(path, "wb") as fh:
         fh.write(header.to_json_line())
         for layer, head, profile in _head_profiles(spec):
             for first, rows in _chunks(buffer):
-                _fill_rows(rows, profile, first)
+                _fill_rows(rows, band, profile, first)
                 _check_block(rows, layer, head, first)
                 fh.write(rows.data)
 

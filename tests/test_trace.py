@@ -1079,15 +1079,55 @@ def fuzzed_trace_files(draw) -> bytes:
     return line + b"\n" + draw(st.one_of(st.just(payload), st.binary(max_size=300)))
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def uniform_causal(layers: int, heads: int, t: int) -> np.ndarray:
+    """A whole trace whose row ``i`` of every matrix is ``1 / (i + 1)`` in its causal columns."""
+    rows = np.tri(t, dtype="<f4") / np.arange(1, t + 1, dtype="<f4")[:, None]
+    return np.broadcast_to(rows, (layers, heads, t, t)).copy()
+
+
+def set_sum_near(matrix: np.ndarray, row: int, target: float, steps: int) -> None:
+    """Set the diagonal weight of a uniform causal row so that the row's float64 sum, exact for these values, is
+    ``target`` moved by ``steps`` float32 steps of that weight."""
+    weight = np.array(target - matrix[row, :row].sum(dtype=np.float64), dtype="<f4")
+    matrix[row, row] = (weight.view("<i4") + steps).view("<f4")
+
+
 @st.composite
 def defective_weights(draw) -> np.ndarray:
-    """A whole trace of uniform causal rows with one to four weights overwritten."""
+    """A whole trace of uniform causal rows with one to four overwrites.
+
+    First, rows may get a float64 sum a few float32 steps inside or outside
+    ``1 ± ROW_SUM_ATOL``: rows the float32 row-sum pass must leave to the
+    float64 sums. Then single weights are overwritten, or a row's first two
+    weights set to a pair whose float32 sum overflows.
+    """
     layers, heads, t = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(2, 9))
-    rows = np.tri(t, dtype="<f4") / np.arange(1, t + 1, dtype="<f4")[:, None]
-    weights = np.broadcast_to(rows, (layers, heads, t, t)).copy()
+    weights = uniform_causal(layers, heads, t)
+    matrices = st.builds(lambda i, j: weights[i, j], st.integers(0, layers - 1), st.integers(0, heads - 1))
+    bounds = st.sampled_from([1 - trace_module.ROW_SUM_ATOL, 1 + trace_module.ROW_SUM_ATOL])
+    overwrites = draw(st.integers(1, 4))
+    for _ in range(near := draw(st.integers(0, overwrites))):
+        set_sum_near(draw(matrices), draw(st.integers(0, t - 1)), draw(bounds), draw(st.integers(-4, 4)))
     flat = weights.reshape(-1)
-    for _ in range(draw(st.integers(1, 4))):
-        flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 0.5, 2.0]))
+    for _ in range(overwrites - near):
+        if draw(st.booleans()):
+            values = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 0.5, 2.0])
+            flat[draw(st.integers(0, flat.size - 1))] = draw(values)
+        else:
+            pairs = st.sampled_from([(1e38, F32_MAX), (F32_MAX, 1e38), (F32_MAX, F32_MAX)])
+            draw(matrices)[draw(st.integers(1, t - 1)), :2] = draw(pairs)
+    return weights
+
+
+def near_bound_trace(steps: int) -> np.ndarray:
+    """A 1 x 2 x 300 uniform trace, three 128-row bands a matrix, whose head 0 row 299 sums 2 float32 steps inside
+    ``1 - ROW_SUM_ATOL`` and head 1 row 200 ``steps`` steps from ``1 + ROW_SUM_ATOL``."""
+    weights = uniform_causal(1, 2, 300)
+    set_sum_near(weights[0, 0], 299, 1 - trace_module.ROW_SUM_ATOL, 2)
+    set_sum_near(weights[0, 1], 200, 1 + trace_module.ROW_SUM_ATOL, steps)
     return weights
 
 
@@ -1174,6 +1214,8 @@ class TestLoaderFuzz:
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(defective_weights(), st.integers(1, 10))
+    @example(near_bound_trace(-2), 8)
+    @example(near_bound_trace(2), 8)
     def test_the_defect_is_the_first_bad_row_in_file_order(self, tmp_path, weights, ows):
         path = tmp_path / "defects.bin"
         path.write_bytes(TraceHeader(*weights.shape[:2], seq_len=weights.shape[3]).to_json_line() + weights.tobytes())
