@@ -144,7 +144,7 @@ def _cmd_allocate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_source(args: argparse.Namespace) -> trace.AttentionTrace:
+def _simulate_source(args: argparse.Namespace, settings: attnproc.ProcSettings) -> trace.AttentionTrace:
     """Resolve the attention source for simulation: a trace's window rows, or a toy prefill's."""
     if args.toy:
         if args.trace is not None:
@@ -152,6 +152,7 @@ def _simulate_source(args: argparse.Namespace) -> trace.AttentionTrace:
         config = toymodel.ToyModelConfig(
             **{f.name: getattr(args, f.name) for f in dataclasses.fields(toymodel.ToyModelConfig)}
         )
+        settings.check_seq_len(config.seq_len)
         return toymodel.mini_prefill(config, rows=args.ows)
     if args.trace is None:
         raise ValueError("either a trace path or --toy is required")
@@ -165,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("exactly one of --allocation, --auto, or --profile is required")
     constraint = _constraint(args) if args.auto else None
     trace.checked_integer("proj_dim", args.proj_dim, 1)
-    source = _simulate_source(args)
+    source = _simulate_source(args, settings)
     if args.allocation is not None:
         with open(args.allocation, "rb") as fh:
             allocation = allocator.AllocationList.from_json(fh.read())

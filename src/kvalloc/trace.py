@@ -23,15 +23,16 @@ float32 sum's error. Every other run of rows, and every run from ``t = 16728``
 on, where the slack reaches ``ROW_SUM_ATOL``, is decided by float64 row sums.
 
 The CLI streams traces in row chunks through one ``(n, t)`` float32 buffer of
-``CHUNK_BYTES``: ``read_window`` reads a chunk, checks its rows before the
-window and keeps its window rows, which building the result checks, and
-``write_synthetic`` fills, checks and writes one. The fill keeps one float64
-band of a chunk's rows per matrix and rewrites only what changes from chunk
-to chunk, so its bits equal a whole-matrix build (``_fill_rows``).
+``CHUNK_BYTES``: ``read_window`` reads and checks a matrix's rows before the
+window there a chunk at a time, then reads its window rows straight into the
+result, which building it checks; ``write_synthetic`` fills, checks and writes
+one chunk at a time. The fill keeps one float64 band of a chunk's rows per
+matrix and rewrites only what changes from chunk to chunk, so its bits equal
+a whole-matrix build (``_fill_rows``).
 ``read_window`` holds nothing else; ``write_synthetic``'s untouched ``(t, t)``
 block is only a size limit. Neither holds the payload, so traces larger than
 memory can be written and scored. ``load_trace`` is ``read_window`` keeping
-every row; it and ``save_trace`` hold one payload array.
+every row, one read per matrix; it and ``save_trace`` hold one payload array.
 """
 
 from __future__ import annotations
@@ -363,11 +364,10 @@ def _chunk_buffer(t: int) -> np.ndarray:
     return np.empty((max(1, min(t, CHUNK_BYTES // (4 * t))), t), dtype="<f4")
 
 
-def _chunks(buffer: np.ndarray):
-    """Yield ``(first_row, rows)`` per chunk of a ``(t, t)`` matrix, ``rows`` a view of ``buffer``'s first rows."""
-    n, t = buffer.shape
-    for first in range(0, t, n):
-        yield first, buffer[: min(n, t - first)]
+def _chunks(buffer: np.ndarray, stop: int):
+    """Yield ``(first, rows)`` per chunk of a matrix's rows before ``stop``, ``rows`` the first rows of ``buffer``."""
+    for first in range(0, stop, len(buffer)):
+        yield first, buffer[: stop - first]
 
 
 def _empty(shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -411,7 +411,7 @@ def write_synthetic(spec: SyntheticSpec, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.to_json_line())
         for layer, head, profile in _head_profiles(spec):
-            for first, rows in _chunks(buffer):
+            for first, rows in _chunks(buffer, t):
                 _fill_rows(rows, band, profile, first)
                 _check_block(rows, layer, head, first)
                 fh.write(rows.data)
@@ -455,17 +455,18 @@ def load_trace(path: str | Path) -> AttentionTrace:
 
 
 def read_window(path: str | Path, ows: int) -> AttentionTrace:
-    """Read a trace file in row chunks, keeping the last ``min(ows, seq_len)`` rows of each matrix.
+    """Read a trace file, keeping the last ``min(ows, seq_len)`` rows of each matrix.
 
-    Each chunk is read into one ``_chunk_buffer``, its rows before the window
-    checked there and its window rows kept, which building the result checks,
-    so every row of a sound file is checked once. No chunk after the first
-    defect is checked, but every earlier matrix's window rows are, so any
-    ``ows`` reports the first defective row in file order, as ``load_trace``
-    does. A file or a pipe is read to its end first: a wrong payload length
-    comes before any defect. The reader holds its window rows and the chunk
-    buffer, nothing else, so a piped header whose window rows fit reports its
-    payload length. An ``ows`` below 1 or not an integer is a ValueError.
+    Each matrix's rows before the window are read in chunks into one
+    ``_chunk_buffer`` and checked there; its window rows are then read in one
+    go straight into the result, which building it checks, so every row of a
+    sound file is checked once. No chunk after the first defect is checked,
+    but every earlier matrix's window rows are, so any ``ows`` reports the
+    first defective row in file order, as ``load_trace`` does. A file or a
+    pipe is read to its end first: a wrong payload length comes before any
+    defect. The reader holds its window rows and the chunk buffer, nothing
+    else, so a piped header whose window rows fit reports its payload length.
+    An ``ows`` below 1 or not an integer is a ValueError.
     """
     ows = checked_integer("ows", ows, 1)
     with open(path, "rb") as fh:
@@ -474,15 +475,12 @@ def read_window(path: str | Path, ows: int) -> AttentionTrace:
         lo = t - w  # the first window row
         window = _empty((header.layers, header.heads, w, t), f"header promises a {header.payload_bytes}-byte payload")
         buffer, got, defect = _chunk_buffer(t), 0, None
-        chunks = ((*matrix, *c) for matrix in np.ndindex(header.layers, header.heads) for c in _chunks(buffer))
-        for layer, head, first, rows in chunks:
+        reads = ((m, *c) for m in np.ndindex(window.shape[:2]) for c in (*_chunks(buffer, lo), (lo, window[m])))
+        for (layer, head), first, rows in reads:
             got += (n := fh.readinto(rows.data))
             if n < rows.nbytes:
                 break
-            end = first + len(rows)
-            if end > lo:
-                window[layer, head, max(first - lo, 0) : end - lo] = rows[max(lo - first, 0) :]
-            if defect is None and first < lo and (found := _find_defect(rows[: lo - first], layer, head, first)):
+            if defect is None and first < lo and (found := _find_defect(rows, layer, head, first)):
                 defect = layer * header.heads + head, found
         # Bytes past the promised payload are counted through the chunk buffer, never held.
         while n := fh.readinto(buffer.data):

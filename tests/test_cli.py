@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kvalloc import toymodel
 from kvalloc.cli import main
 from kvalloc.toymodel import ToyModelConfig
 from kvalloc.trace import AttentionTrace, SyntheticSpec, TraceFormatError, generate_trace, load_trace, save_trace
@@ -738,10 +739,21 @@ class TestUsageErrorsBeforeInput:
             (["simulate", "missing.bin", "--auto"], "exactly one of --budget or --target-ravg is required"),
             (["curves", "missing.bin"], "exactly one of --sizes or --targets is required"),
             (["simulate", "missing.bin", "--auto", "--budget", "1", "--proj-dim", "0"], "proj_dim must be >= 1, got 0"),
+            # A toy's window flags are checked against its seq_len before the toy pass runs.
+            (
+                ["simulate", "--toy", "--seq-len", "64", "--ows", "64", "--auto", "--budget", "4"],
+                "ows 64 must be < seq_len 64",
+            ),
+            (
+                ["simulate", "--toy", "--seq-len", "64", "--pool-size", "57", "--auto", "--budget", "4"],
+                "pool_size 57 exceeds non-window length 56",
+            ),
         ],
-        ids=["simulate-no-allocation", "simulate-auto-no-constraint", "curves-no-sizes", "simulate-proj-dim"],
+        ids=["simulate-no-allocation", "simulate-auto-no-constraint", "curves-no-sizes", "simulate-proj-dim",
+             "toy-ows", "toy-pool-size"],
     )
-    def test_flag_error_reported_before_the_trace_is_read(self, tmp_path, capsys, argv, message):
+    def test_flag_error_reported_before_the_trace_is_read(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(toymodel, "mini_prefill", lambda *args, **kwargs: pytest.fail("the toy pass ran"))
         argv = [str(tmp_path / arg) if arg == "missing.bin" else arg for arg in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -967,7 +979,7 @@ COMMANDS = {
     "curves --sizes": (["curves", "TRACE"], (*PROC, "--sizes")),
     "curves --targets": (["curves", "TRACE"], (*PROC, "--targets")),
     "allocate": (["allocate", "TRACE"], (*PROC, "CONSTRAINT")),
-    "simulate": (["simulate", "TRACE", "--auto", "--compare-uniform"], (*PROC, "CONSTRAINT")),
+    "simulate": (["simulate", "TRACE", "--auto", "--compare-uniform"], (*PROC, "--proj-dim", "CONSTRAINT")),
     "simulate --toy": (["simulate", "--toy", "--auto"], (*TOY, *PROC, "CONSTRAINT")),
     "profile": (["profile", "TRACE", "TRACE", "--task-type", "t"], (*PROC, "CONSTRAINT")),
     "gen": (["gen", "--layers", "2", "--seq-len", "8", "-o", "OUT"], ("--sparsity", "--layer-skew")),

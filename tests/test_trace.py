@@ -941,13 +941,53 @@ class TestReadWindow:
         assert_every_reader_says(tmp_path, path, message)
 
     @pytest.mark.parametrize("t,rows", [(2, 2), (256, 256), (257, 255), (2048, 32), (4099, 15)])
-    def test_chunk_rows(self, t, rows):
+    @pytest.mark.parametrize("window", [0, 1, 40])
+    def test_chunk_rows(self, t, rows, window):
+        # The writer's chunks cover the matrix; the reader's stop at its first window row, 0 for a whole trace.
         buffer = trace_module._chunk_buffer(t)
         assert buffer.shape == (rows, t) and buffer.dtype == np.dtype("<f4")
-        chunks = list(trace_module._chunks(buffer))
+        stop = max(t - window, 0)
+        chunks = list(trace_module._chunks(buffer, stop))
         assert all(c.base is buffer for _, c in chunks)
-        assert [len(c) for _, c in chunks[:-1]] == [rows] * (len(chunks) - 1) and 1 <= len(chunks[-1][1]) <= rows
-        assert [first for first, _ in chunks] == list(range(0, t, rows))
+        assert [len(c) for _, c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert sum(len(c) for _, c in chunks) == stop
+        assert [first for first, _ in chunks] == list(range(0, stop, rows))
+
+    def test_window_rows_are_read_straight_into_the_result(self, path, monkeypatch):
+        # Per matrix: its rows before the window into the chunk buffer, then its window rows in one read; then
+        # the drain, which finds the end of the file.
+        reads = []
+
+        class Recording:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def readinto(self, b):
+                reads.append(b)
+                return self.fh.readinto(b)
+
+        monkeypatch.setattr(trace_module, "open", lambda *args: Recording(open(*args)), raising=False)
+        row = 40 * 4
+        window = read_window(path, 8)
+        assert [m.nbytes for m in reads] == [32 * row, 8 * row] * 6 + [40 * row]
+        assert [np.shares_memory(np.asarray(m), window.weights) for m in reads] == [False, True] * 6 + [False]
+        reads.clear()
+        whole = load_trace(path)
+        assert [m.nbytes for m in reads] == [40 * row] * 6 + [40 * row]
+        assert [np.shares_memory(np.asarray(m), whole.weights) for m in reads] == [True] * 6 + [False]
+        monkeypatch.setattr(trace_module, "CHUNK_BYTES", 3 * row)
+        reads.clear()
+        read_window(path, 8)
+        assert [m.nbytes for m in reads] == ([3 * row] * 10 + [2 * row, 8 * row]) * 6 + [3 * row]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_reports_the_payload_length_before_a_bad_block(self, tmp_path, path):
@@ -1082,17 +1122,20 @@ def fuzzed_trace_files(draw) -> bytes:
 F32_MAX = float(np.finfo(np.float32).max)
 
 
-def uniform_causal(layers: int, heads: int, t: int) -> np.ndarray:
-    """A whole trace whose row ``i`` of every matrix is ``1 / (i + 1)`` in its causal columns."""
-    rows = np.tri(t, dtype="<f4") / np.arange(1, t + 1, dtype="<f4")[:, None]
-    return np.broadcast_to(rows, (layers, heads, t, t)).copy()
+def uniform_causal(layers: int, heads: int, t: int, rows: int | None = None) -> np.ndarray:
+    """The last ``rows`` rows (all by default) of a trace whose row ``i`` of every matrix is ``1 / (i + 1)`` in its
+    causal columns."""
+    lo = t - (rows or t)
+    window = np.tri(t - lo, t, k=lo, dtype="<f4") / np.arange(lo + 1, t + 1, dtype="<f4")[:, None]
+    return np.broadcast_to(window, (layers, heads, t - lo, t)).copy()
 
 
 def set_sum_near(matrix: np.ndarray, row: int, target: float, steps: int) -> None:
-    """Set the diagonal weight of a uniform causal row so that the row's float64 sum, exact for these values, is
-    ``target`` moved by ``steps`` float32 steps of that weight."""
-    weight = np.array(target - matrix[row, :row].sum(dtype=np.float64), dtype="<f4")
-    matrix[row, row] = (weight.view("<i4") + steps).view("<f4")
+    """Set the diagonal weight of a uniform causal row of ``matrix``, the last rows of a square matrix, so that the
+    row's float64 sum, exact for these values, is ``target`` moved by ``steps`` float32 steps of that weight."""
+    col = matrix.shape[1] - matrix.shape[0] + row
+    weight = np.array(target - matrix[row, :col].sum(dtype=np.float64), dtype="<f4")
+    matrix[row, col] = (weight.view("<i4") + steps).view("<f4")
 
 
 @st.composite
@@ -1133,9 +1176,12 @@ def near_bound_trace(steps: int) -> np.ndarray:
 
 def first_bad_row(weights: np.ndarray) -> str | None:
     """The defect rule written out a row at a time: the first row in file order that fails a check, under the first
-    check it fails (causality, finiteness, sign, row sum); None if every row passes."""
-    for layer, head, row in np.ndindex(weights.shape[:3]):
-        values, where = weights[layer, head, row], f"at layer {layer}, head {head}, row {row}"
+    check it fails (causality, finiteness, sign, row sum); None if every row passes. ``weights`` holds the last rows
+    of each matrix, all of them in a whole trace."""
+    lo = weights.shape[3] - weights.shape[2]
+    for layer, head, i in np.ndindex(weights.shape[:3]):
+        row = lo + i
+        values, where = weights[layer, head, i], f"at layer {layer}, head {head}, row {row}"
         if (later := np.flatnonzero(values[row + 1 :])).size:
             return f"causality violation {where}: nonzero weight in column {row + 1 + later[0]}"
         if not np.isfinite(values).all():
@@ -1223,6 +1269,24 @@ class TestLoaderFuzz:
         built, loaded = self.outcome(lambda: AttentionTrace(weights)), self.outcome(lambda: load_trace(path))
         for outcome in (built, loaded, *self.windowed_outcomes(lambda: read_window(path, ows))):
             assert (outcome[0] == "ok") if expected is None else (outcome == ("error", expected))
+
+    def test_the_float32_pass_ends_where_its_slack_reaches_the_tolerance(self):
+        slack, atol = trace_module._sum_slack, trace_module.ROW_SUM_ATOL
+        assert slack(16727) < atol <= slack(16728)
+        assert slack(17000) == atol
+
+    # Whole matrices this long do not fit in a test, so only a built window of each matrix's last 2 rows takes them.
+    @pytest.mark.parametrize("t", [16728, 17000])
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("steps", [-2, 2])
+    def test_from_the_slack_limit_on_the_defect_is_the_first_bad_row(self, t, side, steps):
+        weights = uniform_causal(1, 1, t, rows=2)
+        weights[0, 0, 0, :20] = 0.0  # 20 weights of about 6e-5: room for a diagonal weight that ends at 1 - 1e-3
+        set_sum_near(weights[0, 0], 0, 1 + side * trace_module.ROW_SUM_ATOL, steps)
+        expected = first_bad_row(weights)
+        assert (expected is None) == (side * steps < 0)
+        built = self.outcome(lambda: AttentionTrace(weights))
+        assert (built[0] == "ok") if expected is None else (built == ("error", expected))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
